@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .core import decode, encode
-from .errors import CodecError, NotACodeword, ParameterViolation, ParseError
+from .errors import CodecError, NotACodeword, ParseError
 from .oracle import (
     DEFAULT_STATE_BOUND,
     build_state_graph,
@@ -35,11 +36,20 @@ class _LineError(Exception):
 
 
 def _open_input(path: str):
-    return sys.stdin if path == "-" else open(path, "r", encoding="ascii")
+    # standard input is borrowed, never closed: main() may run again in-process
+    return nullcontext(sys.stdin) if path == "-" else open(path, "r", encoding="ascii")
 
 
-def _open_output(path: str):
-    return sys.stdout if path == "-" else open(path, "w", encoding="ascii")
+def _write_output(path: str, lines) -> None:
+    """Write every output line once all input has been processed, so a failing
+    run leaves no partial file; standard output is never closed."""
+    out = sys.stdout if path == "-" else open(path, "w", encoding="ascii")
+    try:
+        for line in lines:
+            out.write(line + "\n")
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _data_lines(stream):
@@ -75,13 +85,7 @@ def _transform_stream(args, expect_len, apply_word):
                 out_lines.append(apply_word(codec, word))
             except NotACodeword as exc:
                 raise _LineError(lineno, f"not a codeword ({exc})") from exc
-    out = _open_output(args.output)
-    try:
-        for line in out_lines:
-            out.write(line + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_output(args.output, out_lines)
     return 0
 
 
@@ -119,13 +123,7 @@ def _cmd_stats(args) -> int:
             )
     else:
         report = sample_roundtrip(codec, args.samples, args.seed)
-    out = _open_output(args.output)
-    try:
-        for line in report.kv_lines():
-            out.write(line + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_output(args.output, report.kv_lines())
     capacity_ok = (
         report.constraint_count is None
         or report.constraint_count >= codec.q ** (codec.n - 1)
@@ -203,9 +201,6 @@ def main(argv=None) -> int:
     except _LineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ParameterViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CodecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

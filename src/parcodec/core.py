@@ -7,12 +7,14 @@ of start words, no cycle is reachable from any start word, so the loop
 always terminates; the decoder unravels the same steps in reverse until it
 sees a start word again.
 
-Two generic builders are provided:
+Three generic builders are provided:
 
 * :func:`build_one_symbol` turns an injective "shrink" map on the
   constraint-violating words into a full codec with one redundancy symbol.
 * :func:`build_intersection` combines m shrink maps (one per constraint)
   into a single shrink map for the intersection of the constraints.
+* :func:`cut_window_shrink` is the layout every window and window-pair
+  shrink shares: cut one window out, append the fields that restore it.
 """
 
 from __future__ import annotations
@@ -189,6 +191,49 @@ def build_one_symbol(shrink: ShrinkStep, iter_cap: int | None = None) -> CodecSp
         step_back=step_back,
         satisfies=shrink.satisfies,
         iter_cap=iter_cap if iter_cap is not None else default_iter_cap(q, 1),
+    )
+
+
+def cut_window_shrink(
+    q: int, n: int, ell: int, slack: int, tail_len: int,
+    find: Callable[[Word], object | None],
+    cut: Callable[[Word, object], tuple[int, Word]],
+    restore: Callable[[Word, Word], tuple[int, Word]],
+) -> ShrinkStep:
+    """Shrink step with the shared layout: cut one ell-window out, append a tail.
+
+    ``find`` returns a witness of a violation, or None when the word
+    satisfies the constraint.  ``cut(word, witness)`` names the window to
+    remove by its start and gives the ``tail_len`` tail symbols, so a
+    violating word becomes ``word minus the window + tail + zero padding``
+    of n - 1 - slack symbols.  ``restore(rest, tail)`` inverts ``cut`` from
+    the n - ell surviving symbols and the tail, returning the start and the
+    window to reinsert; it raises NotACodeword on inconsistent fields.
+    """
+    target_len = n - 1 - slack
+    content_len = n - ell + tail_len
+    pad = (0,) * (target_len - content_len)
+
+    def satisfies(word: Word) -> bool:
+        return find(word) is None
+
+    def shrink(word: Word) -> Word:
+        witness = find(word)
+        if witness is None:
+            raise ValueError("shrink called on a word that satisfies the constraint")
+        start, tail = cut(word, witness)
+        return word[:start] + word[start + ell :] + tail + pad
+
+    def unshrink(word: Word) -> Word:
+        if any(word[content_len:]):
+            raise NotACodeword("nonzero padding after the tail fields")
+        rest = word[: n - ell]
+        start, window = restore(rest, word[n - ell : content_len])
+        return rest[:start] + window + rest[start:]
+
+    return ShrinkStep(
+        q=q, n=n, slack=slack, target_len=target_len,
+        shrink=shrink, unshrink=unshrink, satisfies=satisfies,
     )
 
 

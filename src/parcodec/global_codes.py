@@ -1,9 +1,16 @@
 """Global constraints: properties of window *pairs* or of the whole word.
 
+One window-pair shrink serves every pair constraint.  It finds the first pair
+(i, j) with transform(window at i) == window at j and j >= i + min_gap, cuts
+window j out in the cut-window layout of :func:`core.cut_window_shrink` and
+appends both indices.  The public builders only choose the transform, the
+minimum gap and how an overlapping window is regrown:
+
 * :func:`repeat_free_shrink` (CLI: rf/srf) - no length-ell window may recur,
-  optionally after a per-position symbol substitution.
+  optionally after a per-position symbol substitution (gap 1; overlapping
+  repeats are regrown symbol by symbol).
 * :func:`reverse_complement_shrink` (CLI: rss) - no two non-overlapping
-  windows may be reverse complements of each other.
+  windows may be reverse complements of each other (gap ell).
 * :func:`build_secondary_structure` (CLI: ss) - reverse-complement pairs
   forbidden at *every* offset, overlapping included, by intersecting the
   non-overlapping shrink with a reverse-complement-palindrome window coder.
@@ -24,12 +31,13 @@ from .core import (
     build_intersection,
     build_one_symbol,
     ceil_log,
+    cut_window_shrink,
     decode_index,
     encode_index,
 )
-from .errors import NotACodeword, ParameterViolation, RankOutOfRange
+from .errors import NotACodeword, ParameterViolation
 from .local import forbidden_window_shrink, no_palindrome_coder
-from .ranking import lex_rank_fixed_weight, lex_unrank_fixed_weight
+from .ranking import rank_by_weight, unrank_by_weight
 from .words import Word
 
 # DNA alphabet is A=0, C=1, G=2, T=3; complement swaps A<->T and C<->G.
@@ -62,7 +70,8 @@ def _normalize_symbol_map(
 
 def _find_window_pair(word: Word, ell: int, transform, min_gap: int) -> tuple[int, int] | None:
     """Minimal (i, j), i ordered first, with transform(window at i) == window at j
-    and j >= i + min_gap; None when no such pair exists."""
+    and j >= i + min_gap; None when no such pair exists.  A None transform is
+    the identity, looked up without rebuilding the window."""
     count = len(word) - ell + 1
     if count < 2:
         return None
@@ -70,14 +79,53 @@ def _find_window_pair(word: Word, ell: int, transform, min_gap: int) -> tuple[in
     for j in range(count):
         positions.setdefault(word[j : j + ell], []).append(j)
     for i in range(count):
-        matches = positions.get(transform(word[i : i + ell]))
+        window = word[i : i + ell]
+        matches = positions.get(window if transform is None else transform(window))
         if not matches:
             continue
-        floor = max(i + min_gap, i + 1)
+        floor = i + min_gap
         for j in matches:
             if j >= floor:
                 return i, j
     return None
+
+
+def _window_pair_shrink(
+    n: int, ell: int, q: int, slack: int, transform, min_gap: int, regrow
+) -> ShrinkStep:
+    """The one window-pair shrink: cut window j of the first pair, append i and j.
+
+    The inverse accepts only i + min_gap <= j <= n - ell.  A removed window
+    that did not overlap its match is rebuilt as transform(window at i), an
+    overlapping one (possible only when min_gap < ell) as regrow(rest, i, j).
+    """
+    index_width = ceil_log(n, q)
+    if ell < 2 * index_width + 1 + slack:
+        raise ParameterViolation(
+            f"window length {ell} below bound 2*ceil_log(n) + 1 + slack "
+            f"= {2 * index_width + 1 + slack}"
+        )
+    if ell > n:
+        raise ParameterViolation(f"window length {ell} exceeds word length {n}")
+
+    def cut(word: Word, pair: tuple[int, int]) -> tuple[int, Word]:
+        i, j = pair
+        return j, encode_index(i, index_width, q) + encode_index(j, index_width, q)
+
+    def restore(rest: Word, tail: Word) -> tuple[int, Word]:
+        i = decode_index(tail[:index_width], q)
+        j = decode_index(tail[index_width:], q)
+        if not i + min_gap <= j <= n - ell:
+            raise NotACodeword(f"index pair ({i}, {j}) out of range")
+        if j < i + ell:
+            return j, regrow(rest, i, j)
+        source = rest[i : i + ell]
+        return j, source if transform is None else transform(source)
+
+    return cut_window_shrink(
+        q, n, ell, slack, 2 * index_width,
+        lambda word: _find_window_pair(word, ell, transform, min_gap), cut, restore,
+    )
 
 
 def repeat_free_shrink(
@@ -96,64 +144,21 @@ def repeat_free_shrink(
     window (no overlap) or regrows the removed one symbol by symbol, since an
     overlapping match forces a (j - i)-periodic structure.
     """
-    index_width = ceil_log(n, q)
-    if ell < 2 * index_width + 1 + slack:
-        raise ParameterViolation(
-            f"window length {ell} below bound 2*ceil_log(n) + 1 + slack "
-            f"= {2 * index_width + 1 + slack}"
-        )
-    if ell > n:
-        raise ParameterViolation(f"window length {ell} exceeds word length {n}")
     tables = _normalize_symbol_map(symbol_map, ell, q)
-    if tables is None:
-        transform = lambda window: window  # noqa: E731
-    else:
+    transform = None
+    if tables is not None:
         transform = lambda window: tuple(t[s] for t, s in zip(tables, window))  # noqa: E731
-    target_len = n - 1 - slack
-    content_len = n - ell + 2 * index_width
-    pad = target_len - content_len
 
-    def satisfies(word: Word) -> bool:
-        return _find_window_pair(word, ell, transform, 1) is None
+    def regrow(rest: Word, i: int, j: int) -> Word:
+        # the removed window overlapped its match: regrow left to right,
+        # reading already-regrown symbols once the source runs past j
+        grown: list[int] = []
+        for t in range(ell):
+            src = rest[i + t] if i + t < j else grown[i + t - j]
+            grown.append(src if tables is None else tables[t][src])
+        return tuple(grown)
 
-    def shrink(word: Word) -> Word:
-        pair = _find_window_pair(word, ell, transform, 1)
-        if pair is None:
-            raise ValueError("shrink called on a word with no repeated window")
-        i, j = pair
-        return (
-            word[:j]
-            + word[j + ell :]
-            + encode_index(i, index_width, q)
-            + encode_index(j, index_width, q)
-            + (0,) * pad
-        )
-
-    def unshrink(word: Word) -> Word:
-        if any(word[content_len:]):
-            raise NotACodeword("nonzero padding after index fields")
-        rest = word[: n - ell]
-        i = decode_index(word[n - ell : n - ell + index_width], q)
-        j = decode_index(word[n - ell + index_width : content_len], q)
-        if not i < j <= n - ell:
-            raise NotACodeword(f"index pair ({i}, {j}) out of range")
-        if j >= i + ell:
-            source = rest[i : i + ell]
-            window = transform(source)
-        else:
-            # the removed window overlapped its match: regrow left to right,
-            # reading already-regrown symbols once the source runs past j
-            grown: list[int] = []
-            for t in range(ell):
-                src = rest[i + t] if i + t < j else grown[i + t - j]
-                grown.append(src if tables is None else tables[t][src])
-            window = tuple(grown)
-        return rest[:j] + window + rest[j:]
-
-    return ShrinkStep(
-        q=q, n=n, slack=slack, target_len=target_len,
-        shrink=shrink, unshrink=unshrink, satisfies=satisfies,
-    )
+    return _window_pair_shrink(n, ell, q, slack, transform, 1, regrow)
 
 
 def reverse_complement_shrink(
@@ -169,50 +174,8 @@ def reverse_complement_shrink(
     q = len(comp)
     if any(comp[comp[s]] != s for s in range(q)):
         raise ParameterViolation(f"complement table {comp} is not self-inverse")
-    index_width = ceil_log(n, q)
-    if ell < 2 * index_width + 1 + slack:
-        raise ParameterViolation(
-            f"window length {ell} below bound 2*ceil_log(n) + 1 + slack "
-            f"= {2 * index_width + 1 + slack}"
-        )
-    if ell > n:
-        raise ParameterViolation(f"window length {ell} exceeds word length {n}")
     transform = lambda window: reverse_complement(window, comp)  # noqa: E731
-    target_len = n - 1 - slack
-    content_len = n - ell + 2 * index_width
-    pad = target_len - content_len
-
-    def satisfies(word: Word) -> bool:
-        return _find_window_pair(word, ell, transform, ell) is None
-
-    def shrink(word: Word) -> Word:
-        pair = _find_window_pair(word, ell, transform, ell)
-        if pair is None:
-            raise ValueError("shrink called on a word with no reverse-complement pair")
-        i, j = pair
-        return (
-            word[:j]
-            + word[j + ell :]
-            + encode_index(i, index_width, q)
-            + encode_index(j, index_width, q)
-            + (0,) * pad
-        )
-
-    def unshrink(word: Word) -> Word:
-        if any(word[content_len:]):
-            raise NotACodeword("nonzero padding after index fields")
-        rest = word[: n - ell]
-        i = decode_index(word[n - ell : n - ell + index_width], q)
-        j = decode_index(word[n - ell + index_width : content_len], q)
-        if not (i + ell <= j <= n - ell):
-            raise NotACodeword(f"index pair ({i}, {j}) is not a non-overlapping pair")
-        window = reverse_complement(rest[i : i + ell], comp)
-        return rest[:j] + window + rest[j:]
-
-    return ShrinkStep(
-        q=q, n=n, slack=slack, target_len=target_len,
-        shrink=shrink, unshrink=unshrink, satisfies=satisfies,
-    )
+    return _window_pair_shrink(n, ell, q, slack, transform, ell, None)
 
 
 def build_secondary_structure(n: int, comp: Sequence[int] = DNA_COMPLEMENT) -> CodecSpec:
@@ -243,21 +206,11 @@ def count_weight_at_most(n: int, wmax: int) -> int:
 
 def rank_weight_at_most(word: Word, wmax: int) -> int:
     """Rank of a binary word among weight-<=wmax words (weight asc, then lex)."""
-    weight = sum(word)
-    if weight > wmax:
-        raise RankOutOfRange(f"word weight {weight} exceeds wmax {wmax}")
-    return count_weight_at_most(len(word), weight - 1) + lex_rank_fixed_weight(word)
+    return rank_by_weight(word, range(wmax + 1))
 
 
 def unrank_weight_at_most(rank: int, n: int, wmax: int) -> Word:
-    if not 0 <= rank < count_weight_at_most(n, wmax):
-        raise RankOutOfRange(f"rank {rank} out of range for weight <= {wmax}, n = {n}")
-    for weight in range(wmax + 1):
-        block = comb(n, weight)
-        if rank < block:
-            return lex_unrank_fixed_weight(rank, n, weight)
-        rank -= block
-    raise RankOutOfRange("unreachable")  # pragma: no cover
+    return unrank_by_weight(rank, n, range(wmax + 1))
 
 
 def min_balanced_weight(n: int) -> int:

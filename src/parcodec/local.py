@@ -33,11 +33,12 @@ from .core import (
     build_intersection,
     build_one_symbol,
     ceil_log,
+    cut_window_shrink,
     decode_index,
     encode_index,
 )
 from .errors import NotACodeword, ParameterViolation
-from .ranking import lex_rank_fixed_weight, lex_unrank_fixed_weight
+from .ranking import rank_by_weight, unrank_by_weight
 from .words import Word, check_word
 
 
@@ -83,38 +84,19 @@ def forbidden_window_shrink(coder: WindowCoder, n: int, slack: int = 0) -> Shrin
         )
     if ell > n:
         raise ParameterViolation(f"window length {ell} exceeds word length {n}")
-    target_len = n - 1 - slack
-    content_len = n - ell + index_width + packed
-    pad = target_len - content_len
 
-    def satisfies(word: Word) -> bool:
-        return first_forbidden_window(word, coder) is None
+    def cut(word: Word, i: int) -> tuple[int, Word]:
+        return i, encode_index(i, index_width, q) + coder.pack(word[i : i + ell])
 
-    def shrink(word: Word) -> Word:
-        i = first_forbidden_window(word, coder)
-        if i is None:
-            raise ValueError("shrink called on a word with no forbidden window")
-        return (
-            word[:i]
-            + word[i + ell :]
-            + encode_index(i, index_width, q)
-            + coder.pack(word[i : i + ell])
-            + (0,) * pad
-        )
-
-    def unshrink(word: Word) -> Word:
-        if any(word[content_len:]):
-            raise NotACodeword("nonzero padding after packed window")
-        rest = word[: n - ell]
-        i = decode_index(word[n - ell : n - ell + index_width], q)
+    def restore(rest: Word, tail: Word) -> tuple[int, Word]:
+        i = decode_index(tail[:index_width], q)
         if i > n - ell:
             raise NotACodeword(f"window index {i} out of range (max {n - ell})")
-        window = coder.unpack(word[content_len - packed : content_len])
-        return rest[:i] + window + rest[i:]
+        return i, coder.unpack(tail[index_width:])
 
-    return ShrinkStep(
-        q=q, n=n, slack=slack, target_len=target_len,
-        shrink=shrink, unshrink=unshrink, satisfies=satisfies,
+    return cut_window_shrink(
+        q, n, ell, slack, index_width + packed,
+        lambda word: first_forbidden_window(word, coder), cut, restore,
     )
 
 
@@ -182,12 +164,8 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
             f"window length {ell} leaves no room for the packed field "
             f"(needs at least ceil_log(n) + 1 + slack = {ceil_log(n, 2) + 1 + slack})"
         )
-    weights = list(range(0, wmin)) + list(range(wmax + 1, ell + 1))
-    offsets = {}
-    total = 0
-    for w in weights:
-        offsets[w] = total
-        total += comb(ell, w)
+    weights = tuple(range(0, wmin)) + tuple(range(wmax + 1, ell + 1))
+    total = sum(comb(ell, w) for w in weights)
     if total > 1 << packed:
         raise ParameterViolation(
             f"forbidden-window count {total} exceeds capacity 2**{packed} = {1 << packed}"
@@ -198,17 +176,13 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
         return weight < wmin or weight > wmax
 
     def pack(window: Word) -> Word:
-        rank = offsets[sum(window)] + lex_rank_fixed_weight(window)
-        return encode_index(rank, packed, 2)
+        return encode_index(rank_by_weight(window, weights), packed, 2)
 
     def unpack(packed_word: Word) -> Word:
         rank = decode_index(packed_word, 2)
         if rank >= total:
             raise NotACodeword(f"window rank {rank} out of range (|W| = {total})")
-        for w in reversed(weights):
-            if rank >= offsets[w]:
-                return lex_unrank_fixed_weight(rank - offsets[w], ell, w)
-        raise NotACodeword("empty forbidden set cannot be unpacked")
+        return unrank_by_weight(rank, ell, weights)
 
     return WindowCoder(2, ell, packed, is_forbidden, pack, unpack)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import CodecSpec, ShrinkStep, decode, encode
 from .errors import BoundExceeded, NotACodeword
@@ -81,6 +81,43 @@ def _require(condition: bool, message: str) -> None:
         raise BoundExceeded(message)
 
 
+def _roundtrip(
+    codec: CodecSpec,
+    payloads: Iterable[Word],
+    report: VerifyReport,
+    output_check: Callable[[Word], bool] | None,
+) -> VerifyReport:
+    """Round-trip each payload into ``report``; the one loop behind both modes.
+
+    A codeword counts as a duplicate only when a different payload already
+    produced it, so repeated samples are not flagged.
+    """
+    outputs: dict[Word, Word] = {}
+    total_iterations = 0
+    max_iterations = 0
+    for payload in payloads:
+        word, stats = encode(codec, payload)
+        total_iterations += stats.iterations
+        max_iterations = max(max_iterations, stats.iterations)
+        if not codec.satisfies(word):
+            report.failures.append((payload, MEMBERSHIP))
+        previous = outputs.get(word)
+        if previous is not None and previous != payload:
+            report.failures.append((payload, DUPLICATE_OUTPUT))
+        outputs[word] = payload
+        if output_check is not None and not output_check(word):
+            report.failures.append((payload, OUTPUT_CHECK))
+        try:
+            if decode(codec, word) != payload:
+                report.failures.append((payload, ROUNDTRIP))
+        except NotACodeword:
+            report.failures.append((payload, ROUNDTRIP))
+    inputs = report.total_inputs
+    report.avg_iterations = Fraction(total_iterations, inputs) if inputs else Fraction(0)
+    report.max_iterations = max_iterations
+    return report
+
+
 def exhaustive_roundtrip(
     codec: CodecSpec,
     *,
@@ -94,30 +131,7 @@ def exhaustive_roundtrip(
     """
     space = codec.q ** codec.k
     _require(space <= bound, f"q**k = {space} exceeds bound {bound}")
-    report = VerifyReport(total_inputs=space)
-    outputs: dict[Word, Word] = {}
-    total_iterations = 0
-    max_iterations = 0
-    for payload in all_words(codec.q, codec.k):
-        word, stats = encode(codec, payload)
-        total_iterations += stats.iterations
-        max_iterations = max(max_iterations, stats.iterations)
-        if not codec.satisfies(word):
-            report.failures.append((payload, MEMBERSHIP))
-        if word in outputs:
-            report.failures.append((payload, DUPLICATE_OUTPUT))
-        else:
-            outputs[word] = payload
-        if output_check is not None and not output_check(word):
-            report.failures.append((payload, OUTPUT_CHECK))
-        try:
-            if decode(codec, word) != payload:
-                report.failures.append((payload, ROUNDTRIP))
-        except NotACodeword:
-            report.failures.append((payload, ROUNDTRIP))
-    report.avg_iterations = Fraction(total_iterations, space)
-    report.max_iterations = max_iterations
-    return report
+    return _roundtrip(codec, all_words(codec.q, codec.k), VerifyReport(total_inputs=space), output_check)
 
 
 class _XorShift64Star:
@@ -151,31 +165,9 @@ def sample_roundtrip(
 ) -> VerifyReport:
     """Round-trip a seeded sample of payloads; reported as non-exhaustive."""
     rng = _XorShift64Star(seed)
+    payloads = (tuple(rng.symbol(codec.q) for _ in range(codec.k)) for _ in range(samples))
     report = VerifyReport(total_inputs=samples, exhaustive=False, seed=seed)
-    outputs: dict[Word, Word] = {}
-    total_iterations = 0
-    max_iterations = 0
-    for _ in range(samples):
-        payload = tuple(rng.symbol(codec.q) for _ in range(codec.k))
-        word, stats = encode(codec, payload)
-        total_iterations += stats.iterations
-        max_iterations = max(max_iterations, stats.iterations)
-        if not codec.satisfies(word):
-            report.failures.append((payload, MEMBERSHIP))
-        previous = outputs.get(word)
-        if previous is not None and previous != payload:
-            report.failures.append((payload, DUPLICATE_OUTPUT))
-        outputs[word] = payload
-        if output_check is not None and not output_check(word):
-            report.failures.append((payload, OUTPUT_CHECK))
-        try:
-            if decode(codec, word) != payload:
-                report.failures.append((payload, ROUNDTRIP))
-        except NotACodeword:
-            report.failures.append((payload, ROUNDTRIP))
-    report.avg_iterations = Fraction(total_iterations, samples) if samples else Fraction(0)
-    report.max_iterations = max_iterations
-    return report
+    return _roundtrip(codec, payloads, report, output_check)
 
 
 @dataclass

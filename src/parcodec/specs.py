@@ -8,11 +8,16 @@ Grammar (one line, no spaces):
 Values are non-negative integers.  Intersection members automatically
 receive the slack needed for the member tag.  The alphabet size q is not
 part of the text; it is supplied at build time (CLI flag ``--q``).
+
+Each constraint is one ``_CONSTRAINTS`` row (parameter order, optional keys,
+allowed q or None for any, builder, intersection-member flag), so adding a
+constraint means adding one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import CodecSpec, ShrinkStep, build_intersection, build_one_symbol, ceil_log
 from .errors import ParameterViolation, ParseError
@@ -24,6 +29,7 @@ from .global_codes import (
     reverse_complement_shrink,
 )
 from .local import (
+    WindowCoder,
     build_palindrome_free,
     forbidden_window_shrink,
     min_period_coder,
@@ -31,24 +37,6 @@ from .local import (
     no_palindrome_coder,
     weight_window_coder,
 )
-
-# canonical parameter order per constraint name; optional keys may be absent
-_PARAM_ORDER = {
-    "mw": ("n", "l", "p"),
-    "lab": ("n", "l", "wmin", "wmax"),
-    "mp": ("n", "l", "p"),
-    "enp": ("n", "l", "rc"),
-    "mpl": ("n",),
-    "rf": ("n", "l"),
-    "srf": ("n", "l", "beta"),
-    "rss": ("n", "l"),
-    "ss": ("n",),
-    "ab": ("n",),
-}
-_OPTIONAL = {"enp": frozenset({"rc"})}
-# names usable as members of an intersection (those that yield a shrink step)
-_MEMBER_NAMES = frozenset({"mw", "lab", "mp", "enp", "rf", "srf", "rss"})
-
 
 @dataclass(frozen=True)
 class ConstraintSpec:
@@ -92,12 +80,13 @@ def parse_spec(text: str) -> ConstraintSpec:
         for member in members:
             if member.name == "intersect":
                 raise ParseError("intersect members cannot be nested intersections")
-            if member.name not in _MEMBER_NAMES:
+            if not _CONSTRAINTS[member.name].member:
                 raise ParseError(f"{member.name!r} cannot be an intersection member")
         if len({m.n for m in members}) != 1:
             raise ParseError("intersection members must share the same n")
         return ConstraintSpec("intersect", (), members)
-    if name not in _PARAM_ORDER:
+    row = _CONSTRAINTS.get(name)
+    if row is None:
         raise ParseError(f"unknown constraint name {name!r}")
     seen: dict[str, int] = {}
     if rest:
@@ -105,7 +94,7 @@ def parse_spec(text: str) -> ConstraintSpec:
             key, eq, value = item.partition("=")
             if not eq or not value:
                 raise ParseError(f"malformed parameter {item!r}")
-            if key not in _PARAM_ORDER[name]:
+            if key not in row.params:
                 raise ParseError(f"unknown parameter {key!r} for {name!r}")
             if key in seen:
                 raise ParseError(f"duplicate parameter {key!r}")
@@ -115,19 +104,16 @@ def parse_spec(text: str) -> ConstraintSpec:
                 raise ParseError(f"parameter {key!r} must be an integer, got {value!r}") from None
             if seen[key] < 0:
                 raise ParseError(f"parameter {key!r} must be non-negative")
-    optional = _OPTIONAL.get(name, frozenset())
-    for key in _PARAM_ORDER[name]:
-        if key not in seen and key not in optional:
+    for key in row.params:
+        if key not in seen and key not in row.optional:
             raise ParseError(f"spec {name!r} is missing parameter {key!r}")
-    ordered = tuple((k, seen[k]) for k in _PARAM_ORDER[name] if k in seen)
+    ordered = tuple((k, seen[k]) for k in row.params if k in seen)
     return ConstraintSpec(name, ordered)
 
 
-def _require_q(spec_name: str, q: int, allowed: tuple[int, ...]) -> None:
-    if q not in allowed:
-        raise ParameterViolation(
-            f"constraint {spec_name!r} requires q in {allowed}, got {q}"
-        )
+def _require_q(spec_name: str, q: int, allowed: tuple[int, ...] | None) -> None:
+    if allowed is not None and q not in allowed:
+        raise ParameterViolation(f"constraint {spec_name!r} requires q in {allowed}, got {q}")
 
 
 def _symbol_table_from_digits(beta: int, q: int) -> tuple[int, ...]:
@@ -140,50 +126,64 @@ def _symbol_table_from_digits(beta: int, q: int) -> tuple[int, ...]:
     return table
 
 
+def _no_palindrome(s: ConstraintSpec, q: int, slack: int) -> WindowCoder:
+    if s.param("rc", 0):
+        _require_q("enp with rc=1", q, (4,))
+    return no_palindrome_coder(s.n, s.param("l"), DNA_COMPLEMENT if s.param("rc", 0) else None, q, slack)
+
+
+def _window(coder: Callable[[ConstraintSpec, int, int], WindowCoder]) -> Callable:
+    """Member builder for a forbidden-window constraint, given its coder factory."""
+    return lambda s, q, slack: forbidden_window_shrink(coder(s, q, slack), s.n, slack)
+
+
+@dataclass(frozen=True)
+class _Constraint:
+    """Registry row; ``build(spec, q, slack)`` gives a shrink step if ``member``, else a codec."""
+
+    params: tuple[str, ...]
+    qs: tuple[int, ...] | None
+    build: Callable
+    member: bool = True
+    optional: frozenset[str] = frozenset()
+
+
+_CONSTRAINTS = {
+    "mw": _Constraint(("n", "l", "p"), (2,), _window(
+        lambda s, q, slack: min_weight_coder(s.n, s.param("l"), s.param("p"), slack))),
+    "lab": _Constraint(("n", "l", "wmin", "wmax"), (2,), _window(lambda s, q, slack: weight_window_coder(
+        s.n, s.param("l"), s.param("wmin"), s.param("wmax"), slack))),
+    "mp": _Constraint(("n", "l", "p"), None, _window(
+        lambda s, q, slack: min_period_coder(s.n, s.param("l"), s.param("p"), slack, q))),
+    "enp": _Constraint(("n", "l", "rc"), None, _window(_no_palindrome), optional=frozenset({"rc"})),
+    "mpl": _Constraint(("n",), None, lambda s, q, slack: build_palindrome_free(s.n, q), member=False),
+    "rf": _Constraint(("n", "l"), None, lambda s, q, slack: repeat_free_shrink(
+        s.n, s.param("l"), q, None, slack)),
+    "srf": _Constraint(("n", "l", "beta"), None, lambda s, q, slack: repeat_free_shrink(
+        s.n, s.param("l"), q, _symbol_table_from_digits(s.param("beta"), q), slack)),
+    "rss": _Constraint(("n", "l"), (4,), lambda s, q, slack: reverse_complement_shrink(
+        s.n, s.param("l"), DNA_COMPLEMENT, slack)),
+    "ss": _Constraint(("n",), (4,), lambda s, q, slack: build_secondary_structure(s.n), member=False),
+    "ab": _Constraint(("n",), (2,), lambda s, q, slack: build_almost_balanced(s.n), member=False),
+}
+
+
 def build_shrink(spec: ConstraintSpec, q: int, slack: int = 0) -> ShrinkStep:
     """Build the shrink step for a non-composite constraint spec."""
-    n = spec.n
-    if spec.name == "mw":
-        _require_q("mw", q, (2,))
-        coder = min_weight_coder(n, spec.param("l"), spec.param("p"), slack)
-        return forbidden_window_shrink(coder, n, slack)
-    if spec.name == "lab":
-        _require_q("lab", q, (2,))
-        coder = weight_window_coder(n, spec.param("l"), spec.param("wmin"), spec.param("wmax"), slack)
-        return forbidden_window_shrink(coder, n, slack)
-    if spec.name == "mp":
-        coder = min_period_coder(n, spec.param("l"), spec.param("p"), slack, q)
-        return forbidden_window_shrink(coder, n, slack)
-    if spec.name == "enp":
-        comp = None
-        if spec.param("rc", 0):
-            _require_q("enp with rc=1", q, (4,))
-            comp = DNA_COMPLEMENT
-        coder = no_palindrome_coder(n, spec.param("l"), comp, q, slack)
-        return forbidden_window_shrink(coder, n, slack)
-    if spec.name == "rf":
-        return repeat_free_shrink(n, spec.param("l"), q, None, slack)
-    if spec.name == "srf":
-        table = _symbol_table_from_digits(spec.param("beta"), q)
-        return repeat_free_shrink(n, spec.param("l"), q, table, slack)
-    if spec.name == "rss":
-        _require_q("rss", q, (4,))
-        return reverse_complement_shrink(n, spec.param("l"), DNA_COMPLEMENT, slack)
-    raise ParameterViolation(f"{spec.name!r} does not define a standalone shrink step")
+    row = _CONSTRAINTS.get(spec.name)
+    if row is None or not row.member:
+        raise ParameterViolation(f"{spec.name!r} does not define a standalone shrink step")
+    _require_q(spec.name, q, row.qs)
+    return row.build(spec, q, slack)
 
 
 def build_codec(spec: ConstraintSpec, q: int = 2) -> CodecSpec:
     """Build a full codec from a parsed spec; every parameter bound is checked here."""
     if spec.name == "intersect":
         tag = ceil_log(len(spec.members), q)
-        shrinks = [build_shrink(member, q, tag) for member in spec.members]
-        return build_one_symbol(build_intersection(shrinks))
-    if spec.name == "mpl":
-        return build_palindrome_free(spec.n, q)
-    if spec.name == "ss":
-        _require_q("ss", q, (4,))
-        return build_secondary_structure(spec.n)
-    if spec.name == "ab":
-        _require_q("ab", q, (2,))
-        return build_almost_balanced(spec.n)
-    return build_one_symbol(build_shrink(spec, q, 0))
+        return build_one_symbol(build_intersection([build_shrink(m, q, tag) for m in spec.members]))
+    row = _CONSTRAINTS.get(spec.name)
+    if row is None or row.member:
+        return build_one_symbol(build_shrink(spec, q))
+    _require_q(spec.name, q, row.qs)
+    return row.build(spec, q, 0)

@@ -160,6 +160,21 @@ def test_rc_shrink_detects_nonoverlapping_pair():
     assert shrink.unshrink(image) == word
 
 
+def test_rc_shrink_unshrink_rejects_bad_pair():
+    # n=12, ell=5, q=4: 7 surviving symbols, then i and j in two base-4 digits each
+    shrink = reverse_complement_shrink(12, 5)
+    rest = (0, 1, 2, 3, 0, 1, 2)
+    assert len(shrink.unshrink(rest + (0, 0, 1, 1))) == 12  # (0, 5) is a valid pair
+    for fields in [
+        (0, 0, 0, 2),  # i=0, j=2 overlaps: i < j < i + ell
+        (0, 1, 1, 1),  # i=1, j=5 overlaps at the last symbol
+        (0, 0, 2, 0),  # j=8 > n - ell = 7
+        (1, 0, 0, 0),  # i=4 > j=0
+    ]:
+        with pytest.raises(NotACodeword):
+            shrink.unshrink(rest + fields)
+
+
 def test_rc_shrink_ignores_overlapping_pairs():
     shrink = reverse_complement_shrink(12, 5)
     for word in [(0,) * 12, (0, 3) * 6, (1, 2, 1, 2) * 3]:

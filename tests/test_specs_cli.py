@@ -1,11 +1,15 @@
 """Constraint-spec grammar and the command-line front end."""
 
+import io
+import sys
+
 import pytest
 
 from parcodec import (
     ParameterViolation,
     ParseError,
     build_codec,
+    build_shrink,
     decode,
     encode,
     parse_spec,
@@ -84,6 +88,12 @@ def test_build_enforces_alphabet():
         build_codec(parse_spec("enp:n=8,l=8,rc=1"), q=2)
 
 
+@pytest.mark.parametrize("text, q", [("mpl:n=16", 2), ("ss:n=8", 4), ("ab:n=16", 2)])
+def test_build_shrink_rejects_non_members(text, q):
+    with pytest.raises(ParameterViolation):
+        build_shrink(parse_spec(text), q)
+
+
 def test_srf_beta_table():
     codec = build_codec(parse_spec("srf:n=16,l=9,beta=10"))
     word, _ = encode(codec, (0,) * 15)
@@ -136,6 +146,18 @@ def test_cli_encode_trivial_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert captured.out == "1111111111111111\n"
+
+
+def test_cli_leaves_stdin_open_across_runs(monkeypatch, capsys):
+    stdin = io.StringIO("111111111111111\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    args = ["encode", "--spec", "mw:n=16,l=9,p=2", "--input", "-"]
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out == "1111111111111111\n"
+    # a second in-process run finds stdin open, now at its end
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out == ""
+    assert not stdin.closed
 
 
 def test_cli_check_repeated_windows(tmp_path, capsys):
