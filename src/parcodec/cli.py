@@ -6,7 +6,8 @@ in a text format (``bits`` for q=2, ``dna`` for q=4); lines starting with
 ``--spec``/``--q`` flags, so streams carry no header.
 
 Exit codes: 0 success, 1 data/validation failure (first offending line
-reported), 2 usage or spec error.
+reported, non-ASCII input included), 2 usage or spec error (a path that
+cannot be opened included).
 """
 
 from __future__ import annotations
@@ -35,15 +36,27 @@ class _LineError(Exception):
         super().__init__(f"line {lineno}: {message}")
 
 
+class _FileError(Exception):
+    """A path given on the command line cannot be opened (a usage error)."""
+
+
+def _open(path: str, mode: str):
+    # non-ASCII bytes decode to lone surrogates, which _data_lines reports by line
+    try:
+        return open(path, mode, encoding="ascii", errors="surrogateescape")
+    except OSError as exc:
+        raise _FileError(f"cannot open {path!r}: {exc.strerror or exc}") from exc
+
+
 def _open_input(path: str):
     # standard input is borrowed, never closed: main() may run again in-process
-    return nullcontext(sys.stdin) if path == "-" else open(path, "r", encoding="ascii")
+    return nullcontext(sys.stdin) if path == "-" else _open(path, "r")
 
 
 def _write_output(path: str, lines) -> None:
     """Write every output line once all input has been processed, so a failing
     run leaves no partial file; standard output is never closed."""
-    out = sys.stdout if path == "-" else open(path, "w", encoding="ascii")
+    out = sys.stdout if path == "-" else _open(path, "w")
     try:
         for line in lines:
             out.write(line + "\n")
@@ -54,6 +67,8 @@ def _write_output(path: str, lines) -> None:
 
 def _data_lines(stream):
     for lineno, raw in enumerate(stream, start=1):
+        if not raw.isascii():
+            raise _LineError(lineno, "input is not ASCII text")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -135,7 +150,7 @@ def _cmd_graph(args) -> int:
     codec = _build(args)
     graph = build_state_graph(codec, bound=args.bound)
     report = check_graph(codec, graph=graph)
-    with open(args.dot, "w", encoding="ascii") as handle:
+    with _open(args.dot, "w") as handle:
         handle.write(graph_to_dot(graph))
     for line in report.kv_lines():
         print(line)
@@ -151,6 +166,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", default="-", help="input path or - for stdin")
     parser.add_argument("--output", default="-", help="output path or - for stdout")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--bound", type=int, default=DEFAULT_STATE_BOUND, help="exhaustive state bound")
     mode = p_stats.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true", help="enumerate every payload")
-    mode.add_argument("--samples", type=int, help="number of random payloads")
+    mode.add_argument("--samples", type=_positive_int, help="number of random payloads")
     p_stats.add_argument("--seed", type=int, default=1, help="sampling seed")
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -201,7 +226,7 @@ def main(argv=None) -> int:
     except _LineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CodecError as exc:
+    except (CodecError, _FileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,14 @@
 One window-pair shrink serves every pair constraint.  It finds the first pair
 (i, j) with transform(window at i) == window at j and j >= i + min_gap, cuts
 window j out in the cut-window layout of :func:`core.cut_window_shrink` and
-appends both indices.  The public builders only choose the transform, the
-minimum gap and how an overlapping window is regrown:
+appends both indices.  The pair finder (:func:`_pair_finder`) keys every
+window once as an ell-byte slice of ``bytes(word)`` (so q <= 256), builds
+the transformed source keys by transforming the whole word once and slicing
+it (per window only for per-position symbol tables), answers "no pair" with
+one set test and only then searches for the minimal (i, j): n slices and
+hashes done in C, plus O(n) dictionary work.  The public builders only
+choose the transform, the minimum gap and how an overlapping window is
+regrown:
 
 * :func:`repeat_free_shrink` (CLI: rf/srf) - no length-ell window may recur,
   optionally after a per-position symbol substitution (gap 1; overlapping
@@ -22,8 +28,9 @@ minimum gap and how an overlapping window is regrown:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, isqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     CodecSpec,
@@ -68,36 +75,90 @@ def _normalize_symbol_map(
     return tuple(out)
 
 
-def _find_window_pair(word: Word, ell: int, transform, min_gap: int) -> tuple[int, int] | None:
-    """Minimal (i, j), i ordered first, with transform(window at i) == window at j
-    and j >= i + min_gap; None when no such pair exists.  A None transform is
-    the identity, looked up without rebuilding the window."""
-    count = len(word) - ell + 1
-    if count < 2:
+# source_keys(bytes(word), window slices) -> bytes key of transform(window i), for every i
+_SourceKeys = Callable[[bytes, tuple], list]
+
+
+def _require_byte_keys(q: int) -> None:
+    if q > 256:
+        raise ParameterViolation(f"window-pair constraints key windows as bytes, so need q <= 256, got {q}")
+
+
+def _symbol_translation(table: Sequence[int]) -> bytes:
+    """A bytes.translate table applying a symbol map on [0, len(table))."""
+    return bytes(table) + bytes(256 - len(table))
+
+
+def _symbol_map_keys(tables: tuple[tuple[int, ...], ...]) -> _SourceKeys:
+    """Source keys of a per-position symbol map (one table per window position)."""
+    if len(set(tables)) == 1:
+        # one table: map the whole word once, then slice it
+        translation = _symbol_translation(tables[0])
+        return lambda b, cuts: list(map(b.translate(translation).__getitem__, cuts))
+    return lambda b, cuts: [bytes(t[s] for t, s in zip(tables, b[cut])) for cut in cuts]
+
+
+def _reverse_complement_keys(comp: tuple[int, ...]) -> _SourceKeys:
+    """Source keys of the reverse complement: window k of the reverse-complemented
+    word is the reverse complement of window count - 1 - k of the word."""
+    translation = _symbol_translation(comp)
+
+    def keys(b: bytes, cuts: tuple) -> list:
+        mirrored = b.translate(translation)[::-1]
+        return list(map(mirrored.__getitem__, cuts))[::-1]
+
+    return keys
+
+
+@lru_cache(maxsize=64)
+def _window_cuts(n: int, ell: int) -> tuple[slice, ...]:
+    """The slices of every length-ell window of an n-word, made once per (n, ell)."""
+    return tuple(map(slice, range(n - ell + 1), range(ell, n + 1)))
+
+
+def _pair_finder(ell: int, min_gap: int, source_keys: _SourceKeys | None):
+    """Finder of the minimal (i, j), i ordered first, with transform(window at i)
+    == window at j and j >= i + min_gap; None when no such pair exists.
+
+    Every window is keyed once as a slice of ``bytes(word)``; a None
+    ``source_keys`` is the identity, whose sources are those same keys.
+    """
+
+    def find(word: Word) -> tuple[int, int] | None:
+        count = len(word) - ell + 1
+        if count < 2:
+            return None
+        b = bytes(word)
+        cuts = _window_cuts(len(word), ell)
+        keys = list(map(b.__getitem__, cuts))
+        targets = set(keys)
+        if source_keys is None:
+            if len(targets) == count:
+                return None
+            sources = keys
+        else:
+            sources = source_keys(b, cuts)
+            if targets.isdisjoint(sources):
+                return None
+        last = dict(zip(keys, range(count)))
+        for i, key in enumerate(sources):
+            if last.get(key, -1) >= i + min_gap:
+                return i, keys.index(key, i + min_gap)
         return None
-    positions: dict[Word, list[int]] = {}
-    for j in range(count):
-        positions.setdefault(word[j : j + ell], []).append(j)
-    for i in range(count):
-        window = word[i : i + ell]
-        matches = positions.get(window if transform is None else transform(window))
-        if not matches:
-            continue
-        floor = i + min_gap
-        for j in matches:
-            if j >= floor:
-                return i, j
-    return None
+
+    return find
 
 
 def _window_pair_shrink(
-    n: int, ell: int, q: int, slack: int, transform, min_gap: int, regrow
+    n: int, ell: int, q: int, slack: int, transform, min_gap: int, regrow,
+    source_keys: _SourceKeys | None,
 ) -> ShrinkStep:
     """The one window-pair shrink: cut window j of the first pair, append i and j.
 
     The inverse accepts only i + min_gap <= j <= n - ell.  A removed window
     that did not overlap its match is rebuilt as transform(window at i), an
     overlapping one (possible only when min_gap < ell) as regrow(rest, i, j).
+    ``source_keys`` gives the pair finder the same transform on bytes keys.
     """
     index_width = ceil_log(n, q)
     if ell < 2 * index_width + 1 + slack:
@@ -123,8 +184,7 @@ def _window_pair_shrink(
         return j, source if transform is None else transform(source)
 
     return cut_window_shrink(
-        q, n, ell, slack, 2 * index_width,
-        lambda word: _find_window_pair(word, ell, transform, min_gap), cut, restore,
+        q, n, ell, slack, 2 * index_width, _pair_finder(ell, min_gap, source_keys), cut, restore,
     )
 
 
@@ -144,10 +204,12 @@ def repeat_free_shrink(
     window (no overlap) or regrows the removed one symbol by symbol, since an
     overlapping match forces a (j - i)-periodic structure.
     """
+    _require_byte_keys(q)
     tables = _normalize_symbol_map(symbol_map, ell, q)
-    transform = None
+    transform = source_keys = None
     if tables is not None:
         transform = lambda window: tuple(t[s] for t, s in zip(tables, window))  # noqa: E731
+        source_keys = _symbol_map_keys(tables)
 
     def regrow(rest: Word, i: int, j: int) -> Word:
         # the removed window overlapped its match: regrow left to right,
@@ -158,7 +220,7 @@ def repeat_free_shrink(
             grown.append(src if tables is None else tables[t][src])
         return tuple(grown)
 
-    return _window_pair_shrink(n, ell, q, slack, transform, 1, regrow)
+    return _window_pair_shrink(n, ell, q, slack, transform, 1, regrow, source_keys)
 
 
 def reverse_complement_shrink(
@@ -174,8 +236,9 @@ def reverse_complement_shrink(
     q = len(comp)
     if any(comp[comp[s]] != s for s in range(q)):
         raise ParameterViolation(f"complement table {comp} is not self-inverse")
+    _require_byte_keys(q)
     transform = lambda window: reverse_complement(window, comp)  # noqa: E731
-    return _window_pair_shrink(n, ell, q, slack, transform, ell, None)
+    return _window_pair_shrink(n, ell, q, slack, transform, ell, None, _reverse_complement_keys(comp))
 
 
 def build_secondary_structure(n: int, comp: Sequence[int] = DNA_COMPLEMENT) -> CodecSpec:

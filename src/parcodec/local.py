@@ -1,8 +1,11 @@
 """Local constraints: forbidden fixed-length windows anywhere in the word.
 
-A :class:`WindowCoder` describes one family of forbidden windows: an
-indicator over length-ell windows plus an injective compressor ``pack`` that
-squeezes a forbidden window into ell' < ell symbols.
+A :class:`WindowCoder` describes one family of forbidden windows: a
+leftmost-witness finder over whole words plus an injective compressor
+``pack`` that squeezes a forbidden window into ell' < ell symbols.  Each
+finder scans the word once, in O(n) (O(n*p) for mp), instead of slicing and
+re-testing every length-ell window; the window predicate ``is_forbidden`` is
+that finder applied to one window.
 :func:`forbidden_window_shrink` lifts any such coder into a shrink step: the
 first forbidden window is cut out and re-encoded at the tail as
 (window index, packed window).
@@ -24,8 +27,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, repeat
 from math import comb
-from typing import Callable, Sequence
+from operator import eq, gt, not_, sub
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     CodecSpec,
@@ -44,24 +49,49 @@ from .words import Word, check_word
 
 @dataclass(frozen=True)
 class WindowCoder:
-    """Forbidden-window family with an injective width-reducing compressor."""
+    """Forbidden-window family with an injective width-reducing compressor.
+
+    ``first_violation(word)`` is the family's one definition: the smallest
+    start of a forbidden length-``window_len`` window in a word of any
+    length, or None.  The built-in finders make one pass over the word with
+    no per-window rescan: O(len(word)), O(len(word) * p) for
+    min_period_coder, and one set lookup per window for listed_window_coder.
+    """
 
     q: int
     window_len: int
     packed_len: int
-    is_forbidden: Callable[[Word], bool]
+    first_violation: Callable[[Word], int | None]
     pack: Callable[[Word], Word]
     unpack: Callable[[Word], Word]
 
+    def is_forbidden(self, window: Word) -> bool:
+        """Whether one length-window_len window is forbidden (the finder on it)."""
+        return self.first_violation(window) == 0
+
 
 def first_forbidden_window(word: Word, coder: WindowCoder) -> int | None:
-    """Smallest start index of a forbidden window, or None. Leftmost wins."""
-    ell = coder.window_len
-    hit = coder.is_forbidden
-    for i in range(len(word) - ell + 1):
-        if hit(word[i : i + ell]):
-            return i
-    return None
+    """Smallest start index of a forbidden window, or None. Leftmost wins.
+
+    This is ``coder.first_violation(word)``, the coder's own one-pass finder.
+    """
+    return coder.first_violation(word)
+
+
+def _first_sparse_window(positions: Iterable[int], n: int, ell: int, p: int) -> int | None:
+    """Leftmost i <= n - ell with fewer than p of the ascending positions in [i, i + ell).
+
+    Within a gap between two listed positions, the earliest start holds the
+    fewest positions, so only the starts 0 and position + 1 are candidates:
+    the one after ``positions[k-1]`` qualifies iff ``positions[k+p-1]`` lies
+    beyond its window.  Sentinels -1 in front and p copies of n + ell behind
+    make the last candidate always qualify.
+    """
+    if p <= 0:
+        return None
+    ext = [-1, *positions, *repeat(n + ell, p)]
+    before = next(compress(ext, map(gt, map(sub, ext[p:], ext), repeat(ell))))
+    return before + 1 if before + 1 <= n - ell else None
 
 
 def forbidden_window_shrink(coder: WindowCoder, n: int, slack: int = 0) -> ShrinkStep:
@@ -96,7 +126,7 @@ def forbidden_window_shrink(coder: WindowCoder, n: int, slack: int = 0) -> Shrin
 
     return cut_window_shrink(
         q, n, ell, slack, index_width + packed,
-        lambda word: first_forbidden_window(word, coder), cut, restore,
+        coder.first_violation, cut, restore,
     )
 
 
@@ -118,8 +148,8 @@ def min_weight_coder(n: int, ell: int, p: int, slack: int = 0) -> WindowCoder:
             f"smallest admissible is {needed}"
         )
 
-    def is_forbidden(window: Word) -> bool:
-        return sum(window) < p
+    def first_violation(word: Word) -> int | None:
+        return _first_sparse_window(compress(range(len(word)), word), len(word), ell, p)
 
     def pack(window: Word) -> Word:
         fields = [encode_index(i, field, 2) for i, s in enumerate(window) if s]
@@ -136,7 +166,7 @@ def min_weight_coder(n: int, ell: int, p: int, slack: int = 0) -> WindowCoder:
                 window[pos] = 1
         return tuple(window)
 
-    return WindowCoder(2, ell, packed, is_forbidden, pack, unpack)
+    return WindowCoder(2, ell, packed, first_violation, pack, unpack)
 
 
 def _min_weight_min_ell(n: int, p: int, slack: int) -> int:
@@ -171,9 +201,12 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
             f"forbidden-window count {total} exceeds capacity 2**{packed} = {1 << packed}"
         )
 
-    def is_forbidden(window: Word) -> bool:
-        weight = sum(window)
-        return weight < wmin or weight > wmax
+    def first_violation(word: Word) -> int | None:
+        # too light: fewer than wmin ones; too heavy: fewer than ell - wmax zeros
+        n_word = len(word)
+        light = _first_sparse_window(compress(range(n_word), word), n_word, ell, wmin)
+        heavy = _first_sparse_window(compress(range(n_word), map(not_, word)), n_word, ell, ell - wmax)
+        return min((i for i in (light, heavy) if i is not None), default=None)
 
     def pack(window: Word) -> Word:
         return encode_index(rank_by_weight(window, weights), packed, 2)
@@ -184,16 +217,24 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
             raise NotACodeword(f"window rank {rank} out of range (|W| = {total})")
         return unrank_by_weight(rank, ell, weights)
 
-    return WindowCoder(2, ell, packed, is_forbidden, pack, unpack)
+    return WindowCoder(2, ell, packed, first_violation, pack, unpack)
 
 
 def minimal_period(window: Word) -> int:
-    """Smallest p in [1, len) with window[i] == window[i+p] for all i; len if none."""
-    ell = len(window)
-    for p in range(1, ell):
-        if all(window[i] == window[i + p] for i in range(ell - p)):
-            return p
-    return ell
+    """Smallest p in [1, len) with window[i] == window[i+p] for all i; len if none.
+
+    The minimal period is len minus the longest proper border (a prefix that
+    is also a suffix); the border loop finds it in O(len).
+    """
+    borders = [0] * len(window)
+    k = 0
+    for i in range(1, len(window)):
+        while k and window[i] != window[k]:
+            k = borders[k - 1]
+        if window[i] == window[k]:
+            k += 1
+        borders[i] = k
+    return len(window) - k
 
 
 def min_period_coder(n: int, ell: int, p: int, slack: int = 0, q: int = 2) -> WindowCoder:
@@ -211,8 +252,13 @@ def min_period_coder(n: int, ell: int, p: int, slack: int = 0, q: int = 2) -> Wi
             f"smallest admissible is {needed}"
         )
 
-    def is_forbidden(window: Word) -> bool:
-        return minimal_period(window) < p
+    # a window has period d iff word[t] == word[t + d] along its first
+    # ell - d positions; a period below p needs only d < p
+    runs = {d: b"\x01" * (ell - d) for d in range(1, p)}
+
+    def first_violation(word: Word) -> int | None:
+        starts = [bytes(map(eq, word, word[d:])).find(run) for d, run in runs.items()]
+        return min((i for i in starts if i >= 0), default=None)
 
     def pack(window: Word) -> Word:
         period = minimal_period(window)
@@ -227,7 +273,7 @@ def min_period_coder(n: int, ell: int, p: int, slack: int = 0, q: int = 2) -> Wi
         seed = packed_word[: length - 1]
         return tuple(seed[i % len(seed)] for i in range(ell))
 
-    return WindowCoder(q, ell, p, is_forbidden, pack, unpack)
+    return WindowCoder(q, ell, p, first_violation, pack, unpack)
 
 
 def no_palindrome_coder(
@@ -254,8 +300,20 @@ def no_palindrome_coder(
         )
     packed = (ell + 1) // 2
 
-    def is_forbidden(window: Word) -> bool:
-        return all(window[i] == comp[window[ell - 1 - i]] for i in range(packed))
+    identity = comp == tuple(range(q))
+
+    def first_violation(word: Word) -> int | None:
+        # mirror test of every window at once against the complemented word,
+        # one mirrored pair (t, ell-1-t) per round, outermost first; only the
+        # starts that passed every earlier round are tested again
+        mirror = word if identity else tuple(map(comp.__getitem__, word))
+        starts = list(compress(range(len(word) - ell + 1), map(eq, word, mirror[ell - 1 :])))
+        for t in range(1, packed):
+            if not starts:
+                return None
+            back = ell - 1 - t
+            starts = [i for i in starts if word[i + t] == mirror[i + back]]
+        return starts[0] if starts else None
 
     def pack(window: Word) -> Word:
         return window[:packed]
@@ -263,7 +321,7 @@ def no_palindrome_coder(
     def unpack(packed_word: Word) -> Word:
         return packed_word + tuple(comp[packed_word[ell - 1 - i]] for i in range(packed, ell))
 
-    return WindowCoder(q, ell, packed, is_forbidden, pack, unpack)
+    return WindowCoder(q, ell, packed, first_violation, pack, unpack)
 
 
 def listed_window_coder(
@@ -289,9 +347,10 @@ def listed_window_coder(
             f" = {q ** max(packed, 0)}"
         )
 
-    def is_forbidden(window: Word) -> bool:
-        pos = bisect_left(table, window)
-        return pos < len(table) and table[pos] == window
+    listed = frozenset(table)
+
+    def first_violation(word: Word) -> int | None:
+        return next((i for i in range(len(word) - ell + 1) if word[i : i + ell] in listed), None)
 
     def pack(window: Word) -> Word:
         return encode_index(bisect_left(table, window), packed, q)
@@ -302,7 +361,7 @@ def listed_window_coder(
             raise NotACodeword(f"window rank {rank} out of range ({len(table)} windows)")
         return table[rank]
 
-    return WindowCoder(q, ell, packed, is_forbidden, pack, unpack)
+    return WindowCoder(q, ell, packed, first_violation, pack, unpack)
 
 
 def build_palindrome_free(n: int, q: int = 2) -> CodecSpec:

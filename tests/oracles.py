@@ -109,3 +109,23 @@ def minimal_repeat_pair(word, ell):
 
 def all_binary_words(n):
     return product((0, 1), repeat=n)
+
+
+def first_forbidden_window_ref(word, ell, forbidden):
+    """Smallest i whose window word[i:i+ell] satisfies the ``forbidden`` definition."""
+    for i, w in enumerate(windows(word, ell)):
+        if forbidden(w):
+            return i
+    return None
+
+
+def first_pair_ref(word, ell, transform, min_gap):
+    """Brute-force minimal (i, j), i first, with transform(window i) == window j
+    and j >= i + min_gap; None if there is no such pair."""
+    ws = windows(word, ell)
+    for i in range(len(ws)):
+        source = transform(ws[i])
+        for j in range(i + min_gap, len(ws)):
+            if ws[j] == source:
+                return i, j
+    return None

@@ -267,3 +267,50 @@ def test_cli_graph_refuses_large_space(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 2
     assert not dot.exists()
+
+
+@pytest.mark.parametrize("count", ["-5", "0"])
+def test_cli_stats_rejects_non_positive_samples(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["stats", "--spec", "mw:n=16,l=9,p=2", "--samples", count])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--samples" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "make_input", [lambda tmp: tmp / "missing.txt", lambda tmp: tmp], ids=["missing", "directory"]
+)
+def test_cli_unopenable_input_is_usage_error(tmp_path, capsys, make_input):
+    rc = run_cli(["encode", "--spec", "mw:n=16,l=9,p=2", "--input", str(make_input(tmp_path))])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: cannot open")
+
+
+def test_cli_unwritable_output_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_text("111111111111111\n")
+    out = tmp_path / "no-such-dir" / "out.txt"
+    rc = run_cli(["encode", "--spec", "mw:n=16,l=9,p=2", "--input", str(src), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: cannot open")
+
+
+def test_cli_unwritable_dot_is_usage_error(tmp_path, capsys):
+    rc = run_cli(["graph", "--spec", "mw:n=8,l=7,p=2", "--dot", str(tmp_path / "no-such-dir" / "g.dot")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: cannot open")
+
+
+def test_cli_non_ascii_input_is_line_error(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_bytes(b"111111111111111\n# caf\xc3\xa9\n111111111111111\n")
+    rc = run_cli(["encode", "--spec", "mw:n=16,l=9,p=2", "--input", str(src)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: line 2:")
+    assert captured.out == ""
