@@ -13,6 +13,7 @@ cannot be opened included).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 
@@ -147,11 +148,17 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    codec = _build(args)
-    graph = build_state_graph(codec, bound=args.bound)
-    report = check_graph(codec, graph=graph)
+    # a bad path fails before the graph work; a failed build leaves no file
     with _open(args.dot, "w") as handle:
-        handle.write(graph_to_dot(graph))
+        try:
+            codec = _build(args)
+            graph = build_state_graph(codec, bound=args.bound)
+            report = check_graph(codec, graph=graph)
+            handle.write(graph_to_dot(graph))
+        except BaseException:
+            handle.close()
+            os.remove(args.dot)
+            raise
     for line in report.kv_lines():
         print(line)
     return 0 if report.ok else 1

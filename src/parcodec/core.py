@@ -59,27 +59,36 @@ class TraceStats:
 class ShrinkStep:
     """An injective map from constraint-violating n-words into shorter words.
 
-    ``shrink`` maps every word that violates the constraint to a word of
-    exactly ``target_len = n - 1 - slack`` symbols; ``unshrink`` inverts it
-    on the image and raises :class:`NotACodeword` on inconsistent input.
-    ``slack`` reserves room for an intersection tag.
+    ``first_violation(word)`` returns a witness of the first forbidden
+    structure (a window start, a pair, a weight), or None if there is none;
+    ``cut(word, witness)`` removes it in ``target_len = n - 1 - slack``
+    symbols (slack leaves room for an intersection tag); ``unshrink`` inverts
+    ``shrink`` on the image and raises :class:`NotACodeword` otherwise.
     """
 
     q: int
     n: int
     slack: int
-    target_len: int
-    shrink: Callable[[Word], Word]
+    first_violation: Callable[[Word], object | None]
+    cut: Callable[[Word, object], Word]
     unshrink: Callable[[Word], Word]
-    satisfies: Callable[[Word], bool]
 
     def __post_init__(self):
         if self.slack < 0:
             raise SlackMismatch(f"slack must be >= 0, got {self.slack}")
-        if self.target_len != self.n - 1 - self.slack:
-            raise SlackMismatch(
-                f"target_len {self.target_len} != n - 1 - slack = {self.n - 1 - self.slack}"
-            )
+
+    @property
+    def target_len(self) -> int:
+        return self.n - 1 - self.slack
+
+    def satisfies(self, word: Word) -> bool:
+        return self.first_violation(word) is None
+
+    def shrink(self, word: Word) -> Word:
+        witness = self.first_violation(word)
+        if witness is None:
+            raise ValueError("shrink called on a word that satisfies the constraint")
+        return self.cut(word, witness)
 
 
 @dataclass(frozen=True)
@@ -133,9 +142,15 @@ def encode(codec: CodecSpec, payload: Word, *, record_visited: bool = False) -> 
 
 
 def decode(codec: CodecSpec, word: Word) -> Word:
-    """Invert :func:`encode`; raises NotACodeword outside the encoder image."""
+    """Invert :func:`encode`: exact on the codebook, and it never loops.
+
+    Any other word raises NotACodeword or returns some payload, as decode
+    does not test membership.  A reverse walk that cycles is caught by
+    Brent's algorithm (the word after 2^k - 1 steps is compared with the
+    next 2^k) and named by its length.
+    """
     check_word(word, codec.q, codec.n, what="codeword")
-    iterations = 0
+    iterations, saved, saved_at = 0, word, 0
     while not codec.is_start(word):
         if iterations >= codec.iter_cap:
             raise NotACodeword(
@@ -143,6 +158,10 @@ def decode(codec: CodecSpec, word: Word) -> Word:
             )
         word = codec.step_back(word)
         iterations += 1
+        if word == saved:
+            raise NotACodeword(f"reverse walk enters a cycle of length {iterations - saved_at}")
+        if iterations == 2 * saved_at + 1:
+            saved, saved_at = word, iterations
     return codec.unembed(word)
 
 
@@ -202,25 +221,17 @@ def cut_window_shrink(
 ) -> ShrinkStep:
     """Shrink step with the shared layout: cut one ell-window out, append a tail.
 
-    ``find`` returns a witness of a violation, or None when the word
-    satisfies the constraint.  ``cut(word, witness)`` names the window to
-    remove by its start and gives the ``tail_len`` tail symbols, so a
-    violating word becomes ``word minus the window + tail + zero padding``
-    of n - 1 - slack symbols.  ``restore(rest, tail)`` inverts ``cut`` from
-    the n - ell surviving symbols and the tail, returning the start and the
-    window to reinsert; it raises NotACodeword on inconsistent fields.
+    ``find`` is the step's ``first_violation``.  ``cut(word, witness)`` names
+    the window to remove by its start and gives the ``tail_len`` tail symbols
+    that follow the rest of the word, zero-padded to n - 1 - slack symbols.
+    ``restore(rest, tail)`` inverts ``cut`` from the n - ell surviving
+    symbols and the tail, giving the start and the window to reinsert; it
+    raises NotACodeword on inconsistent fields.
     """
-    target_len = n - 1 - slack
     content_len = n - ell + tail_len
-    pad = (0,) * (target_len - content_len)
+    pad = (0,) * (n - 1 - slack - content_len)
 
-    def satisfies(word: Word) -> bool:
-        return find(word) is None
-
-    def shrink(word: Word) -> Word:
-        witness = find(word)
-        if witness is None:
-            raise ValueError("shrink called on a word that satisfies the constraint")
+    def cut_window(word: Word, witness: object) -> Word:
         start, tail = cut(word, witness)
         return word[:start] + word[start + ell :] + tail + pad
 
@@ -231,58 +242,52 @@ def cut_window_shrink(
         start, window = restore(rest, word[n - ell : content_len])
         return rest[:start] + window + rest[start:]
 
-    return ShrinkStep(
-        q=q, n=n, slack=slack, target_len=target_len,
-        shrink=shrink, unshrink=unshrink, satisfies=satisfies,
-    )
+    return ShrinkStep(q=q, n=n, slack=slack, first_violation=find, cut=cut_window, unshrink=unshrink)
 
 
 def build_intersection(members: Sequence[ShrinkStep]) -> ShrinkStep:
     """Combine shrink maps for several constraints into one for their intersection.
 
-    A word violating the intersection is shrunk by the first member it
-    violates, and the member's index is appended as a fixed-width tag; every
-    member must therefore carry slack ceil_log(m) to leave room for the tag.
+    The witness is (index, witness) of the first member the word violates,
+    and the cut is that member's cut plus the index as a fixed-width tag, so
+    every member must carry slack ceil_log(m) to leave room for the tag.
     """
     members = list(members)
     if not members:
         raise ValueError("need at least one member")
     q, n = members[0].q, members[0].n
-    for member in members:
+    tag_width = ceil_log(len(members), q)
+    for idx, member in enumerate(members):
         if (member.q, member.n) != (q, n):
             raise DimensionMismatch(
                 f"members disagree on alphabet/length: ({member.q}, {member.n}) vs ({q}, {n})"
             )
-    tag_width = ceil_log(len(members), q)
-    for idx, member in enumerate(members):
         if member.slack != tag_width:
             raise SlackMismatch(
                 f"member {idx} has slack {member.slack}, intersection of {len(members)} "
                 f"needs {tag_width}"
             )
-    target_len = n - 1
-    checks = [member.satisfies for member in members]
+    finders = [member.first_violation for member in members]
+    body_len = n - 1 - tag_width
 
-    def satisfies(word: Word) -> bool:
-        return all(check(word) for check in checks)
+    def first_violation(word: Word) -> tuple[int, object] | None:
+        for idx, find in enumerate(finders):
+            witness = find(word)
+            if witness is not None:
+                return idx, witness
+        return None
 
-    def shrink(word: Word) -> Word:
-        for idx, member in enumerate(members):
-            if not member.satisfies(word):
-                return member.shrink(word) + encode_index(idx, tag_width, q)
-        raise ValueError("shrink called on a word satisfying every member constraint")
+    def cut(word: Word, witness: tuple[int, object]) -> Word:
+        idx, member_witness = witness
+        return members[idx].cut(word, member_witness) + encode_index(idx, tag_width, q)
 
     def unshrink(word: Word) -> Word:
-        body, tag = word[: target_len - tag_width], word[target_len - tag_width:]
-        idx = decode_index(tag, q)
+        idx = decode_index(word[body_len:], q)
         if idx >= len(members):
             raise NotACodeword(f"member tag {idx} out of range (have {len(members)})")
-        return members[idx].unshrink(body)
+        return members[idx].unshrink(word[:body_len])
 
-    return ShrinkStep(
-        q=q, n=n, slack=0, target_len=target_len,
-        shrink=shrink, unshrink=unshrink, satisfies=satisfies,
-    )
+    return ShrinkStep(q=q, n=n, slack=0, first_violation=first_violation, cut=cut, unshrink=unshrink)
 
 
 def encode_index(value: int, width: int, q: int) -> Word:

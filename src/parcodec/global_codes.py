@@ -150,15 +150,15 @@ def _pair_finder(ell: int, min_gap: int, source_keys: _SourceKeys | None):
 
 
 def _window_pair_shrink(
-    n: int, ell: int, q: int, slack: int, transform, min_gap: int, regrow,
+    n: int, ell: int, q: int, slack: int, min_gap: int, regrow,
     source_keys: _SourceKeys | None,
 ) -> ShrinkStep:
     """The one window-pair shrink: cut window j of the first pair, append i and j.
 
+    ``source_keys`` is the transform on bytes keys, None for the identity.
     The inverse accepts only i + min_gap <= j <= n - ell.  A removed window
-    that did not overlap its match is rebuilt as transform(window at i), an
-    overlapping one (possible only when min_gap < ell) as regrow(rest, i, j).
-    ``source_keys`` gives the pair finder the same transform on bytes keys.
+    that did not overlap its match is ``source_keys`` of the window at i, an
+    overlapping one (possible only when min_gap < ell) regrow(rest, i, j).
     """
     index_width = ceil_log(n, q)
     if ell < 2 * index_width + 1 + slack:
@@ -181,7 +181,7 @@ def _window_pair_shrink(
         if j < i + ell:
             return j, regrow(rest, i, j)
         source = rest[i : i + ell]
-        return j, source if transform is None else transform(source)
+        return j, source if source_keys is None else tuple(source_keys(bytes(source), (slice(None),))[0])
 
     return cut_window_shrink(
         q, n, ell, slack, 2 * index_width, _pair_finder(ell, min_gap, source_keys), cut, restore,
@@ -206,10 +206,7 @@ def repeat_free_shrink(
     """
     _require_byte_keys(q)
     tables = _normalize_symbol_map(symbol_map, ell, q)
-    transform = source_keys = None
-    if tables is not None:
-        transform = lambda window: tuple(t[s] for t, s in zip(tables, window))  # noqa: E731
-        source_keys = _symbol_map_keys(tables)
+    source_keys = None if tables is None else _symbol_map_keys(tables)
 
     def regrow(rest: Word, i: int, j: int) -> Word:
         # the removed window overlapped its match: regrow left to right,
@@ -220,7 +217,7 @@ def repeat_free_shrink(
             grown.append(src if tables is None else tables[t][src])
         return tuple(grown)
 
-    return _window_pair_shrink(n, ell, q, slack, transform, 1, regrow, source_keys)
+    return _window_pair_shrink(n, ell, q, slack, 1, regrow, source_keys)
 
 
 def reverse_complement_shrink(
@@ -237,8 +234,7 @@ def reverse_complement_shrink(
     if any(comp[comp[s]] != s for s in range(q)):
         raise ParameterViolation(f"complement table {comp} is not self-inverse")
     _require_byte_keys(q)
-    transform = lambda window: reverse_complement(window, comp)  # noqa: E731
-    return _window_pair_shrink(n, ell, q, slack, transform, ell, None, _reverse_complement_keys(comp))
+    return _window_pair_shrink(n, ell, q, slack, ell, None, _reverse_complement_keys(comp))
 
 
 def build_secondary_structure(n: int, comp: Sequence[int] = DNA_COMPLEMENT) -> CodecSpec:
@@ -285,40 +281,31 @@ def min_balanced_weight(n: int) -> int:
     return (n - isqrt(4 * n) + 1) // 2
 
 
-def _weight_in_upper_range(word: Word, n: int) -> bool:
-    # w >= n/2 - sqrt(n) without floats
-    d = n - 2 * sum(word)
-    return d <= 0 or d * d <= 4 * n
-
-
-def _weight_in_lower_range(word: Word, n: int) -> bool:
-    # w <= n/2 + sqrt(n) without floats
-    d = 2 * sum(word) - n
-    return d <= 0 or d * d <= 4 * n
-
-
 def almost_balanced_shrink_pair(n: int) -> tuple[ShrinkStep, ShrinkStep]:
     """Shrink steps for the two halves of the almost-balanced constraint.
 
-    The first handles too-light words (weight < n/2 - sqrt(n)) by encoding
-    their enumerative rank in n-2 bits; the second handles too-heavy words by
-    ranking the bitwise complement.  Both carry slack 1 so they can be
-    intersected with a one-bit tag.  The n-2-bit capacity is checked by exact
-    counting at build time, not assumed.
+    The first handles too-light words (weight <= w_star, the heaviest weight
+    below n/2 - sqrt(n)) by encoding their enumerative rank in n-2 bits; the
+    second handles too-heavy words (n - weight <= w_star) by ranking the
+    bitwise complement.  The witness is that weight.  Both carry slack 1 so
+    they can be intersected with a one-bit tag.  The n-2-bit capacity is
+    checked by exact counting at build time, not assumed.
     """
     if n <= 4:
         raise ParameterViolation(f"almost-balanced constraint needs n > 4, got {n}")
-    w_star = min_balanced_weight(n) - 1  # heaviest weight still violating the lower bound
+    w_star = min_balanced_weight(n) - 1
     count = count_weight_at_most(n, w_star)
     capacity = 1 << (n - 2)
     if count > capacity:
         raise ParameterViolation(
             f"{count} words of weight <= {w_star} exceed 2**(n-2) = {capacity}"
         )
-    target_len = n - 2
 
-    def shrink_light(word: Word) -> Word:
-        return encode_index(rank_weight_at_most(word, w_star), target_len, 2)
+    def violating(weight: int) -> int | None:
+        return weight if weight <= w_star else None
+
+    def cut_light(word: Word, weight: int) -> Word:
+        return encode_index(rank_weight_at_most(word, w_star), n - 2, 2)
 
     def unshrink_light(word: Word) -> Word:
         rank = decode_index(word, 2)
@@ -326,21 +313,19 @@ def almost_balanced_shrink_pair(n: int) -> tuple[ShrinkStep, ShrinkStep]:
             raise NotACodeword(f"rank {rank} out of range ({count} light words)")
         return unrank_weight_at_most(rank, n, w_star)
 
-    def shrink_heavy(word: Word) -> Word:
-        return shrink_light(tuple(1 - s for s in word))
+    def cut_heavy(word: Word, weight: int) -> Word:
+        return cut_light(tuple(1 - s for s in word), weight)
 
     def unshrink_heavy(word: Word) -> Word:
         return tuple(1 - s for s in unshrink_light(word))
 
     weight_floor = ShrinkStep(
-        q=2, n=n, slack=1, target_len=target_len,
-        shrink=shrink_light, unshrink=unshrink_light,
-        satisfies=lambda word: _weight_in_upper_range(word, n),
+        q=2, n=n, slack=1, first_violation=lambda word: violating(sum(word)),
+        cut=cut_light, unshrink=unshrink_light,
     )
     weight_ceiling = ShrinkStep(
-        q=2, n=n, slack=1, target_len=target_len,
-        shrink=shrink_heavy, unshrink=unshrink_heavy,
-        satisfies=lambda word: _weight_in_lower_range(word, n),
+        q=2, n=n, slack=1, first_violation=lambda word: violating(n - sum(word)),
+        cut=cut_heavy, unshrink=unshrink_heavy,
     )
     return weight_floor, weight_ceiling
 

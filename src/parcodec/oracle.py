@@ -293,10 +293,11 @@ def check_shrink_injective(shrink: ShrinkStep, *, bound: int = DEFAULT_STATE_BOU
     report = VerifyReport(total_inputs=0)
     images: dict[Word, Word] = {}
     for word in all_words(shrink.q, shrink.n):
-        if shrink.satisfies(word):
+        witness = shrink.first_violation(word)
+        if witness is None:
             continue
         report.total_inputs += 1
-        image = shrink.shrink(word)
+        image = shrink.cut(word, witness)
         if len(image) != shrink.target_len:
             report.failures.append((word, IMAGE_LENGTH))
             continue

@@ -1,5 +1,6 @@
 """Core encoder/decoder loop, generic builders, and index coding."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from parcodec import (
     NotACodeword,
     ShrinkStep,
     SlackMismatch,
+    build_codec,
     build_intersection,
     build_one_symbol,
     ceil_log,
@@ -21,6 +23,7 @@ from parcodec import (
     encode_index,
     forbidden_window_shrink,
     min_weight_coder,
+    parse_spec,
 )
 
 from oracles import min_weight_ok
@@ -177,6 +180,46 @@ def test_decode_outside_image_never_diverges(mw16):
         pass
 
 
+def test_decode_names_a_reverse_cycle(mw16):
+    # found by enumerating all 2^16 words: these reverse walks close cycles
+    # of length 6, 1 and 2
+    for text, length in [("0000000000000110", 6), ("0000010000000010", 1), ("0100100010100000", 2)]:
+        with pytest.raises(NotACodeword, match=f"cycle of length {length}$"):
+            decode(mw16, tuple(int(c) for c in text))
+
+
+@pytest.mark.parametrize(
+    "text, q",
+    [
+        ("mw:n=16,l=9,p=2", 2),
+        ("mp:n=16,l=8,p=3", 2),
+        ("rf:n=16,l=9", 2),
+        ("ab:n=16", 2),
+        ("intersect:mw:n=16,l=10,p=2+mp:n=16,l=9,p=3", 2),
+        ("ss:n=8", 4),
+    ],
+)
+def test_decode_stops_on_every_word(text, q):
+    # every word either decodes or raises within a few reverse steps; a
+    # reverse walk that cycles would run to the iteration cap without the
+    # cycle check, so past 64 step_back calls the walk counts as looping
+    codec = build_codec(parse_spec(text), q)
+    calls = [0]
+
+    def counted(word):
+        calls[0] += 1
+        assert calls[0] <= 64, f"decode loops from {word}"
+        return codec.step_back(word)
+
+    counting = replace(codec, step_back=counted)
+    for word in product(range(q), repeat=codec.n):
+        calls[0] = 0
+        try:
+            assert len(decode(counting, word)) == codec.k
+        except NotACodeword:
+            pass
+
+
 def _cycling_codec():
     # step maps everything to a fixed non-start word: a deliberate self-loop
     def step(word):
@@ -237,6 +280,29 @@ def test_intersection_uses_second_member_when_first_passes():
     image = combined.shrink(word)
     assert image[-1] == 1
     assert combined.unshrink(image) == word
+
+
+def test_intersection_scans_each_member_once_up_to_the_one_that_fires():
+    members = [_mw_shrink(16, 11, 2, 2), _mp_shrink(16, 10, 3, 2), _mw_shrink(16, 12, 2, 2)]
+    calls = [0] * len(members)
+
+    def counted(idx, member):
+        find = member.first_violation
+
+        def first_violation(word):
+            calls[idx] += 1
+            return find(word)
+
+        return replace(member, first_violation=first_violation)
+
+    combined = build_intersection([counted(idx, m) for idx, m in enumerate(members)])
+    # (01)^8 has weight 5 or more in every 11- and 12-window, but period 2 < 3
+    for word, fired in [((0,) * 16, 0), ((0, 1) * 8, 1)]:
+        calls[:] = [0] * len(members)
+        image = combined.shrink(word)
+        assert calls == [1] * (fired + 1) + [0] * (len(members) - fired - 1)
+        assert decode_index(image[-2:], 2) == fired
+        assert combined.unshrink(image) == word
 
 
 def test_intersection_rejects_wrong_slack():
@@ -310,10 +376,9 @@ def test_generic_two_symbol_codec_roundtrips():
     assert check_graph(codec).ok
 
 
-def test_shrinkstep_validates_target_len():
+def test_shrinkstep_rejects_negative_slack():
     with pytest.raises(SlackMismatch):
         ShrinkStep(
-            q=2, n=8, slack=0, target_len=6,
-            shrink=lambda w: w[:6], unshrink=lambda w: w + (0, 0),
-            satisfies=lambda w: True,
+            q=2, n=8, slack=-1,
+            first_violation=lambda w: None, cut=lambda w, witness: w, unshrink=lambda w: w,
         )

@@ -125,6 +125,44 @@ def test_symbolwise_repeat_free_roundtrip_on_violations():
     assert checked > 0
 
 
+# per-position tables: flip the symbol at every third position, keep the rest
+_PER_POSITION = [(1, 0) if t % 3 == 0 else (0, 1) for t in range(9)]
+
+
+def test_per_position_repeat_free_roundtrip_exhaustive_n12():
+    # at n = 12 every mapped repeat of a 9-window overlaps, so this exercises
+    # the regrow branch with a different table at each position
+    shrink = repeat_free_shrink(12, 9, symbol_map=_PER_POSITION)
+    checked = 0
+    for word in all_binary_words(12):
+        if shrink.satisfies(word):
+            assert mapped_repeat_free_ok(word, 9, _PER_POSITION)
+            continue
+        checked += 1
+        assert shrink.unshrink(shrink.shrink(word)) == word
+    assert checked > 0
+
+
+@pytest.mark.parametrize("per_position", [False, True], ids=["one-table", "per-position"])
+def test_mapped_repeat_free_roundtrip_copy_branch(per_position):
+    # a mapped copy of the window at i planted at j >= i + ell: the removed
+    # window is rebuilt from the surviving one through the transform
+    ell = 11  # the smallest window at n = 24
+    tables = [(1, 0) if t % 3 == 0 or not per_position else (0, 1) for t in range(ell)]
+    shrink = repeat_free_shrink(24, ell, symbol_map=tables)
+    copied = 0
+    for seed in range(200):
+        word = list(bits(format(seed * 2654435761 % (1 << 24), "024b")))
+        i = seed % 3
+        j = i + ell + seed % (3 - i)
+        word[j : j + ell] = [t[s] for t, s in zip(tables, word[i : i + ell])]
+        word = tuple(word)
+        i, j = shrink.first_violation(word)
+        copied += j >= i + ell
+        assert shrink.unshrink(shrink.shrink(word)) == word
+    assert copied > 0
+
+
 # --- reverse complement -------------------------------------------------------
 
 def test_reverse_complement_involution():
@@ -279,6 +317,18 @@ def test_almost_balanced_members():
     assert not ceiling_member.satisfies((1,) * 16)
     assert ceiling_member.satisfies((0,) * 16)
     assert ceiling_member.unshrink(ceiling_member.shrink((1,) * 16)) == (1,) * 16
+
+
+def test_almost_balanced_members_match_exact_square_test():
+    # too light: w < n/2 - sqrt(n), i.e. n - 2w > 0 and (n - 2w)^2 > 4n;
+    # too heavy: the same for the complement
+    for n in range(5, 301):
+        floor_member, ceiling_member = almost_balanced_shrink_pair(n)
+        for w in range(n + 1):
+            word = (1,) * w + (0,) * (n - w)
+            light, heavy = n - 2 * w, 2 * w - n
+            assert floor_member.satisfies(word) == (light <= 0 or light * light <= 4 * n)
+            assert ceiling_member.satisfies(word) == (heavy <= 0 or heavy * heavy <= 4 * n)
 
 
 def test_almost_balanced_rejects_tiny_n():

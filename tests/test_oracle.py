@@ -155,10 +155,10 @@ def test_shrink_injectivity_clean():
 def test_shrink_injectivity_flags_truncation():
     inner = forbidden_window_shrink(min_weight_coder(8, 7, 2), 8)
     truncating = ShrinkStep(
-        q=2, n=8, slack=0, target_len=7,
-        shrink=lambda w: inner.shrink(w)[:5],
+        q=2, n=8, slack=0,
+        first_violation=inner.first_violation,
+        cut=lambda w, witness: inner.cut(w, witness)[:5],
         unshrink=inner.unshrink,
-        satisfies=inner.satisfies,
     )
     report = check_shrink_injective(truncating)
     assert not report.ok
@@ -168,10 +168,10 @@ def test_shrink_injectivity_flags_truncation():
 def test_shrink_injectivity_flags_collisions():
     inner = forbidden_window_shrink(min_weight_coder(8, 7, 2), 8)
     constant = ShrinkStep(
-        q=2, n=8, slack=0, target_len=7,
-        shrink=lambda w: (0,) * 7,
+        q=2, n=8, slack=0,
+        first_violation=inner.first_violation,
+        cut=lambda w, witness: (0,) * 7,
         unshrink=inner.unshrink,
-        satisfies=inner.satisfies,
     )
     report = check_shrink_injective(constant)
     assert IMAGE_COLLISION in {kind for _, kind in report.failures}

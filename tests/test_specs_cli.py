@@ -306,6 +306,25 @@ def test_cli_unwritable_dot_is_usage_error(tmp_path, capsys):
     assert captured.err.startswith("error: cannot open")
 
 
+def test_cli_graph_checks_dot_before_building(tmp_path, capsys):
+    # the bound would also fail the build; the path is reported first
+    dot = tmp_path / "no-such-dir" / "x.dot"
+    rc = run_cli(["graph", "--spec", "mw:n=16,l=9,p=2", "--bound", "16", "--dot", str(dot)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: cannot open")
+
+
+@pytest.mark.parametrize("spec", ["mw:n=16,l=9,p=2", "mw:n=16,l=3,p=2"], ids=["bound", "spec"])
+def test_cli_graph_failed_build_leaves_no_dot(tmp_path, capsys, spec):
+    dot = tmp_path / "x.dot"
+    rc = run_cli(["graph", "--spec", spec, "--bound", "16", "--dot", str(dot)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:")
+    assert not dot.exists()
+
+
 def test_cli_non_ascii_input_is_line_error(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_bytes(b"111111111111111\n# caf\xc3\xa9\n111111111111111\n")
