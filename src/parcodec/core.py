@@ -124,7 +124,7 @@ class CodecSpec:
 
 def encode(codec: CodecSpec, payload: Word, *, record_visited: bool = False) -> tuple[Word, TraceStats]:
     """Encode a k-symbol payload into an n-symbol word satisfying the constraint."""
-    check_word(payload, codec.q, codec.k, what="payload")
+    payload = check_word(payload, codec.q, codec.k, what="payload")
     word = codec.embed(payload)
     visited = [word] if record_visited else None
     iterations = 0
@@ -149,7 +149,7 @@ def decode(codec: CodecSpec, word: Word) -> Word:
     Brent's algorithm (the word after 2^k - 1 steps is compared with the
     next 2^k) and named by its length.
     """
-    check_word(word, codec.q, codec.n, what="codeword")
+    word = check_word(word, codec.q, codec.n, what="codeword")
     iterations, saved, saved_at = 0, word, 0
     while not codec.is_start(word):
         if iterations >= codec.iter_cap:

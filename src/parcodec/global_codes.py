@@ -29,7 +29,7 @@ regrown:
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, isqrt
+from math import isqrt
 from typing import Callable, Sequence
 
 from .core import (
@@ -260,7 +260,11 @@ def build_secondary_structure(n: int, comp: Sequence[int] = DNA_COMPLEMENT) -> C
 
 def count_weight_at_most(n: int, wmax: int) -> int:
     """Number of binary n-words with Hamming weight <= wmax, exactly."""
-    return sum(comb(n, w) for w in range(0, min(wmax, n) + 1))
+    total, binom = 0, 1  # binom = comb(n, w), stepped with exact integer division
+    for w in range(min(wmax, n) + 1):
+        total += binom
+        binom = binom * (n - w) // (w + 1)
+    return total
 
 
 def rank_weight_at_most(word: Word, wmax: int) -> int:

@@ -161,6 +161,25 @@ def test_encode_rejects_bad_symbol(mw16):
         encode(mw16, (0,) * 14 + (2,))
 
 
+def _plain_tuple(word):
+    return type(word) is tuple and all(type(s) is int for s in word)
+
+
+@pytest.mark.parametrize("kind", ["list", "bytes", "numpy"])
+def test_any_integer_sequence_roundtrips_as_plain_tuple(mw16, kind):
+    if kind == "numpy":
+        numpy = pytest.importorskip("numpy")
+        as_kind = lambda word: numpy.array(word, dtype=numpy.int64)
+    else:
+        as_kind = {"list": list, "bytes": bytes}[kind]
+    for payload in [(0,) * 15, (1,) * 15, (0, 1) * 7 + (0,)]:
+        word, stats = encode(mw16, payload)
+        assert encode(mw16, as_kind(payload)) == (word, stats)
+        assert _plain_tuple(word)
+        decoded = decode(mw16, as_kind(word))
+        assert decoded == payload and _plain_tuple(decoded)
+
+
 def test_decode_of_trivial_codeword(mw16):
     assert decode(mw16, (1,) * 16) == (1,) * 15
 

@@ -267,6 +267,21 @@ def test_count_weight_at_most():
     assert count_weight_at_most(16, 3) == 1 + 16 + 120 + 560 == 697
 
 
+def test_count_weight_at_most_matches_binomial_sum():
+    def reference(n, wmax):
+        return sum(comb(n, w) for w in range(0, min(wmax, n) + 1))
+
+    for n in range(65):
+        for wmax in range(-1, n + 2):
+            assert count_weight_at_most(n, wmax) == reference(n, wmax)
+    running = 0
+    assert count_weight_at_most(1024, -1) == 0
+    for wmax in range(1025):
+        running += comb(1024, wmax)
+        assert count_weight_at_most(1024, wmax) == running
+    assert count_weight_at_most(1024, 1025) == running == 2**1024
+
+
 def test_min_balanced_weight_exact_threshold():
     assert min_balanced_weight(16) == 4  # [16/2 - 4, ...]
     # cross-check against a direct sqrt-free scan
