@@ -3,6 +3,12 @@
 Everything here enumerates exhaustively below a configurable state bound and
 refuses above it; a sampling mode exists but must be requested explicitly
 with a seed and is reported as non-exhaustive.  All results are deterministic.
+
+The round trip checks ``decode(encode(p)) == p`` for every payload; that
+also proves each codeword valid (``encode`` returns only words that satisfy
+the constraint) and all codewords distinct (two payloads sharing one decode
+to one payload).  The step graph keeps only its edges, since a word is valid
+iff it has none.
 """
 
 from __future__ import annotations
@@ -19,8 +25,6 @@ DEFAULT_STATE_BOUND = 1 << 20
 
 # Failure kinds recorded in VerifyReport entries.
 ROUNDTRIP = "roundtrip"
-MEMBERSHIP = "membership"
-DUPLICATE_OUTPUT = "duplicate-output"
 OUTPUT_CHECK = "output-check"
 IN_DEGREE = "in-degree"
 EDGE_INTO_START = "edge-into-start"
@@ -56,9 +60,7 @@ class VerifyReport:
         """Machine-readable key=value lines."""
         lines = [f"inputs={self.total_inputs}", f"failures={len(self.failures)}"]
         if self.avg_iterations is not None:
-            lines.append(
-                f"avg_iterations={self.avg_iterations.numerator}/{self.avg_iterations.denominator}"
-            )
+            lines.append(f"avg_iterations={self.avg_iterations.numerator}/{self.avg_iterations.denominator}")
         if self.max_iterations is not None:
             lines.append(f"max_iterations={self.max_iterations}")
         if self.constraint_count is not None:
@@ -68,17 +70,13 @@ class VerifyReport:
             lines.append(f"seed={self.seed}")
         return lines
 
-    def summary(self) -> str:
-        head = "\n".join(self.kv_lines())
-        if self.ok:
-            return head
-        shown = ", ".join(f"{kind} at {witness}" for witness, kind in self.failures[:5])
-        return f"{head}\nfirst failures: {shown}"
 
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise BoundExceeded(message)
+def _space(q: int, length: int, name: str, bound: int) -> int:
+    """q**length, refused above ``bound``."""
+    space = q ** length
+    if space > bound:
+        raise BoundExceeded(f"q**{name} = {space} exceeds bound {bound}")
+    return space
 
 
 def _roundtrip(
@@ -87,24 +85,13 @@ def _roundtrip(
     report: VerifyReport,
     output_check: Callable[[Word], bool] | None,
 ) -> VerifyReport:
-    """Round-trip each payload into ``report``; the one loop behind both modes.
-
-    A codeword counts as a duplicate only when a different payload already
-    produced it, so repeated samples are not flagged.
-    """
-    outputs: dict[Word, Word] = {}
+    """Round-trip each payload into ``report``; the one loop behind both modes."""
     total_iterations = 0
     max_iterations = 0
     for payload in payloads:
         word, stats = encode(codec, payload)
         total_iterations += stats.iterations
         max_iterations = max(max_iterations, stats.iterations)
-        if not codec.satisfies(word):
-            report.failures.append((payload, MEMBERSHIP))
-        previous = outputs.get(word)
-        if previous is not None and previous != payload:
-            report.failures.append((payload, DUPLICATE_OUTPUT))
-        outputs[word] = payload
         if output_check is not None and not output_check(word):
             report.failures.append((payload, OUTPUT_CHECK))
         try:
@@ -112,8 +99,7 @@ def _roundtrip(
                 report.failures.append((payload, ROUNDTRIP))
         except NotACodeword:
             report.failures.append((payload, ROUNDTRIP))
-    inputs = report.total_inputs
-    report.avg_iterations = Fraction(total_iterations, inputs) if inputs else Fraction(0)
+    report.avg_iterations = Fraction(total_iterations, report.total_inputs)
     report.max_iterations = max_iterations
     return report
 
@@ -124,13 +110,12 @@ def exhaustive_roundtrip(
     bound: int = DEFAULT_STATE_BOUND,
     output_check: Callable[[Word], bool] | None = None,
 ) -> VerifyReport:
-    """Round-trip every payload: decode(encode(x)) == x, output valid, outputs distinct.
+    """Round-trip every payload: decode(encode(x)) == x, so outputs are valid and distinct.
 
     ``output_check`` lets the caller run an independent predicate over every
     codeword; a False verdict is recorded as an ``output-check`` failure.
     """
-    space = codec.q ** codec.k
-    _require(space <= bound, f"q**k = {space} exceeds bound {bound}")
+    space = _space(codec.q, codec.k, "k", bound)
     return _roundtrip(codec, all_words(codec.q, codec.k), VerifyReport(total_inputs=space), output_check)
 
 
@@ -164,6 +149,8 @@ def sample_roundtrip(
     output_check: Callable[[Word], bool] | None = None,
 ) -> VerifyReport:
     """Round-trip a seeded sample of payloads; reported as non-exhaustive."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = _XorShift64Star(seed)
     payloads = (tuple(rng.symbol(codec.q) for _ in range(codec.k)) for _ in range(samples))
     report = VerifyReport(total_inputs=samples, exhaustive=False, seed=seed)
@@ -172,38 +159,19 @@ def sample_roundtrip(
 
 @dataclass
 class StateGraph:
-    """The step map as a graph over all q**n words.
-
-    Edges run from every constraint-violating word to its step image; start
-    and valid sets are materialized for coloring and degree checks.
-    """
+    """The step map over all q**n words: ``edges`` maps each violating word, in
+    lexicographic order, to its step image, so a word is valid iff it has none."""
 
     q: int
     n: int
-    nodes: tuple[Word, ...]
     edges: dict[Word, Word]
-    start: frozenset[Word]
-    valid: frozenset[Word]
+    is_start: Callable[[Word], bool]
 
 
 def build_state_graph(codec: CodecSpec, *, bound: int = DEFAULT_STATE_BOUND) -> StateGraph:
-    space = codec.q ** codec.n
-    _require(space <= bound, f"q**n = {space} exceeds bound {bound}")
-    nodes = tuple(all_words(codec.q, codec.n))
-    edges: dict[Word, Word] = {}
-    start = []
-    valid = []
-    for node in nodes:
-        if codec.is_start(node):
-            start.append(node)
-        if codec.satisfies(node):
-            valid.append(node)
-        else:
-            edges[node] = codec.step(node)
-    return StateGraph(
-        q=codec.q, n=codec.n, nodes=nodes, edges=edges,
-        start=frozenset(start), valid=frozenset(valid),
-    )
+    _space(codec.q, codec.n, "n", bound)
+    edges = {node: codec.step(node) for node in all_words(codec.q, codec.n) if not codec.satisfies(node)}
+    return StateGraph(q=codec.q, n=codec.n, edges=edges, is_start=codec.is_start)
 
 
 def check_graph(
@@ -218,16 +186,14 @@ def check_graph(
     if graph is None:
         graph = build_state_graph(codec, bound=bound)
     space = codec.q ** codec.n
-    report = VerifyReport(total_inputs=codec.q ** codec.k)
-    report.constraint_count = len(graph.valid)
+    report = VerifyReport(total_inputs=codec.q ** codec.k, constraint_count=space - len(graph.edges))
 
-    seen_targets: dict[Word, Word] = {}
-    for source, target in graph.edges.items():
-        if target in seen_targets:
+    targets: set[Word] = set()
+    for target in graph.edges.values():
+        if target in targets:
             report.failures.append((target, IN_DEGREE))
-        else:
-            seen_targets[target] = source
-        if target in graph.start:
+        targets.add(target)
+        if graph.is_start(target):
             report.failures.append((target, EDGE_INTO_START))
 
     total_steps = 0
@@ -245,9 +211,13 @@ def check_graph(
         max_steps = max(max_steps, steps)
     if total_steps > space:
         report.failures.append(((), PATH_SUM))
-    report.avg_iterations = Fraction(total_steps, codec.q ** codec.k)
+    report.avg_iterations = Fraction(total_steps, report.total_inputs)
     report.max_iterations = max_steps
     return report
+
+
+def _label(word: Word) -> str:
+    return "".join(str(s) for s in word)
 
 
 def graph_to_dot(graph: StateGraph) -> str:
@@ -256,19 +226,11 @@ def graph_to_dot(graph: StateGraph) -> str:
     Fill marks constraint membership, a double border marks start words.
     """
     lines = ["digraph step_graph {", "  node [shape=circle];"]
-    for node in graph.nodes:
-        label = "".join(str(s) for s in node)
-        fill = "palegreen" if node in graph.valid else "white"
-        peripheries = 2 if node in graph.start else 1
-        lines.append(
-            f'  "{label}" [style=filled fillcolor="{fill}" peripheries={peripheries}];'
-        )
-    for node in graph.nodes:
-        target = graph.edges.get(node)
-        if target is not None:
-            source_label = "".join(str(s) for s in node)
-            target_label = "".join(str(s) for s in target)
-            lines.append(f'  "{source_label}" -> "{target_label}";')
+    for node in all_words(graph.q, graph.n):
+        fill = "white" if node in graph.edges else "palegreen"
+        peripheries = 2 if graph.is_start(node) else 1
+        lines.append(f'  "{_label(node)}" [style=filled fillcolor="{fill}" peripheries={peripheries}];')
+    lines.extend(f'  "{_label(source)}" -> "{_label(target)}";' for source, target in graph.edges.items())
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -277,8 +239,7 @@ def count_constraint(
     q: int, n: int, satisfies: Callable[[Word], bool], *, bound: int = DEFAULT_STATE_BOUND
 ) -> int:
     """Exact |C(n)| by enumeration."""
-    space = q ** n
-    _require(space <= bound, f"q**n = {space} exceeds bound {bound}")
+    _space(q, n, "n", bound)
     return sum(1 for word in all_words(q, n) if satisfies(word))
 
 
@@ -288,10 +249,9 @@ def check_shrink_injective(shrink: ShrinkStep, *, bound: int = DEFAULT_STATE_BOU
     Asserts exact output length, in-alphabet symbols, pairwise-distinct
     images, and that unshrink inverts shrink.
     """
-    space = shrink.q ** shrink.n
-    _require(space <= bound, f"q**n = {space} exceeds bound {bound}")
+    _space(shrink.q, shrink.n, "n", bound)
     report = VerifyReport(total_inputs=0)
-    images: dict[Word, Word] = {}
+    images: set[Word] = set()
     for word in all_words(shrink.q, shrink.n):
         witness = shrink.first_violation(word)
         if witness is None:
@@ -306,8 +266,7 @@ def check_shrink_injective(shrink: ShrinkStep, *, bound: int = DEFAULT_STATE_BOU
             continue
         if image in images:
             report.failures.append((word, IMAGE_COLLISION))
-        else:
-            images[image] = word
+        images.add(image)
         try:
             if shrink.unshrink(image) != word:
                 report.failures.append((word, INVERSE))

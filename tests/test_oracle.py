@@ -20,7 +20,7 @@ from parcodec import (
     repeat_free_shrink,
     sample_roundtrip,
 )
-from parcodec.oracle import CYCLE, IMAGE_COLLISION, IMAGE_LENGTH, IN_DEGREE
+from parcodec.oracle import CYCLE, IMAGE_COLLISION, IMAGE_LENGTH, IN_DEGREE, ROUNDTRIP
 
 
 def mw8_codec():
@@ -50,6 +50,27 @@ def test_roundtrip_output_check_hook():
     report = exhaustive_roundtrip(mw8_codec(), output_check=lambda word: word[0] == 0)
     assert not report.ok  # plenty of codewords start with 1
     assert all(kind == "output-check" for _, kind in report.failures)
+
+
+def _colliding_codec():
+    """No steps; payloads (0, 0) and (0, 1) both embed to the codeword 001."""
+    return CodecSpec(
+        q=2, n=3, k=2, redundancy=1,
+        embed=lambda x: (0, 0, 1) if x == (0, 1) else x + (1,),
+        unembed=lambda y: y[:-1],
+        is_start=lambda y: y[-1] == 1,
+        step=lambda y: y,
+        step_back=lambda y: y,
+        satisfies=lambda y: True,
+        iter_cap=1 << 10,
+    )
+
+
+def test_roundtrip_catches_two_payloads_on_one_codeword():
+    # decode gives 001 one payload, so the other one fails its round trip
+    report = exhaustive_roundtrip(_colliding_codec())
+    assert not report.ok
+    assert report.failures == [((0, 1), ROUNDTRIP)]
 
 
 # --- graph checks ---------------------------------------------------------------
@@ -187,6 +208,12 @@ def test_sampling_is_reproducible():
     assert first.avg_iterations == second.avg_iterations
     assert not first.exhaustive
     assert first.seed == 7
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampling_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        sample_roundtrip(mw8_codec(), samples, seed=1)
 
 
 def test_sampling_reports_mode_and_seed():
