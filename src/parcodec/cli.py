@@ -154,7 +154,7 @@ def _cmd_graph(args) -> int:
             codec = _build(args)
             graph = build_state_graph(codec, bound=args.bound)
             report = check_graph(codec, graph=graph)
-            handle.write(graph_to_dot(graph))
+            handle.writelines(graph_to_dot(graph))
         except BaseException:
             handle.close()
             os.remove(args.dot)

@@ -290,10 +290,22 @@ def build_intersection(members: Sequence[ShrinkStep]) -> ShrinkStep:
     return ShrinkStep(q=q, n=n, slack=0, first_violation=first_violation, cut=cut, unshrink=unshrink)
 
 
+# bytes.translate tables between the symbols 0/1 and the text digits "0"/"1"
+_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def encode_index(value: int, width: int, q: int) -> Word:
-    """Fixed-width big-endian base-q encoding of a 0-based index."""
+    """Fixed-width big-endian base-q encoding of a 0-based index.
+
+    Binary fields, such as a rank of n - 2 bits, convert through the C-level
+    binary text of the value; other bases take one ``divmod`` per digit.
+    """
     if not 0 <= value < q ** width:
         raise OverflowError(f"index {value} does not fit in {width} base-{q} symbols")
+    if q == 2:
+        # the leading 1 of bin() pads the digits to exactly width symbols
+        return tuple(bin(value | 1 << width)[3:].encode("ascii").translate(_BIT_DIGITS))
     digits = []
     for _ in range(width):
         value, digit = divmod(value, q)
@@ -302,6 +314,8 @@ def encode_index(value: int, width: int, q: int) -> Word:
 
 
 def decode_index(word: Word, q: int) -> int:
+    if q == 2:
+        return int(bytes(word).translate(_DIGIT_BITS), 2) if word else 0
     value = 0
     for symbol in word:
         value = value * q + symbol

@@ -44,7 +44,7 @@ from .core import (
 )
 from .errors import NotACodeword, ParameterViolation
 from .local import forbidden_window_shrink, no_palindrome_coder
-from .ranking import rank_by_weight, unrank_by_weight
+from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
 from .words import Word
 
 # DNA alphabet is A=0, C=1, G=2, T=3; complement swaps A<->T and C<->G.
@@ -260,11 +260,7 @@ def build_secondary_structure(n: int, comp: Sequence[int] = DNA_COMPLEMENT) -> C
 
 def count_weight_at_most(n: int, wmax: int) -> int:
     """Number of binary n-words with Hamming weight <= wmax, exactly."""
-    total, binom = 0, 1  # binom = comb(n, w), stepped with exact integer division
-    for w in range(min(wmax, n) + 1):
-        total += binom
-        binom = binom * (n - w) // (w + 1)
-    return total
+    return count_by_weight(n, range(min(wmax, n) + 1))
 
 
 def rank_weight_at_most(word: Word, wmax: int) -> int:
@@ -274,6 +270,13 @@ def rank_weight_at_most(word: Word, wmax: int) -> int:
 
 def unrank_weight_at_most(rank: int, n: int, wmax: int) -> Word:
     return unrank_by_weight(rank, n, range(wmax + 1))
+
+
+_FLIP_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _complement_bits(word: Word) -> Word:
+    return tuple(bytes(word).translate(_FLIP_BITS))
 
 
 def min_balanced_weight(n: int) -> int:
@@ -318,10 +321,10 @@ def almost_balanced_shrink_pair(n: int) -> tuple[ShrinkStep, ShrinkStep]:
         return unrank_weight_at_most(rank, n, w_star)
 
     def cut_heavy(word: Word, weight: int) -> Word:
-        return cut_light(tuple(1 - s for s in word), weight)
+        return cut_light(_complement_bits(word), weight)
 
     def unshrink_heavy(word: Word) -> Word:
-        return tuple(1 - s for s in unshrink_light(word))
+        return _complement_bits(unshrink_light(word))
 
     weight_floor = ShrinkStep(
         q=2, n=n, slack=1, first_violation=lambda word: violating(sum(word)),

@@ -28,7 +28,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, repeat
-from math import comb
 from operator import eq, gt, not_, sub
 from typing import Callable, Iterable, Sequence
 
@@ -43,7 +42,7 @@ from .core import (
     encode_index,
 )
 from .errors import NotACodeword, ParameterViolation
-from .ranking import rank_by_weight, unrank_by_weight
+from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
 from .words import Word, check_word
 
 
@@ -195,7 +194,7 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
             f"(needs at least ceil_log(n) + 1 + slack = {ceil_log(n, 2) + 1 + slack})"
         )
     weights = tuple(range(0, wmin)) + tuple(range(wmax + 1, ell + 1))
-    total = sum(comb(ell, w) for w in weights)
+    total = count_by_weight(ell, weights)
     if total > 1 << packed:
         raise ParameterViolation(
             f"forbidden-window count {total} exceeds capacity 2**{packed} = {1 << packed}"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import CodecSpec, ShrinkStep, decode, encode
 from .errors import BoundExceeded, NotACodeword
@@ -220,19 +220,22 @@ def _label(word: Word) -> str:
     return "".join(str(s) for s in word)
 
 
-def graph_to_dot(graph: StateGraph) -> str:
-    """Deterministic DOT text: nodes in lexicographic order, colored by role.
+def graph_to_dot(graph: StateGraph) -> Iterator[str]:
+    """Deterministic DOT text, one newline-terminated line at a time: nodes
+    in lexicographic order, colored by role, then the edges.
 
     Fill marks constraint membership, a double border marks start words.
+    The lines are yielded as they are made, so a writer never holds the text.
     """
-    lines = ["digraph step_graph {", "  node [shape=circle];"]
+    yield "digraph step_graph {\n"
+    yield "  node [shape=circle];\n"
     for node in all_words(graph.q, graph.n):
         fill = "white" if node in graph.edges else "palegreen"
         peripheries = 2 if graph.is_start(node) else 1
-        lines.append(f'  "{_label(node)}" [style=filled fillcolor="{fill}" peripheries={peripheries}];')
-    lines.extend(f'  "{_label(source)}" -> "{_label(target)}";' for source, target in graph.edges.items())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{_label(node)}" [style=filled fillcolor="{fill}" peripheries={peripheries}];\n'
+    for source, target in graph.edges.items():
+        yield f'  "{_label(source)}" -> "{_label(target)}";\n'
+    yield "}\n"
 
 
 def count_constraint(

@@ -2,56 +2,102 @@
 
 Words of one Hamming weight are ranked lexicographically; words drawn from
 several weight classes are ranked class by class, lighter classes first.
+
+Every binomial is stepped, not recomputed.  Ranking walks the word once
+with ``c = comb(m, ones)``, the number of ways to finish the last m
+positions with the ones still to place.  Of those, ``c * (m - ones) // m``
+put a 0 next and the rest put a 1 (Pascal's rule), so each symbol costs one
+small-integer multiply and one exact division.  Class sizes step the same
+way across consecutive weights, ``comb(n, w) = comb(n, w - 1) * (n - w + 1)
+// w``.  All of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import RankOutOfRange
 from .words import Word
 
 
-def lex_rank_fixed_weight(word: Word) -> int:
-    """Rank of a binary word among all words of its length and Hamming weight."""
-    n = len(word)
-    ones = sum(word)
-    rank = 0
-    for i, symbol in enumerate(word):
+def weight_class_sizes(n: int, weights: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Yield (w, comb(n, w)) for each w in ``weights``, in the order given.
+
+    A weight one above the previous steps the binomial; ``comb`` runs only
+    where the weights jump (the first weight, or a gap).
+    """
+    last, size = None, 0
+    for w in weights:
+        size = size * (n - last) // w if last is not None and w == last + 1 else comb(n, w)
+        last = w
+        yield w, size
+
+
+def count_by_weight(n: int, weights: Iterable[int]) -> int:
+    """Number of binary n-words whose weight is in ``weights``, exactly."""
+    return sum(size for _, size in weight_class_sizes(n, weights))
+
+
+def _lex_rank(word: Word, ones: int, c: int) -> int:
+    # c = comb(len(word), ones); once no choice is left (all zeros or all
+    # ones remain) every later zero block is empty, so the walk stops
+    m, rank = len(word), 0
+    for symbol in word:
+        if ones == 0 or ones == m:
+            break
+        zero_block = c * (m - ones) // m  # words with 0 here come first
         if symbol:
-            # every word with 0 here and the same suffix budget comes first
-            rank += comb(n - i - 1, ones)
+            rank += zero_block
+            c -= zero_block
             ones -= 1
+        else:
+            c = zero_block
+        m -= 1
     return rank
 
 
-def lex_unrank_fixed_weight(rank: int, n: int, weight: int) -> Word:
-    if not 0 <= rank < comb(n, weight):
-        raise RankOutOfRange(f"rank {rank} out of range for {n} choose {weight}")
+def _lex_unrank(rank: int, n: int, ones: int, c: int) -> Word:
+    # inverse of _lex_rank with c = comb(n, ones) and 0 <= rank < c
     symbols = []
-    ones = weight
-    for i in range(n):
-        zero_block = comb(n - i - 1, ones)
+    m = n
+    while 0 < ones < m:
+        zero_block = c * (m - ones) // m
         if rank < zero_block:
             symbols.append(0)
+            c = zero_block
         else:
-            rank -= zero_block
             symbols.append(1)
+            rank -= zero_block
+            c -= zero_block
             ones -= 1
-    return tuple(symbols)
+        m -= 1
+    return tuple(symbols) + (1 if ones else 0,) * m
+
+
+def lex_rank_fixed_weight(word: Word) -> int:
+    """Rank of a binary word among all words of its length and Hamming weight."""
+    ones = sum(word)
+    return _lex_rank(word, ones, comb(len(word), ones))
+
+
+def lex_unrank_fixed_weight(rank: int, n: int, weight: int) -> Word:
+    size = comb(n, weight)
+    if not 0 <= rank < size:
+        raise RankOutOfRange(f"rank {rank} out of range for {n} choose {weight}")
+    return _lex_unrank(rank, n, weight, size)
 
 
 def rank_by_weight(word: Word, weights: Iterable[int]) -> int:
     """Rank of a binary word among all words of its length whose weight is in
     ``weights``, ordered by weight class (in the order given, ascending in
     every caller) and then lexicographically."""
-    n, weight = len(word), sum(word)
+    weight = sum(word)
     offset = 0
-    for w in weights:
+    for w, size in weight_class_sizes(len(word), weights):
         if w == weight:
-            return offset + lex_rank_fixed_weight(word)
-        offset += comb(n, w)
+            return offset + _lex_rank(word, weight, size)
+        offset += size
     raise RankOutOfRange(f"word weight {weight} is not among the ranked weights")
 
 
@@ -59,9 +105,8 @@ def unrank_by_weight(rank: int, n: int, weights: Iterable[int]) -> Word:
     """Inverse of :func:`rank_by_weight` for words of length n."""
     remaining = rank
     if rank >= 0:
-        for weight in weights:
-            block = comb(n, weight)
-            if remaining < block:
-                return lex_unrank_fixed_weight(remaining, n, weight)
-            remaining -= block
+        for weight, size in weight_class_sizes(n, weights):
+            if remaining < size:
+                return _lex_unrank(remaining, n, weight, size)
+            remaining -= size
     raise RankOutOfRange(f"rank {rank} out of range for the ranked weights, n = {n}")

@@ -5,6 +5,7 @@ scans, deliberately sharing no code with the package under test.
 """
 
 from itertools import product
+from math import comb
 
 DNA_COMP = (3, 2, 1, 0)
 
@@ -129,3 +130,29 @@ def first_pair_ref(word, ell, transform, min_gap):
             if ws[j] == source:
                 return i, j
     return None
+
+
+def weight_class_table(n, weights):
+    """Every binary n-word whose weight is in ``weights``, in rank order: the
+    classes in the order given, each in itertools.product (lexicographic)
+    order.  Small n only."""
+    order = {w: i for i, w in enumerate(weights)}
+    return sorted((w for w in all_binary_words(n) if sum(w) in order), key=lambda w: order[sum(w)])
+
+
+def lex_rank_ref(word):
+    """Lexicographic rank among words of the same length and weight: one
+    binomial per 1, counting the words that have a 0 there instead."""
+    rank, ones = 0, sum(word)
+    for i, s in enumerate(word):
+        if s:
+            rank += comb(len(word) - i - 1, ones)
+            ones -= 1
+    return rank
+
+
+def rank_by_weight_ref(word, weights):
+    """Rank among the words of weight in ``weights``, classes in the order given."""
+    n, weight = len(word), sum(word)
+    before = list(weights)[: list(weights).index(weight)]
+    return sum(comb(n, w) for w in before) + lex_rank_ref(word)

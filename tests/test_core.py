@@ -1,5 +1,6 @@
 """Core encoder/decoder loop, generic builders, and index coding."""
 
+import random
 from dataclasses import replace
 from itertools import product
 
@@ -60,6 +61,54 @@ def test_index_roundtrip(q, width, data):
     word = encode_index(value, width, q)
     assert len(word) == width
     assert decode_index(word, q) == value
+
+
+def _index_ref(value, width, q):
+    """Big-endian base-q digits of value, one divmod per digit."""
+    digits = []
+    for _ in range(width):
+        value, digit = divmod(value, q)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+def _value_ref(word, q):
+    value = 0
+    for symbol in word:
+        value = value * q + symbol
+    return value
+
+
+@pytest.mark.parametrize("q, max_width", [(2, 10), (3, 10), (4, 8)])
+def test_index_coding_every_value(q, max_width):
+    # product() lists the width-digit words in increasing base-q value
+    for width in range(max_width + 1):
+        for value, word in enumerate(product(range(q), repeat=width)):
+            assert encode_index(value, width, q) == word == _index_ref(value, width, q)
+            assert decode_index(word, q) == value
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_index_coding_empty_field(q):
+    assert encode_index(0, 0, q) == ()
+    assert decode_index((), q) == 0
+
+
+@pytest.mark.parametrize("q, width", [(2, 254), (2, 1022), (3, 200), (4, 300)])
+def test_index_coding_wide_fields(q, width):
+    rng = random.Random(width)
+    for value in (0, 1, q**width - 1, q ** (width - 1), *(rng.randrange(q**width) for _ in range(20))):
+        word = encode_index(value, width, q)
+        assert word == _index_ref(value, width, q)
+        assert decode_index(word, q) == value == _value_ref(word, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("value, width", [(-1, 3), (1, 0), ("top", 3), ("top", 1022)])
+def test_index_overflow_is_the_same_for_every_base(q, value, width):
+    value = q**width if value == "top" else value
+    with pytest.raises(OverflowError, match=rf"^index {value} does not fit in {width} base-{q} symbols$"):
+        encode_index(value, width, q)
 
 
 def test_ceil_log():

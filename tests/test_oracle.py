@@ -129,8 +129,8 @@ def test_graph_bound_refusal():
 
 def test_dot_output_is_deterministic_and_ordered():
     codec = mw8_codec()
-    first = graph_to_dot(build_state_graph(codec))
-    second = graph_to_dot(build_state_graph(codec))
+    first = "".join(graph_to_dot(build_state_graph(codec)))
+    second = "".join(graph_to_dot(build_state_graph(codec)))
     assert first == second
     # lexicographically first and last words appear, in order
     assert first.index('"00000000"') < first.index('"11111111"')
@@ -138,7 +138,7 @@ def test_dot_output_is_deterministic_and_ordered():
 
 def test_dot_marks_roles():
     codec = mw8_codec()
-    dot = graph_to_dot(build_state_graph(codec))
+    dot = "".join(graph_to_dot(build_state_graph(codec)))
     # 1^8 satisfies the constraint and ends in the start marker
     assert '"11111111" [style=filled fillcolor="palegreen" peripheries=2];' in dot
     # 0^8 violates it and is not a start word
