@@ -97,7 +97,9 @@ class CodecSpec:
 
     ``embed`` maps payloads into the start set, ``step`` moves a violating
     word to another non-start word, and the indicator callables classify
-    words; all callables are pure, so instances are safely shareable.
+    words.  Every callable is observably pure, so instances are safely
+    shareable across threads; a codec from :func:`build_one_symbol` keeps
+    one identity-keyed witness slot, which changes no result (see there).
     """
 
     q: int
@@ -175,11 +177,22 @@ def build_one_symbol(shrink: ShrinkStep, iter_cap: int | None = None) -> CodecSp
     Start words are exactly those ending in symbol 1 (the payload plus a
     marker), and each step shrinks a violating word to n-1 symbols and
     appends marker 0, so step images never collide with start words.
+
+    ``satisfies`` keeps the last word it scanned and that word's witness in
+    one slot, and ``step`` on that same tuple object cuts the kept witness
+    instead of scanning again: the encode loop and the state-graph build
+    scan each word once.  The pair is stored and read whole, the slot keeps
+    the word alive so its identity is not reused, and a tuple cannot
+    change; any other word (a list, an equal but distinct tuple, a word
+    another thread checked in between) is scanned afresh.  So the slot
+    changes no result and the codec stays safe to share across threads.
     """
     if shrink.slack != 0:
         raise SlackMismatch(f"build_one_symbol needs slack 0, got {shrink.slack}")
     q, n = shrink.q, shrink.n
+    find, cut = shrink.first_violation, shrink.cut
     do_shrink, do_unshrink = shrink.shrink, shrink.unshrink
+    checked: tuple[object, object | None] = (None, None)  # (word, its witness)
 
     def embed(payload: Word) -> Word:
         return payload + (START_MARKER,)
@@ -190,8 +203,17 @@ def build_one_symbol(shrink: ShrinkStep, iter_cap: int | None = None) -> CodecSp
     def is_start(word: Word) -> bool:
         return word[-1] == START_MARKER
 
+    def satisfies(word: Word) -> bool:
+        nonlocal checked
+        witness = find(word)
+        checked = (word, witness)
+        return witness is None
+
     def step(word: Word) -> Word:
-        return do_shrink(word) + (STEP_MARKER,)
+        last, witness = checked
+        if witness is None or last is not word or type(word) is not tuple:
+            return do_shrink(word) + (STEP_MARKER,)
+        return cut(word, witness) + (STEP_MARKER,)
 
     def step_back(word: Word) -> Word:
         if word[-1] != STEP_MARKER:
@@ -208,7 +230,7 @@ def build_one_symbol(shrink: ShrinkStep, iter_cap: int | None = None) -> CodecSp
         is_start=is_start,
         step=step,
         step_back=step_back,
-        satisfies=shrink.satisfies,
+        satisfies=satisfies,
         iter_cap=iter_cap if iter_cap is not None else default_iter_cap(q, 1),
     )
 

@@ -1,6 +1,8 @@
 """Core encoder/decoder loop, generic builders, and index coding."""
 
 import random
+import sys
+import threading
 from dataclasses import replace
 from itertools import product
 
@@ -17,6 +19,7 @@ from parcodec import (
     build_codec,
     build_intersection,
     build_one_symbol,
+    build_state_graph,
     ceil_log,
     decode,
     decode_index,
@@ -450,3 +453,169 @@ def test_shrinkstep_rejects_negative_slack():
             q=2, n=8, slack=-1,
             first_violation=lambda w: None, cut=lambda w, witness: w, unshrink=lambda w: w,
         )
+
+
+# --- one finder scan per step -------------------------------------------------
+
+def _counting(shrink):
+    """The shrink step with a finder that counts its calls in ``calls[0]``."""
+    calls = [0]
+    find = shrink.first_violation
+
+    def first_violation(word):
+        calls[0] += 1
+        return find(word)
+
+    return replace(shrink, first_violation=first_violation), calls
+
+
+def _sparse_payloads(k, count, seed):
+    # mostly zeros, so most words take several steps
+    rng = random.Random(seed)
+    return [tuple(int(rng.randrange(16) == 0) for _ in range(k)) for _ in range(count)]
+
+
+_SCAN_SHRINKS = {
+    "local": lambda: _mw_shrink(16, 9, 2, 0),
+    "intersect": lambda: build_intersection([_mw_shrink(16, 10, 2, 1), _mp_shrink(16, 9, 3, 1)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCAN_SHRINKS))
+def test_encode_scans_once_per_iteration(kind):
+    shrink, calls = _counting(_SCAN_SHRINKS[kind]())
+    codec, plain = build_one_symbol(shrink), build_one_symbol(_SCAN_SHRINKS[kind]())
+    steps = 0
+    for payload in [(0,) * 15, (1,) * 15] + _sparse_payloads(15, 40, seed=8):
+        calls[0] = 0
+        word, stats = encode(codec, payload)
+        assert calls[0] == stats.iterations + 1
+        assert word == encode(plain, payload)[0]
+        steps += stats.iterations
+    assert steps > 40
+
+
+def test_state_graph_scans_each_word_once():
+    shrink, calls = _counting(_mw_shrink(12, 9, 2, 0))
+    graph = build_state_graph(build_one_symbol(shrink))
+    assert calls[0] == 2**12
+    assert graph.edges == build_state_graph(build_one_symbol(_mw_shrink(12, 9, 2, 0))).edges
+
+
+def test_codec_with_wrapped_satisfies_and_step_encodes_the_same():
+    # the traced benchmark rebuilds each codec this way to time its callables
+    shrink, calls = _counting(_mw_shrink(16, 9, 2, 0))
+    codec = build_one_symbol(shrink)
+    counts = {"satisfies": 0, "step": 0}
+
+    def wrap(name, fn):
+        def wrapped(word):
+            counts[name] += 1
+            return fn(word)
+
+        return wrapped
+
+    traced = replace(codec, satisfies=wrap("satisfies", codec.satisfies), step=wrap("step", codec.step))
+    for payload in [(0,) * 15] + _sparse_payloads(15, 20, seed=9):
+        expected = encode(codec, payload)[0]
+        counts.update(satisfies=0, step=0)
+        calls[0] = 0
+        word, stats = encode(traced, payload)
+        assert word == expected
+        assert counts == {"satisfies": stats.iterations + 1, "step": stats.iterations}
+        assert calls[0] == stats.iterations + 1
+
+
+def test_step_matches_a_fresh_shrink_whatever_was_checked_before():
+    shrink = _mw_shrink(16, 9, 2, 0)
+    codec = build_one_symbol(shrink)
+    light = (0,) * 16  # first light 9-window starts at 0
+    late = (1,) * 8 + (0,) * 8  # ... and here at 7
+    assert shrink.first_violation(light) == 0 and shrink.first_violation(late) == 7
+    image = {word: shrink.shrink(word) + (0,) for word in (light, late)}
+
+    assert codec.step(late) == image[late]  # never checked
+    twin = tuple(list(light))
+    assert twin == light and twin is not light
+    assert not codec.satisfies(light)
+    assert codec.step(twin) == image[light]  # equal but distinct tuple
+    assert not codec.satisfies(light) and not codec.satisfies(late)
+    assert codec.step(light) == image[light]  # checked just after another word
+    assert not codec.satisfies(light)
+    assert codec.step(light) == image[light]  # the word just checked
+
+
+def test_a_check_run_inside_another_check_keeps_each_witness_with_its_word():
+    # what a thread switch in the middle of a scan does: satisfies(late)
+    # runs while satisfies(light) is still scanning, and the slot must
+    # never pair one word with the other's witness
+    shrink = _mw_shrink(16, 9, 2, 0)
+    find = shrink.first_violation
+    light, late = (0,) * 16, (1,) * 8 + (0,) * 8
+
+    def first_violation(word):
+        if word is light:
+            assert not codec.satisfies(late)
+        return find(word)
+
+    codec = build_one_symbol(replace(shrink, first_violation=first_violation))
+    assert not codec.satisfies(light)
+    assert codec.step(late) == shrink.shrink(late) + (0,)
+    assert codec.step(light) == shrink.shrink(light) + (0,)
+
+
+def test_step_on_a_satisfying_word_raises_right_after_satisfies():
+    codec = build_one_symbol(_mw_shrink(16, 9, 2, 0))
+    word = (1,) * 16
+    assert codec.satisfies(word)
+    with pytest.raises(ValueError, match="^shrink called on a word that satisfies the constraint$"):
+        codec.step(word)
+
+
+def test_a_list_changed_after_satisfies_is_scanned_again():
+    shrink = _mw_shrink(16, 9, 2, 0)
+    cut = shrink.cut
+    # a cut that takes any sequence, so that step runs on a list at all
+    codec = build_one_symbol(replace(shrink, cut=lambda word, witness: cut(tuple(word), witness)))
+    word = [0] * 16
+    assert not codec.satisfies(word)  # witness 0
+    word[:8] = [1] * 8  # now the first light window starts at 7
+    assert codec.step(word) == shrink.shrink(tuple(word)) + (0,)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["mw:n=64,l=13,p=2", "rf:n=64,l=13", "intersect:mw:n=64,l=14,p=2+mp:n=64,l=11,p=3"],
+)
+def test_threads_sharing_one_codec_match_a_serial_run(text):
+    # Three threads hit the codec's witness slot in turn: a thread switch
+    # between one thread's satisfies and its step (a few times a run at
+    # these sizes) hands the slot to another thread.  The lists start with (1, 0) blocks of different
+    # lengths, so their words fire at different witnesses, and a step given
+    # another thread's witness changes the codeword.
+    codec = build_codec(parse_spec(text))
+    sparse = _sparse_payloads(codec.k, 600, seed=1)
+    inputs = [
+        [(1, 0) * lead + payload[2 * lead :] for payload in sparse[200 * idx : 200 * (idx + 1)]]
+        for idx, lead in enumerate((0, 6, 12))
+    ]
+    serial = [[encode(codec, payload)[0] for payload in payloads] for payloads in inputs]
+    threaded = [None] * len(inputs)
+    barrier = threading.Barrier(len(inputs), timeout=60)
+
+    def run(idx):
+        barrier.wait()
+        threaded[idx] = [encode(codec, payload)[0] for payload in inputs[idx]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=run, args=(idx,)) for idx in range(len(inputs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert threaded == serial
