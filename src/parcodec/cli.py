@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
+from functools import cache
 
 from .core import decode, encode
 from .errors import CodecError, NotACodeword, ParseError
@@ -225,9 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process for main(): parsing leaves a parser unchanged,
+    and callers that run main() many times in one process would otherwise
+    rebuild the whole argparse tree, and leave it as cyclic garbage, per call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except _LineError as exc:

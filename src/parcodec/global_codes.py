@@ -45,7 +45,7 @@ from .core import (
 from .errors import NotACodeword, ParameterViolation
 from .local import forbidden_window_shrink, no_palindrome_coder
 from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
-from .words import Word
+from .words import Word, check_byte_alphabet
 
 # DNA alphabet is A=0, C=1, G=2, T=3; complement swaps A<->T and C<->G.
 DNA_COMPLEMENT: tuple[int, ...] = (3, 2, 1, 0)
@@ -77,11 +77,6 @@ def _normalize_symbol_map(
 
 # source_keys(bytes(word), window slices) -> bytes key of transform(window i), for every i
 _SourceKeys = Callable[[bytes, tuple], list]
-
-
-def _require_byte_keys(q: int) -> None:
-    if q > 256:
-        raise ParameterViolation(f"window-pair constraints key windows as bytes, so need q <= 256, got {q}")
 
 
 def _symbol_translation(table: Sequence[int]) -> bytes:
@@ -204,7 +199,7 @@ def repeat_free_shrink(
     window (no overlap) or regrows the removed one symbol by symbol, since an
     overlapping match forces a (j - i)-periodic structure.
     """
-    _require_byte_keys(q)
+    check_byte_alphabet(q, "a window-pair constraint")
     tables = _normalize_symbol_map(symbol_map, ell, q)
     source_keys = None if tables is None else _symbol_map_keys(tables)
 
@@ -233,7 +228,7 @@ def reverse_complement_shrink(
     q = len(comp)
     if any(comp[comp[s]] != s for s in range(q)):
         raise ParameterViolation(f"complement table {comp} is not self-inverse")
-    _require_byte_keys(q)
+    check_byte_alphabet(q, "a window-pair constraint")
     return _window_pair_shrink(n, ell, q, slack, ell, None, _reverse_complement_keys(comp))
 
 

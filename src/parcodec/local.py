@@ -2,10 +2,14 @@
 
 A :class:`WindowCoder` describes one family of forbidden windows: a
 leftmost-witness finder over whole words plus an injective compressor
-``pack`` that squeezes a forbidden window into ell' < ell symbols.  Each
-finder scans the word once, in O(n) (O(n*p) for mp), instead of slicing and
-re-testing every length-ell window; the window predicate ``is_forbidden`` is
-that finder applied to one window.
+``pack`` that squeezes a forbidden window into ell' < ell symbols; the
+window predicate ``is_forbidden`` is that finder applied to one window.
+The mw, lab, mp and enp finders read the word once as one integer, symbol t
+in digit t, and test every window at once with a few big-integer operations
+that run in C: one multiply gives every window weight, one XOR per shift d
+marks where the word has period d, and one XOR per mirrored pair marks the
+palindromes.  The leftmost flagged digit, found with ``bytes.find``, is the
+witness.
 :func:`forbidden_window_shrink` lifts any such coder into a shrink step: the
 first forbidden window is cut out and re-encoded at the tail as
 (window index, packed window).
@@ -27,9 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import eq, gt, not_, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     CodecSpec,
@@ -43,7 +45,7 @@ from .core import (
 )
 from .errors import NotACodeword, ParameterViolation
 from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
-from .words import Word, check_word
+from .words import Word, check_byte_alphabet, check_word
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,11 @@ class WindowCoder:
 
     ``first_violation(word)`` is the family's one definition: the smallest
     start of a forbidden length-``window_len`` window in a word of any
-    length, or None.  The built-in finders make one pass over the word with
-    no per-window rescan: O(len(word)), O(len(word) * p) for
-    min_period_coder, and one set lookup per window for listed_window_coder.
+    length, or None.  The built-in finders build no Python object per window
+    or per symbol: a constant number of whole-word integer operations for
+    min_weight_coder and weight_window_coder, p - 1 for min_period_coder and
+    ceil(window_len / 2) for no_palindrome_coder, each linear in the word's
+    length.  listed_window_coder does one set lookup per window.
     """
 
     q: int
@@ -72,25 +76,46 @@ class WindowCoder:
 def first_forbidden_window(word: Word, coder: WindowCoder) -> int | None:
     """Smallest start index of a forbidden window, or None. Leftmost wins.
 
-    This is ``coder.first_violation(word)``, the coder's own one-pass finder.
+    This is ``coder.first_violation(word)``, the coder's own finder.
     """
     return coder.first_violation(word)
 
 
-def _first_sparse_window(positions: Iterable[int], n: int, ell: int, p: int) -> int | None:
-    """Leftmost i <= n - ell with fewer than p of the ascending positions in [i, i + ell).
+def _weight_finder(n: int, ell: int, lo: int, hi: int) -> Callable[[Word], int | None]:
+    """Finder of the leftmost binary length-ell window with weight outside [lo, hi].
 
-    Within a gap between two listed positions, the earliest start holds the
-    fewest positions, so only the starts 0 and position + 1 are candidates:
-    the one after ``positions[k-1]`` qualifies iff ``positions[k+p-1]`` lies
-    beyond its window.  Sentinels -1 in front and p copies of n + ell behind
-    make the last candidate always qualify.
+    The word is read as one integer x with one ``width``-byte digit per
+    symbol, so digit i + ell - 1 of ``x * ones`` (ell unit digits) is the
+    weight of window i.  A digit keeps its top bit free (ell < 2**(8*width-1)),
+    so adding 2**(8*width-1) - lo to every digit sets that bit exactly where
+    the weight is at least lo, and adding 2**(8*width-1) - hi - 1 sets it
+    exactly where the weight exceeds hi; no carry crosses a digit.  The
+    forbidden flags are those top bits, read as every width-th byte.
     """
-    if p <= 0:
-        return None
-    ext = [-1, *positions, *repeat(n + ell, p)]
-    before = next(compress(ext, map(gt, map(sub, ext[p:], ext), repeat(ell))))
-    return before + 1 if before + 1 <= n - ell else None
+    width = (ell.bit_length() + 8) // 8
+    unit = b"\x01".ljust(width, b"\x00")
+    ones = int.from_bytes(unit * ell, "little")
+
+    def masks(length: int) -> tuple[int, int, int]:
+        # (top bit of each digit, the >= lo bias, the > hi bias) for `length` digits
+        digit_ones = int.from_bytes(unit * length, "little")
+        top = digit_ones << (8 * width - 1)
+        return top, top - lo * digit_ones, top - (hi + 1) * digit_ones
+
+    own = masks(n)
+
+    def first_violation(word: Word) -> int | None:
+        length = len(word)
+        top, at_least_lo, above_hi = own if length == n else masks(length)
+        digits = bytearray(length * width)
+        digits[::width] = word
+        sums = int.from_bytes(digits, "little") * ones
+        flags = (((sums + at_least_lo) ^ top) | (sums + above_hi)) & top
+        top_bytes = flags.to_bytes(length * width, "little")[width - 1 :: width]
+        end = top_bytes.find(0x80, ell - 1, length)  # the window's last symbol
+        return end - (ell - 1) if end >= 0 else None
+
+    return first_violation
 
 
 def forbidden_window_shrink(coder: WindowCoder, n: int, slack: int = 0) -> ShrinkStep:
@@ -147,9 +172,6 @@ def min_weight_coder(n: int, ell: int, p: int, slack: int = 0) -> WindowCoder:
             f"smallest admissible is {needed}"
         )
 
-    def first_violation(word: Word) -> int | None:
-        return _first_sparse_window(compress(range(len(word)), word), len(word), ell, p)
-
     def pack(window: Word) -> Word:
         fields = [encode_index(i, field, 2) for i, s in enumerate(window) if s]
         fields += [encode_index(ell, field, 2)] * (p - 1 - len(fields))
@@ -165,7 +187,7 @@ def min_weight_coder(n: int, ell: int, p: int, slack: int = 0) -> WindowCoder:
                 window[pos] = 1
         return tuple(window)
 
-    return WindowCoder(2, ell, packed, first_violation, pack, unpack)
+    return WindowCoder(2, ell, packed, _weight_finder(n, ell, p, ell), pack, unpack)
 
 
 def _min_weight_min_ell(n: int, p: int, slack: int) -> int:
@@ -200,13 +222,6 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
             f"forbidden-window count {total} exceeds capacity 2**{packed} = {1 << packed}"
         )
 
-    def first_violation(word: Word) -> int | None:
-        # too light: fewer than wmin ones; too heavy: fewer than ell - wmax zeros
-        n_word = len(word)
-        light = _first_sparse_window(compress(range(n_word), word), n_word, ell, wmin)
-        heavy = _first_sparse_window(compress(range(n_word), map(not_, word)), n_word, ell, ell - wmax)
-        return min((i for i in (light, heavy) if i is not None), default=None)
-
     def pack(window: Word) -> Word:
         return encode_index(rank_by_weight(window, weights), packed, 2)
 
@@ -216,7 +231,7 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
             raise NotACodeword(f"window rank {rank} out of range (|W| = {total})")
         return unrank_by_weight(rank, ell, weights)
 
-    return WindowCoder(2, ell, packed, first_violation, pack, unpack)
+    return WindowCoder(2, ell, packed, _weight_finder(n, ell, wmin, wmax), pack, unpack)
 
 
 def minimal_period(window: Word) -> int:
@@ -244,6 +259,7 @@ def min_period_coder(n: int, ell: int, p: int, slack: int = 0, q: int = 2) -> Wi
     """
     if not 1 <= p <= ell:
         raise ParameterViolation(f"need 1 <= p <= ell, got p={p}, ell={ell}")
+    check_byte_alphabet(q, "min_period_coder")
     needed = ceil_log(n, q) + p + 1 + slack
     if ell < needed:
         raise ParameterViolation(
@@ -252,11 +268,16 @@ def min_period_coder(n: int, ell: int, p: int, slack: int = 0, q: int = 2) -> Wi
         )
 
     # a window has period d iff word[t] == word[t + d] along its first
-    # ell - d positions; a period below p needs only d < p
-    runs = {d: b"\x01" * (ell - d) for d in range(1, p)}
+    # ell - d positions, that is, iff byte t of x ^ (x >> 8*d) is zero there
+    # (up to len - d, where x >> 8*d runs out); a period below p needs d < p
+    runs = [(d, bytes(ell - d)) for d in range(1, p)]
 
     def first_violation(word: Word) -> int | None:
-        starts = [bytes(map(eq, word, word[d:])).find(run) for d, run in runs.items()]
+        length = len(word)
+        if length < ell:  # and so no negative end, which find() counts from the back
+            return None
+        x = int.from_bytes(bytearray(word), "little")
+        starts = [(x ^ (x >> 8 * d)).to_bytes(length, "little").find(run, 0, length - d) for d, run in runs]
         return min((i for i in starts if i >= 0), default=None)
 
     def pack(window: Word) -> Word:
@@ -291,6 +312,7 @@ def no_palindrome_coder(
     comp = tuple(comp)
     if len(comp) != q or any(comp[comp[s]] != s for s in range(q)):
         raise ParameterViolation(f"comp must be a self-inverse map on [0, {q})")
+    check_byte_alphabet(q, "no_palindrome_coder")
     if ell // 2 < ceil_log(n, q) + 1 + slack:
         raise ParameterViolation(
             f"floor(ell/2) = {ell // 2} below bound ceil_log(n) + 1 + slack "
@@ -299,20 +321,22 @@ def no_palindrome_coder(
         )
     packed = (ell + 1) // 2
 
-    identity = comp == tuple(range(q))
+    complement = None if comp == tuple(range(q)) else bytes(comp) + bytes(256 - q)
+    pairs = [(8 * t, 8 * (ell - 1 - t)) for t in range(packed)]
 
     def first_violation(word: Word) -> int | None:
-        # mirror test of every window at once against the complemented word,
-        # one mirrored pair (t, ell-1-t) per round, outermost first; only the
-        # starts that passed every earlier round are tested again
-        mirror = word if identity else tuple(map(comp.__getitem__, word))
-        starts = list(compress(range(len(word) - ell + 1), map(eq, word, mirror[ell - 1 :])))
-        for t in range(1, packed):
-            if not starts:
-                return None
-            back = ell - 1 - t
-            starts = [i for i in starts if word[i + t] == mirror[i + back]]
-        return starts[0] if starts else None
+        # byte i of (x >> 8t) ^ (y >> 8(ell-1-t)), y the complemented word, is
+        # zero iff window i passes the mirrored pair (t, ell-1-t)
+        if len(word) < ell:  # and so no negative end, which find() counts from the back
+            return None
+        raw = bytearray(word)
+        x = int.from_bytes(raw, "little")
+        y = x if complement is None else int.from_bytes(raw.translate(complement), "little")
+        mismatch = 0
+        for ahead, behind in pairs:
+            mismatch |= (x >> ahead) ^ (y >> behind)
+        i = mismatch.to_bytes(len(word), "little").find(0, 0, len(word) - ell + 1)
+        return i if i >= 0 else None
 
     def pack(window: Word) -> Word:
         return window[:packed]

@@ -16,7 +16,7 @@ from itertools import product
 from operator import index
 from typing import Iterator, Sequence
 
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, ParameterViolation, ParseError
 
 Word = tuple[int, ...]
 
@@ -65,6 +65,12 @@ def check_word(word: Sequence[int], q: int, length: int | None = None, what: str
         if not _is_symbol(s, q):
             raise DimensionMismatch(f"{what} contains symbol {s!r} outside alphabet [0, {q})")
     return symbols if symbols is word else tuple(map(index, symbols))
+
+
+def check_byte_alphabet(q: int, what: str) -> None:
+    """Raise ParameterViolation unless every symbol fits one byte (q <= 256)."""
+    if q > 256:
+        raise ParameterViolation(f"{what} reads words as bytes, so needs q <= 256, got {q}")
 
 
 def all_words(q: int, n: int) -> Iterator[Word]:

@@ -53,6 +53,7 @@ BINARY_WINDOW_CASES = {
     "lab-narrow": (lambda: weight_window_coder(2, 6, 2, 4), lambda w: not 2 <= sum(w) <= 4),
     "mp-p3": (lambda: min_period_coder(16, 8, 3), has_period_below(3)),
     "mp-p4": (lambda: min_period_coder(4, 7, 4), has_period_below(4)),
+    "mp-p6": (lambda: min_period_coder(2, 8, 6), has_period_below(6)),
     "enp-even": (lambda: no_palindrome_coder(16, 10), is_palindrome),
     "enp-odd": (lambda: no_palindrome_coder(16, 11), is_palindrome),
     "mpl-even": (lambda: no_palindrome_coder(16, 12, slack=1), is_palindrome),
@@ -158,8 +159,16 @@ SEEDED_WINDOW_CASES = {
         lambda: no_palindrome_coder(256, 12, comp=DNA_COMPLEMENT, q=4, slack=1),
         lambda w: is_palindrome(w, DNA_COMP),
     ),
+    "mp-p4-n256": (2, lambda: min_period_coder(256, 13, 4), has_period_below(4)),
     "mw-n1024": (2, lambda: min_weight_coder(1024, 21, 2), lambda w: sum(w) < 2),
     "mp-n1024": (2, lambda: min_period_coder(1024, 14, 3), has_period_below(3)),
+    "enp-n1024": (2, lambda: no_palindrome_coder(1024, 22), is_palindrome),
+    "ss-palindrome-n1024": (
+        4,
+        lambda: no_palindrome_coder(1024, 14, comp=DNA_COMPLEMENT, q=4, slack=1),
+        lambda w: is_palindrome(w, DNA_COMP),
+    ),
+    "mp-q256-n256": (256, lambda: min_period_coder(256, 8, 3, q=256), has_period_below(3)),
 }
 
 
@@ -171,6 +180,96 @@ def test_window_finder_seeded(name):
     for word in seeded_words(n, q, seed=n + len(name), per_kind=12):
         want = first_forbidden_window_ref(word, coder.window_len, forbidden)
         assert first_forbidden_window(word, coder) == want, word
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_WINDOW_CASES))
+def test_window_finder_takes_lists_and_short_words(name):
+    q, make, _ = SEEDED_WINDOW_CASES[name]
+    coder = make()
+    n = int(name.rpartition("-n")[2])
+    for word in seeded_words(n, q, seed=n + len(name), per_kind=3):
+        assert first_forbidden_window(list(word), coder) == first_forbidden_window(word, coder)
+        # every prefix shorter than the window, the all-zero one included
+        for length in (0, 1, coder.window_len // 2, coder.window_len - 1):
+            assert first_forbidden_window(word[:length], coder) is None
+            assert first_forbidden_window((0,) * length, coder) is None
+
+
+REVERSED_BYTES = tuple(range(255, -1, -1))
+
+# mirror finders on words with a planted palindrome: (q, coder, complement)
+PLANTED_PALINDROME_CASES = {
+    "enp-n256": (2, lambda: no_palindrome_coder(256, 18), None),
+    "mpl-odd-n1024": (2, lambda: no_palindrome_coder(1024, 25, slack=1), None),
+    "ss-palindrome-n256": (4, lambda: no_palindrome_coder(256, 12, comp=DNA_COMPLEMENT, q=4, slack=1), DNA_COMP),
+    "ss-palindrome-n1024": (4, lambda: no_palindrome_coder(1024, 14, comp=DNA_COMPLEMENT, q=4, slack=1), DNA_COMP),
+    "enp-q256-n256": (256, lambda: no_palindrome_coder(256, 6, comp=REVERSED_BYTES, q=256), REVERSED_BYTES),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_PALINDROME_CASES))
+def test_palindrome_finder_planted(name):
+    q, make, comp = PLANTED_PALINDROME_CASES[name]
+    coder = make()
+    n, ell = int(name.rpartition("-n")[2]), coder.window_len
+    comp = comp or tuple(range(q))
+    centres = [s for s in range(q) if comp[s] == s]  # odd palindromes need one
+    rng = random.Random(n + len(name))
+    hits = 0
+    for _ in range(24):
+        word = [rng.randrange(q) for _ in range(n)]
+        # a palindrome of length ell or ell + 2, so its centre is one too
+        length = ell + 2 * rng.randrange(2)
+        start = rng.randrange(n - length + 1)
+        half = [rng.randrange(q) for _ in range(length // 2)]
+        middle = [rng.choice(centres)] if length % 2 else []
+        word[start : start + length] = half + middle + [comp[s] for s in reversed(half)]
+        word = tuple(word)
+        assert len(word) == n
+        want = first_forbidden_window_ref(word, ell, lambda w: is_palindrome(w, comp))
+        hits += want is not None
+        assert first_forbidden_window(word, coder) == want, word
+    assert hits >= 12
+
+
+def spliced_density_words(n, ell, seed, count):
+    """Binary words spliced from runs of up to ell + 40 symbols, mostly of
+    density 1/2 and otherwise of density 0, 1/32, 31/32 or 1, so that very
+    light and very heavy windows occur at varied starts."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        word = []
+        while len(word) < n:
+            density = rng.choice((1 / 2, 1 / 2, 1 / 2, 0, 1 / 32, 31 / 32, 1))
+            word += [int(rng.random() < density) for _ in range(rng.randrange(ell // 4, ell + 40))]
+        yield tuple(word[:n])
+
+
+# windows on both sides of 127 symbols, past which the weight digit widens beyond a byte
+WIDE_WEIGHT_CASES = {
+    "mw-l127": (500, lambda: min_weight_coder(500, 127, 9), lambda w: sum(w) < 9),
+    "mw-l200": (500, lambda: min_weight_coder(500, 200, 3), lambda w: sum(w) < 3),
+    "mw-l260": (300, lambda: min_weight_coder(300, 260, 2), lambda w: sum(w) < 2),
+    "mw-l260-n800": (800, lambda: min_weight_coder(800, 260, 2), lambda w: sum(w) < 2),
+    "mw-l300": (700, lambda: min_weight_coder(700, 300, 20), lambda w: sum(w) < 20),
+    "lab-l128": (256, lambda: weight_window_coder(256, 128, 40, 88), lambda w: not 40 <= sum(w) <= 88),
+    "lab-l255": (400, lambda: weight_window_coder(400, 255, 90, 165), lambda w: not 90 <= sum(w) <= 165),
+    "lab-l260": (800, lambda: weight_window_coder(800, 260, 100, 160), lambda w: not 100 <= sum(w) <= 160),
+    "lab-l300": (700, lambda: weight_window_coder(700, 300, 0, 200), lambda w: sum(w) > 200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_WEIGHT_CASES))
+def test_weight_finder_wide_windows(name):
+    n, make, forbidden = WIDE_WEIGHT_CASES[name]
+    coder = make()
+    witnesses = set()
+    for word in spliced_density_words(n, coder.window_len, seed=n + len(name), count=24):
+        want = first_forbidden_window_ref(word, coder.window_len, forbidden)
+        witnesses.add(want)
+        assert first_forbidden_window(word, coder) == want, word
+        assert first_forbidden_window(list(word), coder) == want
+    assert len(witnesses - {None}) >= 1 and len(witnesses) >= 2
 
 
 def shrink_witness(shrink, ell, word):
@@ -210,5 +309,14 @@ def test_pair_finder_seeded(name):
     lambda: reverse_complement_shrink(16, 9, comp=tuple(range(256, -1, -1))),
 ])
 def test_pair_builders_reject_alphabets_beyond_bytes(build):
+    with pytest.raises(ParameterViolation, match="q <= 256"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: min_period_coder(16, 8, 3, q=257),
+    lambda: no_palindrome_coder(16, 8, q=257),
+])
+def test_window_builders_reject_alphabets_beyond_bytes(build):
     with pytest.raises(ParameterViolation, match="q <= 256"):
         build()

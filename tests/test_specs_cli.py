@@ -160,6 +160,37 @@ def test_cli_leaves_stdin_open_across_runs(monkeypatch, capsys):
     assert not stdin.closed
 
 
+def test_cli_builds_its_parser_once_per_process(monkeypatch, tmp_path, capsys):
+    from parcodec import cli
+
+    assert cli.build_parser() is not cli.build_parser()
+    built, build_parser = [], cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._shared_parser.cache_clear()
+    try:
+        src = tmp_path / "in.txt"
+        src.write_text("ACGTACGTACGTACG\n")
+        dna = ["encode", "--spec", "ss:n=16", "--q", "4", "--format", "dna", "--input", str(src)]
+        bits = ["check", "--spec", "mw:n=16,l=9,p=2", "--input", str(tmp_path / "bits.txt")]
+        (tmp_path / "bits.txt").write_text("1111111111111111\n0000000000000000\n")
+        assert run_cli(dna) == 0
+        assert len(capsys.readouterr().out.strip()) == 16
+        with pytest.raises(SystemExit):
+            run_cli(["encode", "--spec"])
+        capsys.readouterr()
+        # options of an earlier call do not leak: --q and --format are back to their defaults
+        assert run_cli(bits) == 0
+        assert capsys.readouterr().out == "1\n0\n"
+        assert built == [1]
+    finally:
+        cli._shared_parser.cache_clear()
+
+
 def test_cli_check_repeated_windows(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("00000000\n")
