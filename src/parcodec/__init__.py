@@ -26,7 +26,6 @@ from .errors import (
     NotACodeword,
     ParameterViolation,
     ParseError,
-    PropertyViolation,
     RankOutOfRange,
     SlackMismatch,
 )

@@ -14,7 +14,11 @@ Three generic builders are provided:
 * :func:`build_intersection` combines m shrink maps (one per constraint)
   into a single shrink map for the intersection of the constraints.
 * :func:`cut_window_shrink` is the layout every window and window-pair
-  shrink shares: cut one window out, append the fields that restore it.
+  shrink shares: cut one window, which must fit the word, out and append
+  the fields that restore it.
+
+Every fixed-width field a reverse step reads back goes through
+:func:`decode_field`, which names the field when its value is out of range.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DimensionMismatch, IterationCapExceeded, NotACodeword, SlackMismatch
+from .errors import (
+    DimensionMismatch, IterationCapExceeded, NotACodeword, ParameterViolation, SlackMismatch,
+)
 from .words import Word, check_word
 
 
@@ -250,6 +256,8 @@ def cut_window_shrink(
     symbols and the tail, giving the start and the window to reinsert; it
     raises NotACodeword on inconsistent fields.
     """
+    if ell > n:
+        raise ParameterViolation(f"window length {ell} exceeds word length {n}")
     content_len = n - ell + tail_len
     pad = (0,) * (n - 1 - slack - content_len)
 
@@ -304,9 +312,7 @@ def build_intersection(members: Sequence[ShrinkStep]) -> ShrinkStep:
         return members[idx].cut(word, member_witness) + encode_index(idx, tag_width, q)
 
     def unshrink(word: Word) -> Word:
-        idx = decode_index(word[body_len:], q)
-        if idx >= len(members):
-            raise NotACodeword(f"member tag {idx} out of range (have {len(members)})")
+        idx = decode_field(word[body_len:], q, len(members), "member tag")
         return members[idx].unshrink(word[:body_len])
 
     return ShrinkStep(q=q, n=n, slack=0, first_violation=first_violation, cut=cut, unshrink=unshrink)
@@ -341,4 +347,12 @@ def decode_index(word: Word, q: int) -> int:
     value = 0
     for symbol in word:
         value = value * q + symbol
+    return value
+
+
+def decode_field(field: Word, q: int, limit: int, what: str) -> int:
+    """A tail field's value; NotACodeword naming ``what`` unless it is below ``limit``."""
+    value = decode_index(field, q)
+    if value >= limit:
+        raise NotACodeword(f"{what} {value} out of range (limit {limit})")
     return value

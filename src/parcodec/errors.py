@@ -37,15 +37,5 @@ class BoundExceeded(CodecError):
     """An exhaustive operation was requested above the configured state bound."""
 
 
-class PropertyViolation(CodecError):
-    """A verification check found a concrete counterexample."""
-
-    def __init__(self, kind: str, witness=None):
-        self.kind = kind
-        self.witness = witness
-        detail = f"{kind}" if witness is None else f"{kind}: witness {witness}"
-        super().__init__(detail)
-
-
 class ParseError(CodecError):
     """Malformed constraint-spec text."""

@@ -8,9 +8,12 @@ window once as an ell-byte slice of ``bytes(word)`` (so q <= 256), builds
 the transformed source keys by transforming the whole word once and slicing
 it (per window only for per-position symbol tables), answers "no pair" with
 one set test and only then searches for the minimal (i, j): n slices and
-hashes done in C, plus O(n) dictionary work.  The public builders only
-choose the transform, the minimum gap and how an overlapping window is
-regrown:
+hashes done in C, plus O(n) dictionary work.  The inverse reads j, then i,
+through :func:`core.decode_field`, so it accepts exactly
+i + min_gap <= j <= n - ell; symbol tables and complements are checked by
+:func:`words.check_symbol_map` and :func:`words.check_complement`.  The
+public builders only choose the transform, the minimum gap and how an
+overlapping window is regrown:
 
 * :func:`repeat_free_shrink` (CLI: rf/srf) - no length-ell window may recur,
   optionally after a per-position symbol substitution (gap 1; overlapping
@@ -39,13 +42,13 @@ from .core import (
     build_one_symbol,
     ceil_log,
     cut_window_shrink,
-    decode_index,
+    decode_field,
     encode_index,
 )
-from .errors import NotACodeword, ParameterViolation
+from .errors import ParameterViolation
 from .local import forbidden_window_shrink, no_palindrome_coder
 from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
-from .words import Word, check_byte_alphabet
+from .words import Word, check_byte_alphabet, check_complement, check_symbol_map, symbol_translation
 
 # DNA alphabet is A=0, C=1, G=2, T=3; complement swaps A<->T and C<->G.
 DNA_COMPLEMENT: tuple[int, ...] = (3, 2, 1, 0)
@@ -66,29 +69,18 @@ def _normalize_symbol_map(
         tables = [tuple(symbol_map)] * ell  # one table applied at every position
     if len(tables) != ell:
         raise ParameterViolation(f"need one symbol table per window position ({ell}), got {len(tables)}")
-    out = []
-    for table in tables:
-        table = tuple(table)
-        if len(table) != q or any(not 0 <= s < q for s in table):
-            raise ParameterViolation(f"symbol table {table} is not a map on [0, {q})")
-        out.append(table)
-    return tuple(out)
+    return tuple(check_symbol_map(table, q, "symbol table") for table in tables)
 
 
 # source_keys(bytes(word), window slices) -> bytes key of transform(window i), for every i
 _SourceKeys = Callable[[bytes, tuple], list]
 
 
-def _symbol_translation(table: Sequence[int]) -> bytes:
-    """A bytes.translate table applying a symbol map on [0, len(table))."""
-    return bytes(table) + bytes(256 - len(table))
-
-
 def _symbol_map_keys(tables: tuple[tuple[int, ...], ...]) -> _SourceKeys:
     """Source keys of a per-position symbol map (one table per window position)."""
     if len(set(tables)) == 1:
         # one table: map the whole word once, then slice it
-        translation = _symbol_translation(tables[0])
+        translation = symbol_translation(tables[0])
         return lambda b, cuts: list(map(b.translate(translation).__getitem__, cuts))
     return lambda b, cuts: [bytes(t[s] for t, s in zip(tables, b[cut])) for cut in cuts]
 
@@ -96,7 +88,7 @@ def _symbol_map_keys(tables: tuple[tuple[int, ...], ...]) -> _SourceKeys:
 def _reverse_complement_keys(comp: tuple[int, ...]) -> _SourceKeys:
     """Source keys of the reverse complement: window k of the reverse-complemented
     word is the reverse complement of window count - 1 - k of the word."""
-    translation = _symbol_translation(comp)
+    translation = symbol_translation(comp)
 
     def keys(b: bytes, cuts: tuple) -> list:
         mirrored = b.translate(translation)[::-1]
@@ -123,7 +115,7 @@ def _pair_finder(ell: int, min_gap: int, source_keys: _SourceKeys | None):
         count = len(word) - ell + 1
         if count < 2:
             return None
-        b = bytes(word)
+        b = bytes(bytearray(word))  # bytearray() reads a tuple faster; keys must hash
         cuts = _window_cuts(len(word), ell)
         keys = list(map(b.__getitem__, cuts))
         targets = set(keys)
@@ -161,18 +153,14 @@ def _window_pair_shrink(
             f"window length {ell} below bound 2*ceil_log(n) + 1 + slack "
             f"= {2 * index_width + 1 + slack}"
         )
-    if ell > n:
-        raise ParameterViolation(f"window length {ell} exceeds word length {n}")
 
     def cut(word: Word, pair: tuple[int, int]) -> tuple[int, Word]:
         i, j = pair
         return j, encode_index(i, index_width, q) + encode_index(j, index_width, q)
 
     def restore(rest: Word, tail: Word) -> tuple[int, Word]:
-        i = decode_index(tail[:index_width], q)
-        j = decode_index(tail[index_width:], q)
-        if not i + min_gap <= j <= n - ell:
-            raise NotACodeword(f"index pair ({i}, {j}) out of range")
+        j = decode_field(tail[index_width:], q, n - ell + 1, "pair index j")
+        i = decode_field(tail[:index_width], q, j - min_gap + 1, "pair index i")
         if j < i + ell:
             return j, regrow(rest, i, j)
         source = rest[i : i + ell]
@@ -224,10 +212,8 @@ def reverse_complement_shrink(
     j >= i + ell are covered here; :func:`build_secondary_structure` adds the
     overlapping case.  Any self-inverse symbol complement is accepted.
     """
-    comp = tuple(comp)
     q = len(comp)
-    if any(comp[comp[s]] != s for s in range(q)):
-        raise ParameterViolation(f"complement table {comp} is not self-inverse")
+    comp = check_complement(comp, q, "complement table")
     check_byte_alphabet(q, "a window-pair constraint")
     return _window_pair_shrink(n, ell, q, slack, ell, None, _reverse_complement_keys(comp))
 
@@ -267,11 +253,11 @@ def unrank_weight_at_most(rank: int, n: int, wmax: int) -> Word:
     return unrank_by_weight(rank, n, range(wmax + 1))
 
 
-_FLIP_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_FLIP_BITS = symbol_translation((1, 0))
 
 
 def _complement_bits(word: Word) -> Word:
-    return tuple(bytes(word).translate(_FLIP_BITS))
+    return tuple(bytearray(word).translate(_FLIP_BITS))
 
 
 def min_balanced_weight(n: int) -> int:
@@ -310,10 +296,7 @@ def almost_balanced_shrink_pair(n: int) -> tuple[ShrinkStep, ShrinkStep]:
         return encode_index(rank_weight_at_most(word, w_star), n - 2, 2)
 
     def unshrink_light(word: Word) -> Word:
-        rank = decode_index(word, 2)
-        if rank >= count:
-            raise NotACodeword(f"rank {rank} out of range ({count} light words)")
-        return unrank_weight_at_most(rank, n, w_star)
+        return unrank_weight_at_most(decode_field(word, 2, count, "light rank"), n, w_star)
 
     def cut_heavy(word: Word, weight: int) -> Word:
         return cut_light(_complement_bits(word), weight)

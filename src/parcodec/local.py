@@ -40,12 +40,12 @@ from .core import (
     build_one_symbol,
     ceil_log,
     cut_window_shrink,
-    decode_index,
+    decode_field,
     encode_index,
 )
 from .errors import NotACodeword, ParameterViolation
 from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
-from .words import Word, check_byte_alphabet, check_word
+from .words import Word, check_byte_alphabet, check_complement, check_word, symbol_translation
 
 
 @dataclass(frozen=True)
@@ -136,16 +136,12 @@ def forbidden_window_shrink(coder: WindowCoder, n: int, slack: int = 0) -> Shrin
             f"(= window_len - ceil_log(n) - 1 - slack); smallest admissible window_len "
             f"is {packed + index_width + 1 + slack}"
         )
-    if ell > n:
-        raise ParameterViolation(f"window length {ell} exceeds word length {n}")
 
     def cut(word: Word, i: int) -> tuple[int, Word]:
         return i, encode_index(i, index_width, q) + coder.pack(word[i : i + ell])
 
     def restore(rest: Word, tail: Word) -> tuple[int, Word]:
-        i = decode_index(tail[:index_width], q)
-        if i > n - ell:
-            raise NotACodeword(f"window index {i} out of range (max {n - ell})")
+        i = decode_field(tail[:index_width], q, n - ell + 1, "window index")
         return i, coder.unpack(tail[index_width:])
 
     return cut_window_shrink(
@@ -180,10 +176,8 @@ def min_weight_coder(n: int, ell: int, p: int, slack: int = 0) -> WindowCoder:
     def unpack(packed_word: Word) -> Word:
         window = [0] * ell
         for start in range(0, packed, field):
-            pos = decode_index(packed_word[start : start + field], 2)
-            if pos > ell:
-                raise NotACodeword(f"one-position {pos} out of range (dummy is {ell})")
-            if pos < ell:
+            pos = decode_field(packed_word[start : start + field], 2, ell + 1, "one-position")
+            if pos < ell:  # ell is the dummy
                 window[pos] = 1
         return tuple(window)
 
@@ -226,10 +220,7 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
         return encode_index(rank_by_weight(window, weights), packed, 2)
 
     def unpack(packed_word: Word) -> Word:
-        rank = decode_index(packed_word, 2)
-        if rank >= total:
-            raise NotACodeword(f"window rank {rank} out of range (|W| = {total})")
-        return unrank_by_weight(rank, ell, weights)
+        return unrank_by_weight(decode_field(packed_word, 2, total, "window rank"), ell, weights)
 
     return WindowCoder(2, ell, packed, _weight_finder(n, ell, wmin, wmax), pack, unpack)
 
@@ -307,11 +298,7 @@ def no_palindrome_coder(
     With a fixed-point-free comp and odd ell no window qualifies; the coder
     then degenerates to an always-false indicator, which is allowed.
     """
-    if comp is None:
-        comp = tuple(range(q))
-    comp = tuple(comp)
-    if len(comp) != q or any(comp[comp[s]] != s for s in range(q)):
-        raise ParameterViolation(f"comp must be a self-inverse map on [0, {q})")
+    comp = tuple(range(q)) if comp is None else check_complement(comp, q, "comp")
     check_byte_alphabet(q, "no_palindrome_coder")
     if ell // 2 < ceil_log(n, q) + 1 + slack:
         raise ParameterViolation(
@@ -321,7 +308,7 @@ def no_palindrome_coder(
         )
     packed = (ell + 1) // 2
 
-    complement = None if comp == tuple(range(q)) else bytes(comp) + bytes(256 - q)
+    complement = None if comp == tuple(range(q)) else symbol_translation(comp)
     pairs = [(8 * t, 8 * (ell - 1 - t)) for t in range(packed)]
 
     def first_violation(word: Word) -> int | None:
@@ -379,10 +366,7 @@ def listed_window_coder(
         return encode_index(bisect_left(table, window), packed, q)
 
     def unpack(packed_word: Word) -> Word:
-        rank = decode_index(packed_word, q)
-        if rank >= len(table):
-            raise NotACodeword(f"window rank {rank} out of range ({len(table)} windows)")
-        return table[rank]
+        return table[decode_field(packed_word, q, len(table), "window rank")]
 
     return WindowCoder(q, ell, packed, first_violation, pack, unpack)
 

@@ -5,9 +5,10 @@ Alphabet size and expected length travel with the codec objects, so
 validation happens at operation boundaries rather than per value.
 
 The three boundary functions test and convert a whole word with C-level
-``bytes`` operations (``bytes()``, ``translate``, ``decode``).  Only input
-the fast test rejects reaches a per-symbol Python loop, which names the
-first bad symbol or character.
+``bytes`` operations (``bytearray()``, ``translate``, ``decode``).  Only
+input the fast test rejects reaches a per-symbol Python loop, which names
+the first bad symbol or character.  Symbol maps (substitution tables and
+complements) are validated here too, and turned into ``translate`` tables.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ def check_word(word: Sequence[int], q: int, length: int | None = None, what: str
     """
     if length is not None and len(word) != length:
         raise DimensionMismatch(f"{what} has length {len(word)}, expected {length}")
-    symbols = tuple(word)  # no copy for a tuple, and bytes() never sees a buffer
+    symbols = tuple(word)  # no copy for a tuple, and bytearray() never sees a buffer
     try:
-        raw = bytes(symbols)
+        raw = bytearray(symbols)
         if q > 0 and not raw.translate(None, _BYTE_VALUES[:q]):
             return symbols if symbols is word else tuple(raw)
     except (TypeError, ValueError):
@@ -73,6 +74,27 @@ def check_byte_alphabet(q: int, what: str) -> None:
         raise ParameterViolation(f"{what} reads words as bytes, so needs q <= 256, got {q}")
 
 
+def check_symbol_map(table: Sequence[int], q: int, what: str) -> Word:
+    """The table as a tuple; ParameterViolation unless it maps [0, q) into [0, q)."""
+    table = tuple(table)
+    if len(table) != q or not all(_is_symbol(s, q) for s in table):
+        raise ParameterViolation(f"{what} {table} is not a map on [0, {q})")
+    return table
+
+
+def check_complement(comp: Sequence[int], q: int, what: str) -> Word:
+    """:func:`check_symbol_map`, then ParameterViolation unless the map is self-inverse."""
+    comp = check_symbol_map(comp, q, what)
+    if any(comp[c] != s for s, c in enumerate(comp)):
+        raise ParameterViolation(f"{what} {comp} is not self-inverse")
+    return comp
+
+
+def symbol_translation(table: Sequence[int]) -> bytes:
+    """A ``bytes.translate`` table applying a symbol map on [0, len(table))."""
+    return bytes(table) + bytes(256 - len(table))
+
+
 def all_words(q: int, n: int) -> Iterator[Word]:
     """All q^n words of length n in lexicographic order."""
     return product(range(q), repeat=n)
@@ -81,7 +103,7 @@ def all_words(q: int, n: int) -> Iterator[Word]:
 def word_to_text(word: Sequence[int], fmt: str) -> str:
     table = _SYMBOL_TO_TEXT[fmt]
     try:
-        return bytes(tuple(word)).translate(table).decode("ascii")
+        return bytearray(tuple(word)).translate(table).decode("ascii")
     except (TypeError, ValueError):  # UnicodeDecodeError is a ValueError
         raise DimensionMismatch(f"word {word} not representable in format {fmt!r}") from None
 
