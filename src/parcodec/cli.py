@@ -27,7 +27,7 @@ from contextlib import contextmanager, nullcontext
 from functools import cache
 
 from .core import decode, encode
-from .errors import CodecError, NotACodeword, ParseError
+from .errors import CodecError, DimensionMismatch, NotACodeword, ParseError
 from .oracle import (
     DEFAULT_STATE_BOUND,
     build_state_graph,
@@ -38,7 +38,7 @@ from .oracle import (
     sample_roundtrip,
 )
 from .specs import build_codec, parse_spec
-from .words import FORMAT_Q, text_to_word, word_to_text
+from .words import FORMAT_Q, check_word, text_to_word, word_to_text
 
 
 class _LineError(Exception):
@@ -111,47 +111,32 @@ def _build(args):
     return build_codec(spec, args.q)
 
 
-def _transform_stream(args, expect_len, apply_word):
+def _transform_stream(args, apply_word):
+    """Write apply_word(codec, word) per input line; the library checks each
+    word's symbols and length, and a failure is reported with its line."""
     with _output(args.output) as out, _open_input(args.input) as stream:
         codec = _build(args)
         for lineno, line in _data_lines(stream):
             try:
-                word = text_to_word(line, args.format)
-            except ParseError as exc:
+                out.write(apply_word(codec, text_to_word(line, args.format)) + "\n")
+            except (ParseError, DimensionMismatch) as exc:
                 raise _LineError(lineno, str(exc)) from exc
-            if len(word) != expect_len(codec):
-                raise _LineError(
-                    lineno,
-                    f"expected {expect_len(codec)} symbols, got {len(word)}",
-                )
-            try:
-                out.write(apply_word(codec, word) + "\n")
             except NotACodeword as exc:
                 raise _LineError(lineno, f"not a codeword ({exc})") from exc
     return 0
 
 
 def _cmd_encode(args) -> int:
-    return _transform_stream(
-        args,
-        lambda codec: codec.k,
-        lambda codec, word: word_to_text(encode(codec, word)[0], args.format),
-    )
+    return _transform_stream(args, lambda codec, word: word_to_text(encode(codec, word)[0], args.format))
 
 
 def _cmd_decode(args) -> int:
-    return _transform_stream(
-        args,
-        lambda codec: codec.n,
-        lambda codec, word: word_to_text(decode(codec, word), args.format),
-    )
+    return _transform_stream(args, lambda codec, word: word_to_text(decode(codec, word), args.format))
 
 
 def _cmd_check(args) -> int:
     return _transform_stream(
-        args,
-        lambda codec: codec.n,
-        lambda codec, word: "1" if codec.satisfies(word) else "0",
+        args, lambda codec, word: "1" if codec.satisfies(check_word(word, codec.q, codec.n)) else "0"
     )
 
 

@@ -15,7 +15,9 @@ Three generic builders are provided:
   into a single shrink map for the intersection of the constraints.
 * :func:`cut_window_shrink` is the layout every window and window-pair
   shrink shares: cut one window, which must fit the word, out and append
-  the fields that restore it.
+  the fields that restore it.  :func:`window_room` is its one admissibility
+  rule: the tail, the step marker and the slack must fit in the ell symbols
+  that the cut frees.
 
 Every fixed-width field a reverse step reads back goes through
 :func:`decode_field`, which names the field when its value is out of range.
@@ -24,6 +26,7 @@ Every fixed-width field a reverse step reads back goes through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Sequence
 
 from .errors import (
@@ -35,7 +38,7 @@ from .words import Word, check_word
 def ceil_log(value: int, base: int) -> int:
     """Smallest L with base**L >= value, exact integer arithmetic."""
     if value < 1 or base < 2:
-        raise ValueError(f"ceil_log needs value >= 1 and base >= 2, got {value}, {base}")
+        raise ParameterViolation(f"ceil_log needs value >= 1 and base >= 2, got {value}, {base}")
     width, reach = 0, 1
     while reach < value:
         reach *= base
@@ -259,7 +262,7 @@ def cut_window_shrink(
     if ell > n:
         raise ParameterViolation(f"window length {ell} exceeds word length {n}")
     content_len = n - ell + tail_len
-    pad = (0,) * (n - 1 - slack - content_len)
+    pad = (0,) * window_room(ell, slack, lambda e: tail_len)
 
     def cut_window(word: Word, witness: object) -> Word:
         start, tail = cut(word, witness)
@@ -273,6 +276,23 @@ def cut_window_shrink(
         return rest[:start] + window + rest[start:]
 
     return ShrinkStep(q=q, n=n, slack=slack, first_violation=find, cut=cut_window, unshrink=unshrink)
+
+
+def window_room(ell: int, slack: int, tail: Callable[[int], int]) -> int:
+    """Zero padding left after cutting an ell-window and appending its tail.
+
+    ``tail(e)`` is the tail width at window length e.  The cut frees ell
+    symbols, which must hold the tail, the step marker and the slack; if they
+    do not, ParameterViolation names the smallest window length that fits.
+    """
+    room = ell - 1 - slack - tail(ell)
+    if room < 0:
+        fits = next(e for e in count(ell + 1) if e - 1 - slack >= tail(e))
+        raise ParameterViolation(
+            f"window length {ell} is too short for its tail ({tail(ell)} symbols), the step "
+            f"marker and slack {slack}; smallest admissible window length is {fits}"
+        )
+    return room
 
 
 def build_intersection(members: Sequence[ShrinkStep]) -> ShrinkStep:

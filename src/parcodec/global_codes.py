@@ -10,7 +10,9 @@ it (per window only for per-position symbol tables), answers "no pair" with
 one set test and only then searches for the minimal (i, j): n slices and
 hashes done in C, plus O(n) dictionary work.  The inverse reads j, then i,
 through :func:`core.decode_field`, so it accepts exactly
-i + min_gap <= j <= n - ell; symbol tables and complements are checked by
+i + min_gap <= j <= n - ell.  The layout's :func:`core.window_room` refuses
+a window too short for both indices (ell < 2*ceil_log(n) + 1 + slack);
+symbol tables and complements are checked by
 :func:`words.check_symbol_map` and :func:`words.check_complement`.  The
 public builders only choose the transform, the minimum gap and how an
 overlapping window is regrown:
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
+from operator import index
 from typing import Callable, Sequence
 
 from .core import (
@@ -65,11 +68,19 @@ def _normalize_symbol_map(
     if symbol_map is None:
         return None
     tables = list(symbol_map)
-    if tables and isinstance(tables[0], int):
+    if tables and _is_index(tables[0]):
         tables = [tuple(symbol_map)] * ell  # one table applied at every position
     if len(tables) != ell:
         raise ParameterViolation(f"need one symbol table per window position ({ell}), got {len(tables)}")
     return tuple(check_symbol_map(table, q, "symbol table") for table in tables)
+
+
+def _is_index(value: object) -> bool:
+    try:
+        index(value)
+    except TypeError:
+        return False
+    return True
 
 
 # source_keys(bytes(word), window slices) -> bytes key of transform(window i), for every i
@@ -148,11 +159,6 @@ def _window_pair_shrink(
     overlapping one (possible only when min_gap < ell) regrow(rest, i, j).
     """
     index_width = ceil_log(n, q)
-    if ell < 2 * index_width + 1 + slack:
-        raise ParameterViolation(
-            f"window length {ell} below bound 2*ceil_log(n) + 1 + slack "
-            f"= {2 * index_width + 1 + slack}"
-        )
 
     def cut(word: Word, pair: tuple[int, int]) -> tuple[int, Word]:
         i, j = pair

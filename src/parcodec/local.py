@@ -42,6 +42,7 @@ from .core import (
     cut_window_shrink,
     decode_field,
     encode_index,
+    window_room,
 )
 from .errors import NotACodeword, ParameterViolation
 from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
@@ -122,20 +123,13 @@ def forbidden_window_shrink(coder: WindowCoder, n: int, slack: int = 0) -> Shrin
     """Shrink step that removes the first forbidden window.
 
     The violating word is rewritten as
-    ``prefix + suffix + index(first window) + pack(window) + zero padding``,
-    which fits in n - 1 - slack symbols whenever
-    ``packed_len <= window_len - ceil_log(n) - 1 - slack``.
+    ``prefix + suffix + index(first window) + pack(window) + zero padding``
+    in n - 1 - slack symbols; :func:`core.window_room` rejects a coder whose
+    index and packed window do not fit.
     The inverse trusts the encoded index; it never re-scans.
     """
     q, ell, packed = coder.q, coder.window_len, coder.packed_len
     index_width = ceil_log(n, q)
-    budget = ell - index_width - 1 - slack
-    if packed > budget:
-        raise ParameterViolation(
-            f"packed window length {packed} exceeds {budget} "
-            f"(= window_len - ceil_log(n) - 1 - slack); smallest admissible window_len "
-            f"is {packed + index_width + 1 + slack}"
-        )
 
     def cut(word: Word, i: int) -> tuple[int, Word]:
         return i, encode_index(i, index_width, q) + coder.pack(word[i : i + ell])
@@ -161,12 +155,7 @@ def min_weight_coder(n: int, ell: int, p: int, slack: int = 0) -> WindowCoder:
         raise ParameterViolation(f"minimal weight p must be >= 1, got {p}")
     field = ceil_log(ell + 1, 2)
     packed = (p - 1) * field
-    needed = _min_weight_min_ell(n, p, slack)
-    if ell < needed:
-        raise ParameterViolation(
-            f"window length {ell} below bound ceil_log(n) + (p-1)*ceil_log(ell+1) + 1 + slack; "
-            f"smallest admissible is {needed}"
-        )
+    window_room(ell, slack, lambda e: ceil_log(n, 2) + (p - 1) * ceil_log(e + 1, 2))
 
     def pack(window: Word) -> Word:
         fields = [encode_index(i, field, 2) for i, s in enumerate(window) if s]
@@ -184,16 +173,6 @@ def min_weight_coder(n: int, ell: int, p: int, slack: int = 0) -> WindowCoder:
     return WindowCoder(2, ell, packed, _weight_finder(n, ell, p, ell), pack, unpack)
 
 
-def _min_weight_min_ell(n: int, p: int, slack: int) -> int:
-    # the bound references ell on both sides; the right side grows only
-    # logarithmically, so scan upward
-    base = ceil_log(n, 2) + 1 + slack
-    ell = 1
-    while ell < base + (p - 1) * ceil_log(ell + 1, 2):
-        ell += 1
-    return ell
-
-
 def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) -> WindowCoder:
     """Binary windows with weight outside [wmin, wmax] are forbidden (CLI: lab).
 
@@ -203,12 +182,7 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
     """
     if not 0 <= wmin <= wmax <= ell:
         raise ParameterViolation(f"need 0 <= wmin <= wmax <= ell, got [{wmin}, {wmax}], ell={ell}")
-    packed = ell - ceil_log(n, 2) - 1 - slack
-    if packed < 0:
-        raise ParameterViolation(
-            f"window length {ell} leaves no room for the packed field "
-            f"(needs at least ceil_log(n) + 1 + slack = {ceil_log(n, 2) + 1 + slack})"
-        )
+    packed = window_room(ell, slack, lambda e: ceil_log(n, 2))
     weights = tuple(range(0, wmin)) + tuple(range(wmax + 1, ell + 1))
     total = count_by_weight(ell, weights)
     if total > 1 << packed:
@@ -251,12 +225,7 @@ def min_period_coder(n: int, ell: int, p: int, slack: int = 0, q: int = 2) -> Wi
     if not 1 <= p <= ell:
         raise ParameterViolation(f"need 1 <= p <= ell, got p={p}, ell={ell}")
     check_byte_alphabet(q, "min_period_coder")
-    needed = ceil_log(n, q) + p + 1 + slack
-    if ell < needed:
-        raise ParameterViolation(
-            f"window length {ell} below bound ceil_log(n) + p + 1 + slack; "
-            f"smallest admissible is {needed}"
-        )
+    window_room(ell, slack, lambda e: ceil_log(n, q) + p)
 
     # a window has period d iff word[t] == word[t + d] along its first
     # ell - d positions, that is, iff byte t of x ^ (x >> 8*d) is zero there
@@ -300,12 +269,7 @@ def no_palindrome_coder(
     """
     comp = tuple(range(q)) if comp is None else check_complement(comp, q, "comp")
     check_byte_alphabet(q, "no_palindrome_coder")
-    if ell // 2 < ceil_log(n, q) + 1 + slack:
-        raise ParameterViolation(
-            f"floor(ell/2) = {ell // 2} below bound ceil_log(n) + 1 + slack "
-            f"= {ceil_log(n, q) + 1 + slack}; smallest admissible ell is "
-            f"{2 * (ceil_log(n, q) + 1 + slack)}"
-        )
+    window_room(ell, slack, lambda e: ceil_log(n, q) + (e + 1) // 2)
     packed = (ell + 1) // 2
 
     complement = None if comp == tuple(range(q)) else symbol_translation(comp)
@@ -340,22 +304,17 @@ def listed_window_coder(
     ell: int,
     q: int = 2,
     slack: int = 0,
-    packed_len: int | None = None,
 ) -> WindowCoder:
     """Explicitly listed forbidden windows, compressed by sorted rank.
 
-    ``packed_len`` defaults to the largest width admissible for word length
-    n; pass it explicitly to pin a smaller field.
+    The rank takes all the room the window index leaves for word length n.
     """
     table = sorted(set(windows))
     for w in table:
         check_word(w, q, ell, what="forbidden window")
-    packed = packed_len if packed_len is not None else ell - ceil_log(n, q) - 1 - slack
-    if packed < 0 or len(table) > q ** packed:
-        raise ParameterViolation(
-            f"{len(table)} forbidden windows exceed capacity q**{packed}"
-            f" = {q ** max(packed, 0)}"
-        )
+    packed = window_room(ell, slack, lambda e: ceil_log(n, q))
+    if len(table) > q ** packed:
+        raise ParameterViolation(f"{len(table)} forbidden windows exceed capacity q**{packed} = {q ** packed}")
 
     listed = frozenset(table)
 

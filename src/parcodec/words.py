@@ -75,11 +75,11 @@ def check_byte_alphabet(q: int, what: str) -> None:
 
 
 def check_symbol_map(table: Sequence[int], q: int, what: str) -> Word:
-    """The table as a tuple; ParameterViolation unless it maps [0, q) into [0, q)."""
+    """The table as a tuple of ints; ParameterViolation unless it maps [0, q) into [0, q)."""
     table = tuple(table)
     if len(table) != q or not all(_is_symbol(s, q) for s in table):
         raise ParameterViolation(f"{what} {table} is not a map on [0, {q})")
-    return table
+    return tuple(map(index, table))
 
 
 def check_complement(comp: Sequence[int], q: int, what: str) -> Word:

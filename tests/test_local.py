@@ -262,7 +262,7 @@ def test_min_weight_p1_forbids_only_zero_window():
 # --- explicit window lists ---------------------------------------------------
 
 def test_listed_windows_two_element():
-    coder = listed_window_coder([(0, 0, 0), (1, 1, 1)], n=2, ell=3, packed_len=1)
+    coder = listed_window_coder([(0, 0, 0), (1, 1, 1)], n=2, ell=3)
     assert coder.pack((0, 0, 0)) == (0,)
     assert coder.pack((1, 1, 1)) == (1,)
     assert coder.unpack((1,)) == (1, 1, 1)
@@ -272,7 +272,7 @@ def test_listed_windows_two_element():
 
 def test_listed_windows_over_capacity():
     with pytest.raises(ParameterViolation):
-        listed_window_coder([(0, 0, 0), (1, 1, 1), (0, 1, 0)], n=2, ell=3, packed_len=1)
+        listed_window_coder([(0, 0, 0), (1, 1, 1), (0, 1, 0)], n=2, ell=3)
 
 
 def test_listed_windows_derives_width_from_n():

@@ -2,17 +2,21 @@
 
 Every decoded tail field goes through ``core.decode_field``, every symbol
 table and complement through ``words.check_symbol_map``/``check_complement``,
-and the window-fits-word rule through ``core.cut_window_shrink``.  The field
+the window-fits-word rule through ``core.cut_window_shrink`` and the room a
+cut window leaves for its tail through ``core.window_room``.  The field
 tests start from a real shrink image, set one field to its limit (rejected,
 with the field named) and to its limit - 1 (decoded), so an off-by-one in a
-limit fails here.
+limit fails here; the room tests do the same with the window length.
 """
 
+import numpy as np
 import pytest
 
 from parcodec import (
+    DNA_COMPLEMENT,
     NotACodeword,
     ParameterViolation,
+    WindowCoder,
     almost_balanced_shrink_pair,
     build_intersection,
     build_secondary_structure,
@@ -21,6 +25,7 @@ from parcodec import (
     forbidden_window_shrink,
     listed_window_coder,
     min_balanced_weight,
+    min_period_coder,
     min_weight_coder,
     no_palindrome_coder,
     repeat_free_shrink,
@@ -127,3 +132,72 @@ def test_complement_that_is_not_self_inverse_is_a_parameter_violation(build):
 def test_window_longer_than_the_word_is_a_parameter_violation(build):
     with pytest.raises(ParameterViolation, match=r"^window length 20 exceeds word length 16$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: reverse_complement_shrink(N, 9, comp=(0,)),
+        lambda: build_secondary_structure(N, comp=(0,)),
+        lambda: min_period_coder(N, 8, 3, q=1),
+        lambda: listed_window_coder([(0,) * 9], N, 9, q=1),
+    ],
+    ids=["rss", "ss", "mp", "listed"],
+)
+def test_alphabet_of_one_symbol_is_a_parameter_violation(build):
+    with pytest.raises(ParameterViolation, match=r"^ceil_log needs value >= 1 and base >= 2, got 16, 1$"):
+        build()
+
+
+def test_flat_numpy_symbol_map_is_one_table_for_every_position():
+    # window 0..8 copied, bits flipped, at 7..15: an overlapping copy, regrown on unshrink
+    word = (1, 1, 0, 1, 0, 0, 0) + (0, 0, 1, 0, 1, 1, 1, 1, 1)
+    plain = repeat_free_shrink(N, 9, symbol_map=(1, 0))
+    for symbol_map in (np.array([1, 0]), (np.int64(1), np.int64(0))):
+        shrink = repeat_free_shrink(N, 9, symbol_map=symbol_map)
+        assert shrink.first_violation(word) == plain.first_violation(word) == (0, 7)
+        image = shrink.shrink(word)
+        assert image == plain.shrink(word)
+        restored = shrink.unshrink(image)
+        assert restored == word and all(type(s) is int for s in restored)
+
+
+def _hand_built(ell, slack):
+    # a coder of the bare WindowCoder interface whose packed window is 3 symbols
+    coder = WindowCoder(2, ell, 3, lambda word: None, lambda window: window[:3], lambda packed: packed)
+    return forbidden_window_shrink(coder, N, slack=slack)
+
+
+# (id, build(ell), smallest admissible ell).  With N = 16 the window index
+# takes 4 binary or 2 quaternary symbols, and ell - 1 - slack must hold the
+# tail; slack 1 makes a room rule that forgets the slack fail here.
+ROOM_CASES = [
+    # 4 + ceil_log(ell + 1) one-position bits: 10 - 2 = 4 + 4, while 9 - 2 < 4 + 4
+    ("mw", lambda ell: min_weight_coder(N, ell, 2, slack=1), 10),
+    # the rank of the one forbidden window (weight 0) takes 0 bits: 4 + 0 + 1 + 1
+    ("lab", lambda ell: weight_window_coder(N, ell, 1, ell, slack=1), 6),
+    ("mp", lambda ell: min_period_coder(N, ell, 3, slack=1), 4 + 3 + 1 + 1),
+    # floor(ell / 2) >= 4 + 1 + 1
+    ("enp", lambda ell: no_palindrome_coder(N, ell, slack=1), 12),
+    # floor(ell / 2) >= 2 + 1 + 1
+    ("enp-rc", lambda ell: no_palindrome_coder(N, ell, DNA_COMPLEMENT, q=4, slack=1), 8),
+    ("listed", lambda ell: listed_window_coder([(0,) * ell], N, ell, slack=1), 4 + 0 + 1 + 1),
+    ("rf", lambda ell: repeat_free_shrink(N, ell, slack=1), 2 * 4 + 1 + 1),
+    ("rss", lambda ell: reverse_complement_shrink(N, ell, slack=1), 2 * 2 + 1 + 1),
+    ("forbidden-window", lambda ell: _hand_built(ell, 1), 4 + 3 + 1 + 1),
+    # 6 + 2 * ceil_log(ell + 1) at slack 0: 17 - 1 = 6 + 2 * 5, while 16 - 1 < 6 + 2 * 5
+    ("mw-n64-p3", lambda ell: min_weight_coder(64, ell, 3), 17),
+    # 10 + 15 * ceil_log(ell + 1): 131 - 1 = 10 + 15 * 8, while 130 - 1 < 10 + 15 * 8
+    ("mw-n1024-p16", lambda ell: min_weight_coder(1024, ell, 16), 131),
+]
+
+
+@pytest.mark.parametrize(
+    "build, smallest", [case[1:] for case in ROOM_CASES], ids=[case[0] for case in ROOM_CASES]
+)
+def test_smallest_admissible_window_builds_and_the_next_shorter_is_refused(build, smallest):
+    build(smallest)
+    with pytest.raises(
+        ParameterViolation, match=rf"^window length {smallest - 1} .*smallest admissible window length is {smallest}$"
+    ):
+        build(smallest - 1)

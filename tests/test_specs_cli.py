@@ -18,6 +18,7 @@ from parcodec import (
     sample_roundtrip,
 )
 from parcodec.cli import main
+from parcodec.specs import _CONSTRAINTS
 
 
 # --- grammar -------------------------------------------------------------------
@@ -232,12 +233,16 @@ def test_cli_dna_format(tmp_path, capsys):
 
 
 def test_cli_reports_first_bad_line(tmp_path, capsys):
-    src = tmp_path / "in.txt"
-    src.write_text("111111111111111\n0101\n000000000000000\n")
-    rc = run_cli(["encode", "--spec", "mw:n=16,l=9,p=2", "--input", str(src)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "line 2" in captured.err
+    # line 1 is good for each command, line 2 too short
+    for command, first, what in [
+        ("encode", "1" * 15, "payload"), ("decode", "1" * 16, "codeword"), ("check", "1" * 16, "word"),
+    ]:
+        src = tmp_path / "in.txt"
+        src.write_text(f"{first}\n0101\n000000000000000\n")
+        rc = run_cli([command, "--spec", "mw:n=16,l=9,p=2", "--input", str(src)])
+        captured = capsys.readouterr()
+        assert rc == 1, command
+        assert f"line 2: {what} has length 4, expected {len(first)}" in captured.err
 
 
 def test_cli_bad_symbol_is_line_error(tmp_path, capsys):
@@ -254,6 +259,20 @@ def test_cli_spec_error_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTRAINTS))
+def test_cli_word_length_zero_is_a_usage_error(tmp_path, capsys, name):
+    row = _CONSTRAINTS[name]
+    body = ",".join(f"{key}={0 if key == 'n' else 1}" for key in row.params if key not in row.optional)
+    q = row.qs[0] if row.qs else 2
+    src = tmp_path / "in.txt"
+    src.write_text("")
+    rc = run_cli(["encode", "--spec", f"{name}:{body}", "--q", str(q),
+                  "--format", "dna" if q == 4 else "bits", "--input", str(src)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_format_q_mismatch(capsys):
