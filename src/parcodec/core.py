@@ -25,7 +25,7 @@ Every fixed-width field a reverse step reads back goes through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Sequence
 
@@ -44,12 +44,6 @@ def ceil_log(value: int, base: int) -> int:
         reach *= base
         width += 1
     return width
-
-
-def default_iter_cap(q: int) -> int:
-    # Termination is guaranteed for valid constructions; the cap only guards
-    # user-supplied step functions and malformed decode inputs.
-    return max(1 << 20, q ** 9)
 
 
 @dataclass(frozen=True)
@@ -109,28 +103,31 @@ class CodecSpec:
     words.  Every callable is observably pure, so instances are safely
     shareable across threads; a codec from :func:`build_one_symbol` keeps
     one identity-keyed witness slot, which changes no result (see there).
+
+    ``redundancy`` is n - k.  ``iter_cap``, set from q, bounds the steps of
+    one encode or decode; it only guards user-supplied step functions and
+    malformed decode inputs, as valid constructions always terminate.
     """
 
     q: int
     n: int
     k: int
-    redundancy: int
     embed: Callable[[Word], Word]
     unembed: Callable[[Word], Word]
     is_start: Callable[[Word], bool]
     step: Callable[[Word], Word]
     step_back: Callable[[Word], Word]
     satisfies: Callable[[Word], bool]
-    iter_cap: int
+    iter_cap: int = field(init=False)
 
     def __post_init__(self):
-        if self.k < 1 or self.redundancy < 1 or self.k + self.redundancy != self.n:
-            raise DimensionMismatch(
-                f"need k >= 1, redundancy >= 1, k + redundancy == n; got k={self.k}, "
-                f"redundancy={self.redundancy}, n={self.n}"
-            )
-        if self.iter_cap < 1:
-            raise ValueError("iter_cap must be positive")
+        if not 1 <= self.k < self.n:
+            raise DimensionMismatch(f"need 1 <= k < n, got k={self.k}, n={self.n}")
+        object.__setattr__(self, "iter_cap", max(1 << 20, self.q ** 9))
+
+    @property
+    def redundancy(self) -> int:
+        return self.n - self.k
 
 
 def encode(codec: CodecSpec, payload: Word, *, record_visited: bool = False) -> tuple[Word, TraceStats]:
@@ -233,14 +230,12 @@ def build_one_symbol(shrink: ShrinkStep) -> CodecSpec:
         q=q,
         n=n,
         k=n - 1,
-        redundancy=1,
         embed=embed,
         unembed=unembed,
         is_start=is_start,
         step=step,
         step_back=step_back,
         satisfies=satisfies,
-        iter_cap=default_iter_cap(q),
     )
 
 

@@ -9,9 +9,13 @@ Values are non-negative integers.  Intersection members automatically
 receive the slack needed for the member tag.  The alphabet size q is not
 part of the text; it is supplied at build time (CLI flag ``--q``).
 
-Each constraint is one ``_CONSTRAINTS`` row (parameter order, optional keys,
-allowed q or None for any, builder, intersection-member flag), so adding a
-constraint means adding one row.
+Every word length n is at least 2, as each codec spends one symbol on the
+marker, and ``rc``, the one optional key, is a 0/1 flag.
+
+Each constraint is one ``_CONSTRAINTS`` row (parameter order, builder,
+intersection-member flag, optional keys), so adding a constraint means adding
+one row.  The builder alone decides the alphabet: a spec built over any other
+q raises ParameterViolation.
 """
 
 from __future__ import annotations
@@ -104,32 +108,20 @@ def parse_spec(text: str) -> ConstraintSpec:
                 raise ParseError(f"parameter {key!r} must be an integer, got {value!r}") from None
             if seen[key] < 0:
                 raise ParseError(f"parameter {key!r} must be non-negative")
+            if key in row.optional and seen[key] > 1:
+                raise ParseError(f"parameter {key!r} is a 0/1 flag, got {seen[key]}")
     for key in row.params:
         if key not in seen and key not in row.optional:
             raise ParseError(f"spec {name!r} is missing parameter {key!r}")
+    if seen["n"] < 2:
+        raise ParseError(f"word length n must be at least 2, got {seen['n']}")
     ordered = tuple((k, seen[k]) for k in row.params if k in seen)
     return ConstraintSpec(name, ordered)
 
 
-def _require_q(spec_name: str, q: int, allowed: tuple[int, ...] | None) -> None:
-    if allowed is not None and q not in allowed:
-        raise ParameterViolation(f"constraint {spec_name!r} requires q in {allowed}, got {q}")
-
-
 def _symbol_table_from_digits(beta: int, q: int) -> tuple[int, ...]:
-    digits = str(beta).zfill(q)
-    if len(digits) != q:
-        raise ParameterViolation(f"beta={beta} must have at most {q} digits")
-    table = tuple(int(d) for d in digits)
-    if any(s >= q for s in table):
-        raise ParameterViolation(f"beta={beta} contains a digit outside [0, {q})")
-    return table
-
-
-def _no_palindrome(s: ConstraintSpec, q: int, slack: int) -> WindowCoder:
-    if s.param("rc", 0):
-        _require_q("enp with rc=1", q, (4,))
-    return no_palindrome_coder(s.n, s.param("l"), DNA_COMPLEMENT if s.param("rc", 0) else None, q, slack)
+    # repeat_free_shrink checks the table is a map on [0, q)
+    return tuple(int(d) for d in str(beta).zfill(q))
 
 
 def _window(coder: Callable[[ConstraintSpec, int, int], WindowCoder]) -> Callable:
@@ -139,32 +131,36 @@ def _window(coder: Callable[[ConstraintSpec, int, int], WindowCoder]) -> Callabl
 
 @dataclass(frozen=True)
 class _Constraint:
-    """Registry row; ``build(spec, q, slack)`` gives a shrink step if ``member``, else a codec."""
+    """Registry row; ``build(spec, q, slack)`` gives a shrink step if ``member``, else a codec.
+
+    The builder decides the alphabet, so a row states no q.
+    """
 
     params: tuple[str, ...]
-    qs: tuple[int, ...] | None
     build: Callable
     member: bool = True
     optional: frozenset[str] = frozenset()
 
 
 _CONSTRAINTS = {
-    "mw": _Constraint(("n", "l", "p"), (2,), _window(
+    "mw": _Constraint(("n", "l", "p"), _window(
         lambda s, q, slack: min_weight_coder(s.n, s.param("l"), s.param("p"), slack))),
-    "lab": _Constraint(("n", "l", "wmin", "wmax"), (2,), _window(lambda s, q, slack: weight_window_coder(
+    "lab": _Constraint(("n", "l", "wmin", "wmax"), _window(lambda s, q, slack: weight_window_coder(
         s.n, s.param("l"), s.param("wmin"), s.param("wmax"), slack))),
-    "mp": _Constraint(("n", "l", "p"), None, _window(
+    "mp": _Constraint(("n", "l", "p"), _window(
         lambda s, q, slack: min_period_coder(s.n, s.param("l"), s.param("p"), slack, q))),
-    "enp": _Constraint(("n", "l", "rc"), None, _window(_no_palindrome), optional=frozenset({"rc"})),
-    "mpl": _Constraint(("n",), None, lambda s, q, slack: build_palindrome_free(s.n, q), member=False),
-    "rf": _Constraint(("n", "l"), None, lambda s, q, slack: repeat_free_shrink(
+    "enp": _Constraint(("n", "l", "rc"), _window(lambda s, q, slack: no_palindrome_coder(
+        s.n, s.param("l"), DNA_COMPLEMENT if s.param("rc", 0) else None, q, slack)),
+        optional=frozenset({"rc"})),
+    "mpl": _Constraint(("n",), lambda s, q, slack: build_palindrome_free(s.n, q), member=False),
+    "rf": _Constraint(("n", "l"), lambda s, q, slack: repeat_free_shrink(
         s.n, s.param("l"), q, None, slack)),
-    "srf": _Constraint(("n", "l", "beta"), None, lambda s, q, slack: repeat_free_shrink(
+    "srf": _Constraint(("n", "l", "beta"), lambda s, q, slack: repeat_free_shrink(
         s.n, s.param("l"), q, _symbol_table_from_digits(s.param("beta"), q), slack)),
-    "rss": _Constraint(("n", "l"), (4,), lambda s, q, slack: reverse_complement_shrink(
+    "rss": _Constraint(("n", "l"), lambda s, q, slack: reverse_complement_shrink(
         s.n, s.param("l"), DNA_COMPLEMENT, slack)),
-    "ss": _Constraint(("n",), (4,), lambda s, q, slack: build_secondary_structure(s.n), member=False),
-    "ab": _Constraint(("n",), (2,), lambda s, q, slack: build_almost_balanced(s.n), member=False),
+    "ss": _Constraint(("n",), lambda s, q, slack: build_secondary_structure(s.n), member=False),
+    "ab": _Constraint(("n",), lambda s, q, slack: build_almost_balanced(s.n), member=False),
 }
 
 
@@ -173,8 +169,7 @@ def build_shrink(spec: ConstraintSpec, q: int, slack: int = 0) -> ShrinkStep:
     row = _CONSTRAINTS.get(spec.name)
     if row is None or not row.member:
         raise ParameterViolation(f"{spec.name!r} does not define a standalone shrink step")
-    _require_q(spec.name, q, row.qs)
-    return row.build(spec, q, slack)
+    return _over_q(spec, q, row.build(spec, q, slack))
 
 
 def build_codec(spec: ConstraintSpec, q: int = 2) -> CodecSpec:
@@ -185,5 +180,11 @@ def build_codec(spec: ConstraintSpec, q: int = 2) -> CodecSpec:
     row = _CONSTRAINTS.get(spec.name)
     if row is None or row.member:
         return build_one_symbol(build_shrink(spec, q))
-    _require_q(spec.name, q, row.qs)
-    return row.build(spec, q, 0)
+    return _over_q(spec, q, row.build(spec, q, 0))
+
+
+def _over_q(spec: ConstraintSpec, q: int, built: ShrinkStep | CodecSpec) -> ShrinkStep | CodecSpec:
+    """``built``, unless its builder put it over an alphabet other than q."""
+    if built.q != q:
+        raise ParameterViolation(f"constraint {spec.name!r} is over q={built.q}, got q={q}")
+    return built

@@ -297,20 +297,30 @@ def _cycling_codec():
         return (word[0], word[1], 0)
 
     return CodecSpec(
-        q=2, n=3, k=2, redundancy=1,
+        q=2, n=3, k=2,
         embed=lambda x: x + (1,),
         unembed=lambda y: y[:-1],
         is_start=lambda y: y[-1] == 1,
         step=step,
         step_back=lambda y: y,
         satisfies=lambda y: False,
-        iter_cap=64,
     )
 
 
 def test_cap_exceeded_for_non_injective_step():
+    codec = _cycling_codec()
+    for q in (2, 5):
+        assert replace(codec, q=q).iter_cap == max(1 << 20, q ** 9)
+    with pytest.raises(ValueError):
+        replace(codec, iter_cap=5)  # set from q, never passed
     with pytest.raises(IterationCapExceeded):
-        encode(_cycling_codec(), (0, 0))
+        encode(codec, (0, 0))
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_codec_needs_a_payload_and_redundancy(k):
+    with pytest.raises(DimensionMismatch, match=f"need 1 <= k < n, got k={k}, n=3"):
+        replace(_cycling_codec(), k=k)
 
 
 # --- intersection builder ---------------------------------------------------
@@ -426,14 +436,13 @@ def _even_weight_codec():
             raise NotACodeword(f"{word} is not a step image") from None
 
     return CodecSpec(
-        q=2, n=4, k=2, redundancy=2,
+        q=2, n=4, k=2,
         embed=lambda x: x + (1, 1),
         unembed=lambda y: y[:2],
         is_start=lambda y: y[2:] == (1, 1),
         step=lambda y: step_map[y],
         step_back=step_back,
         satisfies=lambda y: sum(y) % 2 == 0,
-        iter_cap=1 << 10,
     )
 
 
@@ -441,6 +450,7 @@ def test_generic_two_symbol_codec_roundtrips():
     from parcodec import check_graph, exhaustive_roundtrip
 
     codec = _even_weight_codec()
+    assert codec.redundancy == 2
     report = exhaustive_roundtrip(codec)
     assert report.ok
     assert report.max_iterations == 4  # the longest chained table walk

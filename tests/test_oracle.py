@@ -55,14 +55,13 @@ def test_roundtrip_output_check_hook():
 def _colliding_codec():
     """No steps; payloads (0, 0) and (0, 1) both embed to the codeword 001."""
     return CodecSpec(
-        q=2, n=3, k=2, redundancy=1,
+        q=2, n=3, k=2,
         embed=lambda x: (0, 0, 1) if x == (0, 1) else x + (1,),
         unembed=lambda y: y[:-1],
         is_start=lambda y: y[-1] == 1,
         step=lambda y: y,
         step_back=lambda y: y,
         satisfies=lambda y: True,
-        iter_cap=1 << 10,
     )
 
 
@@ -102,14 +101,13 @@ def _faulty_codec():
     }
 
     return CodecSpec(
-        q=2, n=2, k=1, redundancy=1,
+        q=2, n=2, k=1,
         embed=lambda x: x + (1,),
         unembed=lambda y: y[:-1],
         is_start=lambda y: y[-1] == 1,
         step=lambda y: table[y],
         step_back=lambda y: y,
         satisfies=lambda y: y == (1, 1),
-        iter_cap=1 << 10,
     )
 
 

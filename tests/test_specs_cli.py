@@ -66,6 +66,10 @@ def test_grammar_roundtrip(text):
         "intersect:mw:n=16,l=10,p=2",  # single member
         "intersect:ab:n=16+mw:n=16,l=10,p=2",  # composite member
         "intersect:mw:n=16,l=10,p=2+mp:n=8,l=9,p=3",  # mismatched n
+        "mw:n=0,l=9,p=2",  # no room for the marker
+        "ab:n=1",
+        "intersect:mw:n=1,l=10,p=2+mp:n=1,l=9,p=3",
+        "enp:n=16,l=10,rc=5",  # rc is a 0/1 flag
     ],
 )
 def test_grammar_rejects(text):
@@ -91,6 +95,36 @@ def test_build_enforces_alphabet():
         build_codec(parse_spec("enp:n=8,l=8,rc=1"), q=2)
 
 
+# the alphabets each spec builds over, written out here rather than read back
+# from the builders that decide them
+ALPHABETS = [
+    ("mw:n=16,l=9,p=2", {2}),
+    ("lab:n=16,l=12,wmin=2,wmax=10", {2}),
+    ("mp:n=16,l=8,p=3", {2, 4}),
+    ("enp:n=16,l=10", {2, 4}),
+    ("enp:n=8,l=8,rc=1", {4}),
+    ("mpl:n=16", {2, 4}),
+    ("rf:n=8,l=7", {2, 4}),
+    ("srf:n=16,l=9,beta=10", {2, 4}),
+    ("rss:n=8,l=5", {4}),
+    ("ss:n=8", {4}),
+    ("ab:n=16", {2}),
+    ("intersect:mw:n=16,l=10,p=2+mp:n=16,l=9,p=3", {2}),  # one binary-only member
+]
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("text, alphabets", ALPHABETS, ids=[text for text, _ in ALPHABETS])
+def test_build_alphabet_table(text, alphabets, q):
+    assert {parse_spec(t).name for t, _ in ALPHABETS} == set(_CONSTRAINTS) | {"intersect"}
+    spec = parse_spec(text)
+    if q in alphabets:
+        assert build_codec(spec, q).q == q
+    else:
+        with pytest.raises(ParameterViolation, match=r"is over q=|is not a map on"):
+            build_codec(spec, q)
+
+
 @pytest.mark.parametrize("text, q", [("mpl:n=16", 2), ("ss:n=8", 4), ("ab:n=16", 2)])
 def test_build_shrink_rejects_non_members(text, q):
     with pytest.raises(ParameterViolation):
@@ -104,7 +138,7 @@ def test_srf_beta_table():
 
 
 def test_srf_beta_rejects_bad_digits():
-    with pytest.raises(ParameterViolation):
+    with pytest.raises(ParameterViolation, match=r"symbol table \(1, 2\) is not a map on \[0, 2\)"):
         build_codec(parse_spec("srf:n=16,l=9,beta=12"))  # digit 2 outside binary
 
 
@@ -265,7 +299,7 @@ def test_cli_spec_error_is_usage_error(capsys):
 def test_cli_word_length_zero_is_a_usage_error(tmp_path, capsys, name):
     row = _CONSTRAINTS[name]
     body = ",".join(f"{key}={0 if key == 'n' else 1}" for key in row.params if key not in row.optional)
-    q = row.qs[0] if row.qs else 2
+    q = {"rss": 4, "ss": 4}.get(name, 2)
     src = tmp_path / "in.txt"
     src.write_text("")
     rc = run_cli(["encode", "--spec", f"{name}:{body}", "--q", str(q),
@@ -273,6 +307,7 @@ def test_cli_word_length_zero_is_a_usage_error(tmp_path, capsys, name):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "word length n must be at least 2" in captured.err
 
 
 def test_cli_format_q_mismatch(capsys):
