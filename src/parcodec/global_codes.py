@@ -3,12 +3,15 @@
 One window-pair shrink serves every pair constraint.  It finds the first pair
 (i, j) with transform(window at i) == window at j and j >= i + min_gap, cuts
 window j out in the cut-window layout of :func:`core.cut_window_shrink` and
-appends both indices.  The pair finder (:func:`_pair_finder`) keys every
-window once as an ell-byte slice of ``bytes(word)`` (so q <= 256), builds
-the transformed source keys by transforming the whole word once and slicing
-it (per window only for per-position symbol tables), answers "no pair" with
-one set test and only then searches for the minimal (i, j): n slices and
-hashes done in C, plus O(n) dictionary work.  The inverse reads j, then i,
+appends both indices.  The pair finder (:func:`_pair_finder`) reads the word
+once as one integer, symbol t in digit t of D bytes with q**ell <= 2**(8*D),
+so q <= 256.  One multiply puts the base-q value of every window in its own
+digit, with no carry, and one ``struct`` unpack reads all of them as machine
+integers (as D-byte strings once q**ell > 2**64).  The transformed windows
+come the same way: one multiply per distinct symbol table, of the translated
+word, and the reverse complement multiplies the complemented word by the
+reversed weights.  One set test answers "no pair"; only then is the minimal
+(i, j) looked up.  The inverse reads j, then i,
 through :func:`core.decode_field`, so it accepts exactly
 i + min_gap <= j <= n - ell.  The layout's :func:`core.window_room` refuses
 a window too short for both indices (ell < 2*ceil_log(n) + 1 + slack);
@@ -33,9 +36,10 @@ overlapping window is regrown:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import cycle
 from math import isqrt
-from operator import index
+from operator import getitem, index
+from struct import Struct
 from typing import Callable, Sequence
 
 from .core import (
@@ -83,60 +87,100 @@ def _is_index(value: object) -> bool:
     return True
 
 
-# source_keys(bytes(word), window slices) -> bytes key of transform(window i), for every i
-_SourceKeys = Callable[[bytes, tuple], list]
-
-
-def _symbol_map_keys(tables: tuple[tuple[int, ...], ...]) -> _SourceKeys:
-    """Source keys of a per-position symbol map (one table per window position)."""
-    if len(set(tables)) == 1:
-        # one table: map the whole word once, then slice it
-        translation = symbol_translation(tables[0])
-        return lambda b, cuts: list(map(b.translate(translation).__getitem__, cuts))
-    return lambda b, cuts: [bytes(t[s] for t, s in zip(tables, b[cut])) for cut in cuts]
-
-
-def _reverse_complement_keys(comp: tuple[int, ...]) -> _SourceKeys:
-    """Source keys of the reverse complement: window k of the reverse-complemented
-    word is the reverse complement of window count - 1 - k of the word."""
-    translation = symbol_translation(comp)
-
-    def keys(b: bytes, cuts: tuple) -> list:
-        mirrored = b.translate(translation)[::-1]
-        return list(map(mirrored.__getitem__, cuts))[::-1]
-
-    return keys
-
-
-@lru_cache(maxsize=64)
-def _window_cuts(n: int, ell: int) -> tuple[slice, ...]:
-    """The slices of every length-ell window of an n-word, made once per (n, ell)."""
-    return tuple(map(slice, range(n - ell + 1), range(ell, n + 1)))
-
-
-def _pair_finder(ell: int, min_gap: int, source_keys: _SourceKeys | None):
-    """Finder of the minimal (i, j), i ordered first, with transform(window at i)
-    == window at j and j >= i + min_gap; None when no such pair exists.
-
-    Every window is keyed once as a slice of ``bytes(word)``; a None
-    ``source_keys`` is the identity, whose sources are those same keys.
+class _Source:
+    """The transform a pair's source window goes through before it must equal
+    the window at j: symbol u of the image is ``tables[u]`` applied to symbol
+    u of the window, or to symbol ell - 1 - u when ``reverse``.  A single
+    table serves every position.
     """
 
+    def __init__(self, tables: tuple[Word, ...], reverse: bool = False):
+        self.tables, self.reverse = tables, reverse
+
+    def __call__(self, window: Word) -> Word:
+        symbols = window[::-1] if self.reverse else window
+        return tuple(map(getitem, cycle(self.tables), symbols))
+
+    def terms(self, q: int, ell: int, digit_bits: int) -> list[tuple[bytes, int]]:
+        """(translation, multiplier) pairs, one per distinct table: the sum of
+        ``digits(word.translate(translation)) * multiplier`` has, in digit
+        i + ell - 1, the base-q value of the image of window i.  The symbol at
+        shift s below that digit is image symbol u, of weight q**(ell - 1 - u).
+        """
+        multipliers: dict[Word, int] = {}
+        for s in range(ell):
+            u = s if self.reverse else ell - 1 - s
+            table = self.tables[u % len(self.tables)]
+            multipliers[table] = multipliers.get(table, 0) + (q ** (ell - 1 - u) << digit_bits * s)
+        return [(symbol_translation(table), m) for table, m in multipliers.items()]
+
+
+def _symbol_map_keys(tables: tuple[Word, ...]) -> _Source:
+    """The per-position symbol map, one table per window position."""
+    return _Source(tables)
+
+
+def _reverse_complement_keys(comp: Word) -> _Source:
+    """The reverse complement: image symbol u is comp of window symbol ell - 1 - u."""
+    return _Source((comp,), reverse=True)
+
+
+def _key_struct(ell: int, width: int, length: int) -> Struct:
+    """Reads digits ell - 1 to length - 1 of ``width`` little-endian bytes each:
+    as machine integers for a width of 1, 2, 4 or 8 bytes, else as strings."""
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)
+    keys = f"{length - ell + 1}{code}" if code else f"{width}s" * (length - ell + 1)
+    return Struct(f"<{(ell - 1) * width}x{keys}")
+
+
+def _pair_finder(q: int, ell: int, min_gap: int, source: _Source | None):
+    """Finder of the minimal (i, j), i ordered first, with source(window at i)
+    == window at j and j >= i + min_gap; None when no such pair exists.  A
+    None ``source`` is the identity.
+
+    Symbol t of the word goes in digit t of one integer, each digit
+    ``width`` bytes with q**ell <= 2**(8*width).  One multiply by
+    sum(q**s << 8*width*s) then leaves the base-q value of window i in digit
+    i + ell - 1, with no carry, and the transformed windows come the same
+    way from :meth:`_Source.terms`.  A width of 1, 2, 4 or 8 bytes reads every
+    key as a machine integer with one ``struct`` unpack; a wider one
+    (q**ell > 2**64) as a ``width``-byte string.
+    """
+    bits = (q**ell - 1).bit_length()
+    width = next((w for w in (1, 2, 4, 8) if 8 * w >= bits), (bits + 7) // 8)
+    ones = sum(q**s << 8 * width * s for s in range(ell))
+    terms = None if source is None else source.terms(q, ell, 8 * width)
+    unpackers: dict[int, Callable[[bytes], tuple]] = {}  # by word length
+
+    def digits(symbols: bytearray) -> int:
+        """The word as one integer, symbol t in digit t."""
+        if width > 1:
+            spread = bytearray(len(symbols) * width)
+            spread[::width] = symbols
+            symbols = spread
+        return int.from_bytes(symbols, "little")
+
     def find(word: Word) -> tuple[int, int] | None:
-        count = len(word) - ell + 1
+        length = len(word)
+        count = length - ell + 1
         if count < 2:
             return None
-        b = bytes(bytearray(word))  # bytearray() reads a tuple faster; keys must hash
-        cuts = _window_cuts(len(word), ell)
-        keys = list(map(b.__getitem__, cuts))
-        targets = set(keys)
-        if source_keys is None:
-            if len(targets) == count:
+        symbols = bytearray(word)
+        size = (length + ell - 1) * width
+        unpack = unpackers.get(length)
+        if unpack is None:
+            unpack = unpackers[length] = _key_struct(ell, width, length).unpack_from
+        keys = unpack((digits(symbols) * ones).to_bytes(size, "little"))
+        if terms is None:
+            if len(set(keys)) == count:
                 return None
             sources = keys
         else:
-            sources = source_keys(b, cuts)
-            if targets.isdisjoint(sources):
+            product = 0
+            for translation, multiplier in terms:
+                product += digits(symbols.translate(translation)) * multiplier
+            sources = unpack(product.to_bytes(size, "little"))
+            if set(keys).isdisjoint(sources):
                 return None
         last = dict(zip(keys, range(count)))
         for i, key in enumerate(sources):
@@ -148,14 +192,13 @@ def _pair_finder(ell: int, min_gap: int, source_keys: _SourceKeys | None):
 
 
 def _window_pair_shrink(
-    n: int, ell: int, q: int, slack: int, min_gap: int, regrow,
-    source_keys: _SourceKeys | None,
+    n: int, ell: int, q: int, slack: int, min_gap: int, regrow, source: _Source | None,
 ) -> ShrinkStep:
     """The one window-pair shrink: cut window j of the first pair, append i and j.
 
-    ``source_keys`` is the transform on bytes keys, None for the identity.
+    ``source`` is the transform of the window at i, None for the identity.
     The inverse accepts only i + min_gap <= j <= n - ell.  A removed window
-    that did not overlap its match is ``source_keys`` of the window at i, an
+    that did not overlap its match is ``source`` of the window at i, an
     overlapping one (possible only when min_gap < ell) regrow(rest, i, j).
     """
     index_width = ceil_log(n, q)
@@ -169,11 +212,11 @@ def _window_pair_shrink(
         i = decode_field(tail[:index_width], q, j - min_gap + 1, "pair index i")
         if j < i + ell:
             return j, regrow(rest, i, j)
-        source = rest[i : i + ell]
-        return j, source if source_keys is None else tuple(source_keys(bytes(source), (slice(None),))[0])
+        window = rest[i : i + ell]
+        return j, window if source is None else source(window)
 
     return cut_window_shrink(
-        q, n, ell, slack, 2 * index_width, _pair_finder(ell, min_gap, source_keys), cut, restore,
+        q, n, ell, slack, 2 * index_width, _pair_finder(q, ell, min_gap, source), cut, restore,
     )
 
 
@@ -195,7 +238,7 @@ def repeat_free_shrink(
     """
     check_byte_alphabet(q, "a window-pair constraint")
     tables = _normalize_symbol_map(symbol_map, ell, q)
-    source_keys = None if tables is None else _symbol_map_keys(tables)
+    source = None if tables is None else _symbol_map_keys(tables)
 
     def regrow(rest: Word, i: int, j: int) -> Word:
         # the removed window overlapped its match: regrow left to right,
@@ -206,7 +249,7 @@ def repeat_free_shrink(
             grown.append(src if tables is None else tables[t][src])
         return tuple(grown)
 
-    return _window_pair_shrink(n, ell, q, slack, 1, regrow, source_keys)
+    return _window_pair_shrink(n, ell, q, slack, 1, regrow, source)
 
 
 def reverse_complement_shrink(

@@ -121,6 +121,8 @@ def parse_spec(text: str) -> ConstraintSpec:
 
 def _symbol_table_from_digits(beta: int, q: int) -> tuple[int, ...]:
     # repeat_free_shrink checks the table is a map on [0, q)
+    if q > 10:
+        raise ParameterViolation(f"srf beta names its map by decimal digits, so needs q <= 10, got q={q}")
     return tuple(int(d) for d in str(beta).zfill(q))
 
 

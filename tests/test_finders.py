@@ -96,8 +96,10 @@ def test_window_finder_exhaustive_quaternary(name):
 
 FLIP = (1, 0)
 PER_POSITION = tuple((0, 1) if t % 3 else (1, 0) for t in range(5))
+# three distinct quaternary tables: two agree on 0 and 1, one is not a permutation
+PER_POSITION_Q4 = ((1, 2, 3, 0), (1, 2, 0, 3), (3, 3, 0, 1))
 
-# (q, max_len, ell, min_gap, source keys, reference transform); the exhaustive
+# (q, max_len, ell, min_gap, source transform, reference transform); the exhaustive
 # pair scans use windows far below the builders' length bounds, so that
 # pairs are plentiful, and call the finder directly
 PAIR_CASES = {
@@ -105,6 +107,7 @@ PAIR_CASES = {
     "rf-l5": (2, 14, 5, 1, None, lambda w: w),
     "srf-one-table": (2, 14, 5, 1, _symbol_map_keys((FLIP,) * 5), mapped((FLIP,) * 5)),
     "srf-per-position": (2, 14, 5, 1, _symbol_map_keys(PER_POSITION), mapped(PER_POSITION)),
+    "srf-per-position-q4": (4, 7, 3, 1, _symbol_map_keys(PER_POSITION_Q4), mapped(PER_POSITION_Q4)),
     "rss-l2": (4, 7, 2, 2, _reverse_complement_keys(DNA_COMPLEMENT), rc),
     "rss-l3": (4, 7, 3, 3, _reverse_complement_keys(DNA_COMPLEMENT), rc),
 }
@@ -113,7 +116,7 @@ PAIR_CASES = {
 @pytest.mark.parametrize("name", sorted(PAIR_CASES))
 def test_pair_finder_exhaustive(name):
     q, max_len, ell, min_gap, keys, transform = PAIR_CASES[name]
-    find = _pair_finder(ell, min_gap, keys)
+    find = _pair_finder(q, ell, min_gap, keys)
     for word in words_up_to(q, max_len):
         assert find(word) == first_pair_ref(word, ell, transform, min_gap), word
 
@@ -302,6 +305,46 @@ def test_pair_finder_seeded(name):
     per_kind = 4 if shrink.n > 256 else 8
     for word in seeded_words(shrink.n, q, seed=shrink.n + len(name), per_kind=per_kind):
         assert shrink_witness(shrink, ell, word) == first_pair_ref(word, ell, transform, min_gap), word
+
+
+def planted_copy_words(n, q, ell, transform, seed, count):
+    """Uniform words; uniform words with transform(copy) planted later in the
+    word, the copy ell to ell + 30 symbols long, so that whole windows repeat;
+    and near misses, where the planted image of one window differs from it in
+    its first symbol only."""
+    rng = random.Random(seed)
+    for index in range(count):
+        word = [rng.randrange(q) for _ in range(n)]
+        if index % 3:
+            length = rng.randrange(ell, ell + 31) if index % 3 == 1 else ell
+            a = rng.randrange(n - 2 * length)
+            b = rng.randrange(a + length, n - length + 1)
+            word[b : b + length] = transform(tuple(word[a : a + length]))
+            if index % 3 == 2:
+                word[b] = (word[b] + 1) % q
+        yield tuple(word)
+
+
+# windows with q**ell > 2**64, whose keys are longer than a machine integer
+WIDE_PAIR_CASES = {
+    "rf-q2-l70": (2, 70, 1, lambda: repeat_free_shrink(512, 70), lambda w: w),
+    "rss-q4-l33": (4, 33, 33, lambda: reverse_complement_shrink(256, 33), rc),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_PAIR_CASES))
+def test_pair_finder_wide_windows(name):
+    q, ell, min_gap, make, transform = WIDE_PAIR_CASES[name]
+    shrink = make()
+    assert q**ell > 2**64
+    witnesses = set()
+    for word in planted_copy_words(shrink.n, q, ell, transform, seed=len(name), count=18):
+        want = first_pair_ref(word, ell, transform, min_gap)
+        witnesses.add(want)
+        assert shrink_witness(shrink, ell, word) == want, word
+        if want is not None:
+            assert shrink.unshrink(shrink.shrink(word)) == word
+    assert None in witnesses and len(witnesses) >= 6
 
 
 @pytest.mark.parametrize("build", [

@@ -142,6 +142,13 @@ def test_srf_beta_rejects_bad_digits():
         build_codec(parse_spec("srf:n=16,l=9,beta=12"))  # digit 2 outside binary
 
 
+@pytest.mark.parametrize("q", [11, 12])
+def test_srf_beta_needs_decimal_digits(q):
+    message = rf"beta names its map by decimal digits, so needs q <= 10, got q={q}$"
+    with pytest.raises(ParameterViolation, match=message):
+        build_codec(parse_spec("srf:n=16,l=9,beta=10"), q)
+
+
 def test_intersection_spec_builds_and_roundtrips():
     codec = build_codec(parse_spec("intersect:mw:n=16,l=10,p=2+mp:n=16,l=9,p=3"))
     report = sample_roundtrip(codec, 300, seed=11)
