@@ -5,12 +5,22 @@ in a text format (``bits`` for q=2, ``dna`` for q=4); lines starting with
 ``#`` and blank lines are ignored.  The codec is fully determined by the
 ``--spec``/``--q`` flags, so streams carry no header.
 
+Each word line goes text -> ``translate`` -> engine -> ``translate`` -> text:
+the line's bytes are the engine word, and the encode loop and decode walk
+are the library's own (:func:`core.encode_loop`, :func:`core.decode_walk`).
+A line is read at most its word length plus ``LINE_ROOM`` characters at a
+time, so memory per line stays bounded: a data line whose text runs past
+that is refused, and the excess of a long ``#`` line is read and dropped in
+chunks.
+
 Output (``--output``, and ``graph``'s ``--dot``) reaches its target, a file
 or standard output, only when the command succeeds: a failed run leaves the
 target as it was.  Lines are spooled to an anonymous temporary file in
 TMPDIR as they are made, not held in memory, so memory stays flat however
 long the stream is, and a run needs free space in TMPDIR equal to its output
-(a ``graph`` DOT file can be about 83 MB).
+(a ``graph`` DOT file can be about 83 MB).  An existing regular file is
+overwritten in place and then cut to the new length, which costs far less
+than truncating it to zero first.
 
 Exit codes: 0 success, 1 data/validation failure (first offending line
 reported, non-ASCII input included), 2 usage or spec error (a path that
@@ -21,12 +31,14 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 from contextlib import contextmanager, nullcontext
 from functools import cache
+from itertools import count
 
-from .core import decode, encode
+from .core import decode_walk, encode_loop
 from .errors import CodecError, DimensionMismatch, NotACodeword, ParseError
 from .oracle import (
     DEFAULT_STATE_BOUND,
@@ -38,7 +50,10 @@ from .oracle import (
     sample_roundtrip,
 )
 from .specs import build_codec, parse_spec
-from .words import FORMAT_Q, check_word, text_to_word, word_to_text
+from .words import FORMAT_Q, check_symbols, symbols_text, text_symbols
+
+LINE_ROOM = 256  # characters a line may hold beyond its word: whitespace and the newline
+CHUNK = 1 << 16  # characters read at a time from the excess of a long line
 
 
 class _LineError(Exception):
@@ -53,23 +68,21 @@ class _FileError(Exception):
         super().__init__(f"cannot {verb} {path!r}: {exc.strerror or exc}")
 
 
-def _open(path: str, mode: str):
+def _open_input(path: str):
+    # standard input is borrowed, never closed: main() may run again in-process
+    if path == "-":
+        return nullcontext(sys.stdin)
     # non-ASCII bytes decode to lone surrogates, which _data_lines reports by line
     try:
-        return open(path, mode, encoding="ascii", errors="surrogateescape")
+        return open(path, encoding="ascii", errors="surrogateescape")
     except OSError as exc:
         raise _FileError("open", path, exc) from exc
 
 
-def _open_input(path: str):
-    # standard input is borrowed, never closed: main() may run again in-process
-    return nullcontext(sys.stdin) if path == "-" else _open(path, "r")
-
-
 @contextmanager
 def _output(path: str):
-    """Yield a spool for the output text; copy it to ``path`` (``-`` for
-    standard output, which is never closed) only when the body succeeds.
+    """Yield a binary spool for the output text; copy it to ``path`` (``-``
+    for standard output, which is never closed) only when the body succeeds.
 
     A path whose directory is missing fails before the body does any work,
     a failed body leaves the target untouched, and an error writing the
@@ -80,28 +93,82 @@ def _output(path: str):
             os.stat(os.path.join(os.path.dirname(path), "."))
         except OSError as exc:
             raise _FileError("open", path, exc) from exc
-    # write-only, read back through the descriptor: a "w+" text file costs
-    # a decoder reset on every line written
-    with tempfile.TemporaryFile("w", encoding="ascii") as spool:
+    with tempfile.TemporaryFile() as spool:
         yield spool
         spool.flush()
         os.lseek(spool.fileno(), 0, os.SEEK_SET)
         try:
-            with nullcontext(sys.stdout) if path == "-" else _open(path, "w") as target:
+            if path == "-":
                 while chunk := os.read(spool.fileno(), 1 << 16):
-                    target.write(chunk.decode("ascii"))
+                    sys.stdout.write(chunk.decode("ascii"))
+            else:
+                _overwrite(path, spool.fileno())
         except OSError as exc:
             raise _FileError("write", path, exc) from exc
 
 
-def _data_lines(stream):
-    for lineno, raw in enumerate(stream, start=1):
+def _overwrite(path: str, source: int) -> None:
+    """Copy descriptor ``source`` to ``path``, created if missing.
+
+    A regular file is written over in place, with no truncation to zero,
+    and then cut to the length written; anything else (a FIFO, a device)
+    just takes the bytes.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise _FileError("open", path, exc) from exc
+    with open(fd, "wb") as target:
+        size = 0
+        while chunk := os.read(source, 1 << 16):
+            size += target.write(chunk)
+        target.flush()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, size)
+
+
+def _data_lines(stream, width: int, what: str):
+    """(line number, stripped text) of each data line of ``stream``.
+
+    A line is read at most ``width + LINE_ROOM`` characters at a time.  The
+    rest of a longer line is read in ``CHUNK``-character pieces and dropped:
+    a ``#`` or blank line is skipped, and a data line is refused.
+    """
+    limit = width + LINE_ROOM
+    for lineno in count(1):
+        raw = stream.readline(limit)
+        if not raw:
+            return
         if not raw.isascii():
             raise _LineError(lineno, "input is not ASCII text")
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        if len(raw) == limit and raw[-1] != "\n":
+            line, longer = _drain(stream, lineno, line)
+            if longer:
+                if line and line[0] != "#":
+                    raise _LineError(
+                        lineno, f"line longer than {limit} characters, expected a {what} of {width} symbols"
+                    )
+                continue
+        if line and line[0] != "#":
+            yield lineno, line
+
+
+def _drain(stream, lineno: int, head: str) -> tuple[str, bool]:
+    """Read the rest of a line in ``CHUNK``-character pieces, keeping none.
+
+    Returns the line's first text (``head``, or if that is empty the first
+    text of the rest) and whether the rest held more than its newline.
+    """
+    longer = False
+    while piece := stream.readline(CHUNK):
+        if not piece.isascii():
+            raise _LineError(lineno, "input is not ASCII text")
+        longer = longer or piece != "\n"
+        head = head or piece.strip()
+        if piece[-1] == "\n":
+            break
+    return head, longer
 
 
 def _build(args):
@@ -111,14 +178,17 @@ def _build(args):
     return build_codec(spec, args.q)
 
 
-def _transform_stream(args, apply_word):
-    """Write apply_word(codec, word) per input line; the library checks each
-    word's symbols and length, and a failure is reported with its line."""
+def _transform_stream(args, what: str, apply_word):
+    """Write apply_word(codec, word) per input line, ``word`` the line's
+    engine word of k symbols (``what`` is "payload") or n; a failure is
+    reported with its line."""
     with _output(args.output) as out, _open_input(args.input) as stream:
         codec = _build(args)
-        for lineno, line in _data_lines(stream):
+        width = codec.k if what == "payload" else codec.n
+        for lineno, line in _data_lines(stream, width, what):
             try:
-                out.write(apply_word(codec, text_to_word(line, args.format)) + "\n")
+                word = check_symbols(text_symbols(line, args.format), codec.q, width, what)
+                out.write(apply_word(codec, word) + b"\n")
             except (ParseError, DimensionMismatch) as exc:
                 raise _LineError(lineno, str(exc)) from exc
             except NotACodeword as exc:
@@ -127,17 +197,19 @@ def _transform_stream(args, apply_word):
 
 
 def _cmd_encode(args) -> int:
-    return _transform_stream(args, lambda codec, word: word_to_text(encode(codec, word)[0], args.format))
+    return _transform_stream(
+        args, "payload", lambda codec, word: symbols_text(encode_loop(codec, word)[0], args.format)
+    )
 
 
 def _cmd_decode(args) -> int:
-    return _transform_stream(args, lambda codec, word: word_to_text(decode(codec, word), args.format))
+    return _transform_stream(
+        args, "codeword", lambda codec, word: symbols_text(decode_walk(codec, word), args.format)
+    )
 
 
 def _cmd_check(args) -> int:
-    return _transform_stream(
-        args, lambda codec, word: "1" if codec.satisfies(check_word(word, codec.q, codec.n)) else "0"
-    )
+    return _transform_stream(args, "word", lambda codec, word: b"1" if codec.satisfies(word) else b"0")
 
 
 def _cmd_stats(args) -> int:
@@ -151,7 +223,7 @@ def _cmd_stats(args) -> int:
                 )
         else:
             report = sample_roundtrip(codec, args.samples, args.seed)
-        out.writelines(f"{line}\n" for line in report.kv_lines())
+        out.writelines(f"{line}\n".encode("ascii") for line in report.kv_lines())
     return 0 if report.ok else 1
 
 
@@ -160,9 +232,9 @@ def _cmd_graph(args) -> int:
         codec = _build(args)
         graph = build_state_graph(codec, bound=args.bound)
         report = check_graph(codec, graph=graph)
-        dot.writelines(graph_to_dot(graph))
+        dot.writelines(line.encode("ascii") for line in graph_to_dot(graph))
     with _output("-") as out:
-        out.writelines(f"{line}\n" for line in report.kv_lines())
+        out.writelines(f"{line}\n".encode("ascii") for line in report.kv_lines())
     return 0 if report.ok else 1
 
 

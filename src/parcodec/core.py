@@ -21,18 +21,27 @@ Three generic builders are provided:
 
 Every fixed-width field a reverse step reads back goes through
 :func:`decode_field`, which names the field when its value is out of range.
+
+Inside the engine a word is ``bytes``, one byte per symbol, so every codec
+has q <= 256: finders read it with ``int.from_bytes``, steps slice and join
+it, and fields are ``bytes`` too.  Tuples exist only at the public boundary:
+:func:`encode` and :func:`decode` take any symbol sequence and return
+tuples, converting a word that takes steps once, and a start word not at
+all.  :func:`encode_loop` and :func:`decode_walk` are the one encode loop
+and the one decode walk, which the public functions and the CLI share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import count
 from typing import Callable, Sequence
 
 from .errors import (
     DimensionMismatch, IterationCapExceeded, NotACodeword, ParameterViolation, SlackMismatch,
 )
-from .words import Word, check_word
+from .words import Word, check_byte_alphabet, check_symbols, check_word
 
 
 def ceil_log(value: int, base: int) -> int:
@@ -50,31 +59,32 @@ def ceil_log(value: int, base: int) -> int:
 class TraceStats:
     """Per-encode diagnostics.
 
-    ``visited`` (when recorded) holds every intermediate word including the
-    start word and the final codeword, so its length is ``iterations + 1``.
+    ``visited`` (when recorded) holds every intermediate engine word, as
+    ``bytes``, including the start word and the final codeword, so its length
+    is ``iterations + 1``.
     """
 
     iterations: int
-    visited: tuple[Word, ...] | None = None
+    visited: tuple[bytes, ...] | None = None
 
 
 @dataclass(frozen=True)
 class ShrinkStep:
     """An injective map from constraint-violating n-words into shorter words.
 
-    ``first_violation(word)`` returns a witness of the first forbidden
-    structure (a window start, a pair, a weight), or None if there is none;
-    ``cut(word, witness)`` removes it in ``target_len = n - 1 - slack``
-    symbols (slack leaves room for an intersection tag); ``unshrink`` inverts
-    ``shrink`` on the image and raises :class:`NotACodeword` otherwise.
+    Words are ``bytes``.  ``first_violation(word)`` returns a witness of the
+    first forbidden structure (a window start, a pair, a weight), or None if
+    there is none; ``cut(word, witness)`` removes it in ``target_len = n - 1 -
+    slack`` symbols (slack leaves room for an intersection tag); ``unshrink``
+    inverts ``shrink`` on the image and raises :class:`NotACodeword` otherwise.
     """
 
     q: int
     n: int
     slack: int
-    first_violation: Callable[[Word], object | None]
-    cut: Callable[[Word, object], Word]
-    unshrink: Callable[[Word], Word]
+    first_violation: Callable[[bytes], object | None]
+    cut: Callable[[bytes, object], bytes]
+    unshrink: Callable[[bytes], bytes]
 
     def __post_init__(self):
         if self.slack < 0:
@@ -84,10 +94,10 @@ class ShrinkStep:
     def target_len(self) -> int:
         return self.n - 1 - self.slack
 
-    def satisfies(self, word: Word) -> bool:
+    def satisfies(self, word: bytes) -> bool:
         return self.first_violation(word) is None
 
-    def shrink(self, word: Word) -> Word:
+    def shrink(self, word: bytes) -> bytes:
         witness = self.first_violation(word)
         if witness is None:
             raise ValueError("shrink called on a word that satisfies the constraint")
@@ -104,6 +114,11 @@ class CodecSpec:
     shareable across threads; a codec from :func:`build_one_symbol` keeps
     one identity-keyed witness slot, which changes no result (see there).
 
+    Words are ``bytes``, one byte per symbol, so q is at most 256.  The
+    start-set callables ``embed``, ``unembed`` and ``is_start`` also take the
+    tuple :func:`encode` and :func:`decode` checked, since a word that takes
+    no step is never converted, and return the type they were given.
+
     ``redundancy`` is n - k.  ``iter_cap``, set from q, bounds the steps of
     one encode or decode; it only guards user-supplied step functions and
     malformed decode inputs, as valid constructions always terminate.
@@ -112,17 +127,18 @@ class CodecSpec:
     q: int
     n: int
     k: int
-    embed: Callable[[Word], Word]
-    unembed: Callable[[Word], Word]
-    is_start: Callable[[Word], bool]
-    step: Callable[[Word], Word]
-    step_back: Callable[[Word], Word]
-    satisfies: Callable[[Word], bool]
+    embed: Callable[[bytes | Word], bytes | Word]
+    unembed: Callable[[bytes | Word], bytes | Word]
+    is_start: Callable[[bytes | Word], bool]
+    step: Callable[[bytes], bytes]
+    step_back: Callable[[bytes], bytes]
+    satisfies: Callable[[bytes], bool]
     iter_cap: int = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.k < self.n:
             raise DimensionMismatch(f"need 1 <= k < n, got k={self.k}, n={self.n}")
+        check_byte_alphabet(self.q, "a codec")
         object.__setattr__(self, "iter_cap", max(1 << 20, self.q ** 9))
 
     @property
@@ -131,10 +147,37 @@ class CodecSpec:
 
 
 def encode(codec: CodecSpec, payload: Word, *, record_visited: bool = False) -> tuple[Word, TraceStats]:
-    """Encode a k-symbol payload into an n-symbol word satisfying the constraint."""
-    payload = check_word(payload, codec.q, codec.k, what="payload")
+    """Encode a k-symbol payload into an n-symbol word satisfying the constraint.
+
+    The codeword is a tuple: a stepped word is converted once, at the end,
+    and a start word is the caller's checked tuple embedded.
+    """
+    symbols = check_symbols(payload, codec.q, codec.k, "payload")
+    visited = [] if record_visited else None
+    word, iterations = encode_loop(codec, symbols, visited)
+    if iterations:
+        word = tuple(word)
+    else:
+        word = codec.embed(payload if type(payload) is tuple else tuple(symbols))
+    if visited is None:
+        return word, _shared_stats(iterations)
+    return word, TraceStats(iterations, tuple(visited))
+
+
+# a frozen TraceStats per step count, shared: building one costs more than a
+# no-step encode of a short word
+_shared_stats = lru_cache(maxsize=256)(TraceStats)
+
+
+def encode_loop(codec: CodecSpec, payload: bytes, visited: list | None = None) -> tuple[bytes, int]:
+    """The encode loop on a checked payload: the codeword and its step count.
+
+    Each word on the way, the start word first, is appended to ``visited``
+    when it is a list.
+    """
     word = codec.embed(payload)
-    visited = [word] if record_visited else None
+    if visited is not None:
+        visited.append(word)
     iterations = 0
     while not codec.satisfies(word):
         if iterations >= codec.iter_cap:
@@ -146,18 +189,28 @@ def encode(codec: CodecSpec, payload: Word, *, record_visited: bool = False) -> 
         iterations += 1
         if visited is not None:
             visited.append(word)
-    return word, TraceStats(iterations, tuple(visited) if visited is not None else None)
+    return word, iterations
 
 
 def decode(codec: CodecSpec, word: Word) -> Word:
     """Invert :func:`encode`: exact on the codebook, and it never loops.
 
     Any other word raises NotACodeword or returns some payload, as decode
-    does not test membership.  A reverse walk that cycles is caught by
-    Brent's algorithm (the word after 2^k - 1 steps is compared with the
-    next 2^k) and named by its length.
+    does not test membership.  See :func:`decode_walk`.
     """
-    word = check_word(word, codec.q, codec.n, what="codeword")
+    word = check_word(word, codec.q, codec.n, "codeword")
+    if codec.is_start(word):  # read in place: a start word is never converted
+        return codec.unembed(word)
+    return tuple(decode_walk(codec, bytes(word)))
+
+
+def decode_walk(codec: CodecSpec, word: bytes) -> bytes:
+    """The payload of a checked codeword: the one decode walk.
+
+    A reverse walk that cycles is caught by Brent's algorithm (the word
+    after 2^k - 1 steps is compared with the next 2^k, one ``memcmp`` each)
+    and named by its length.
+    """
     iterations, saved, saved_at = 0, word, 0
     while not codec.is_start(word):
         if iterations >= codec.iter_cap:
@@ -185,13 +238,14 @@ def build_one_symbol(shrink: ShrinkStep) -> CodecSpec:
     appends marker 0, so step images never collide with start words.
 
     ``satisfies`` keeps the last word it scanned and that word's witness in
-    one slot, and ``step`` on that same tuple object cuts the kept witness
-    instead of scanning again: the encode loop and the state-graph build
-    scan each word once.  The pair is stored and read whole, the slot keeps
-    the word alive so its identity is not reused, and a tuple cannot
-    change; any other word (a list, an equal but distinct tuple, a word
-    another thread checked in between) is scanned afresh.  So the slot
-    changes no result and the codec stays safe to share across threads.
+    one slot, and ``step`` on that same ``bytes`` object cuts the kept
+    witness instead of scanning again: the encode loop and the state-graph
+    build scan each word once.  The pair is stored and read whole, the slot
+    keeps the word alive so its identity is not reused, and a ``bytes``
+    object cannot change; any other word (a ``bytearray``, an equal but
+    distinct ``bytes`` object, a word another thread checked in between) is
+    scanned afresh.  So the slot changes no result and the codec stays safe
+    to share across threads.
     """
     if shrink.slack != 0:
         raise SlackMismatch(f"build_one_symbol needs slack 0, got {shrink.slack}")
@@ -199,29 +253,30 @@ def build_one_symbol(shrink: ShrinkStep) -> CodecSpec:
     find, cut = shrink.first_violation, shrink.cut
     do_shrink, do_unshrink = shrink.shrink, shrink.unshrink
     checked: tuple[object, object | None] = (None, None)  # (word, its witness)
+    start_byte, start_symbol, step_byte = bytes((START_MARKER,)), (START_MARKER,), bytes((STEP_MARKER,))
 
-    def embed(payload: Word) -> Word:
-        return payload + (START_MARKER,)
+    def embed(payload: bytes | Word) -> bytes | Word:
+        return payload + (start_byte if type(payload) is bytes else start_symbol)
 
-    def unembed(word: Word) -> Word:
+    def unembed(word: bytes | Word) -> bytes | Word:
         return word[:-1]
 
-    def is_start(word: Word) -> bool:
+    def is_start(word: bytes | Word) -> bool:
         return word[-1] == START_MARKER
 
-    def satisfies(word: Word) -> bool:
+    def satisfies(word: bytes) -> bool:
         nonlocal checked
         witness = find(word)
         checked = (word, witness)
         return witness is None
 
-    def step(word: Word) -> Word:
+    def step(word: bytes) -> bytes:
         last, witness = checked
-        if witness is None or last is not word or type(word) is not tuple:
-            return do_shrink(word) + (STEP_MARKER,)
-        return cut(word, witness) + (STEP_MARKER,)
+        if witness is None or last is not word or type(word) is not bytes:
+            return do_shrink(word) + step_byte
+        return cut(word, witness) + step_byte
 
-    def step_back(word: Word) -> Word:
+    def step_back(word: bytes) -> bytes:
         if word[-1] != STEP_MARKER:
             raise NotACodeword(f"trailing symbol {word[-1]} is not the step marker")
         return do_unshrink(word[:-1])
@@ -241,9 +296,9 @@ def build_one_symbol(shrink: ShrinkStep) -> CodecSpec:
 
 def cut_window_shrink(
     q: int, n: int, ell: int, slack: int, tail_len: int,
-    find: Callable[[Word], object | None],
-    cut: Callable[[Word, object], tuple[int, Word]],
-    restore: Callable[[Word, Word], tuple[int, Word]],
+    find: Callable[[bytes], object | None],
+    cut: Callable[[bytes, object], tuple[int, bytes]],
+    restore: Callable[[bytes, bytes], tuple[int, bytes]],
 ) -> ShrinkStep:
     """Shrink step with the shared layout: cut one ell-window out, append a tail.
 
@@ -257,13 +312,13 @@ def cut_window_shrink(
     if ell > n:
         raise ParameterViolation(f"window length {ell} exceeds word length {n}")
     content_len = n - ell + tail_len
-    pad = (0,) * window_room(ell, slack, lambda e: tail_len)
+    pad = bytes(window_room(ell, slack, lambda e: tail_len))
 
-    def cut_window(word: Word, witness: object) -> Word:
+    def cut_window(word: bytes, witness: object) -> bytes:
         start, tail = cut(word, witness)
         return word[:start] + word[start + ell :] + tail + pad
 
-    def unshrink(word: Word) -> Word:
+    def unshrink(word: bytes) -> bytes:
         if any(word[content_len:]):
             raise NotACodeword("nonzero padding after the tail fields")
         rest = word[: n - ell]
@@ -313,32 +368,35 @@ def build_intersection(members: Sequence[ShrinkStep]) -> ShrinkStep:
                 f"needs {tag_width}"
             )
     finders = [member.first_violation for member in members]
+    tags = [encode_index(idx, tag_width, q) for idx in range(len(members))]
     body_len = n - 1 - tag_width
 
-    def first_violation(word: Word) -> tuple[int, object] | None:
+    def first_violation(word: bytes) -> tuple[int, object] | None:
         for idx, find in enumerate(finders):
             witness = find(word)
             if witness is not None:
                 return idx, witness
         return None
 
-    def cut(word: Word, witness: tuple[int, object]) -> Word:
+    def cut(word: bytes, witness: tuple[int, object]) -> bytes:
         idx, member_witness = witness
-        return members[idx].cut(word, member_witness) + encode_index(idx, tag_width, q)
+        return members[idx].cut(word, member_witness) + tags[idx]
 
-    def unshrink(word: Word) -> Word:
+    def unshrink(word: bytes) -> bytes:
         idx = decode_field(word[body_len:], q, len(members), "member tag")
         return members[idx].unshrink(word[:body_len])
 
     return ShrinkStep(q=q, n=n, slack=0, first_violation=first_violation, cut=cut, unshrink=unshrink)
 
 
-# bytes.translate tables between the symbols 0/1 and the text digits "0"/"1"
+# bytes.translate tables from the text digits "0"/"1" to the symbols 0/1, and
+# from the symbols 0..35 to the digits int() reads in any base up to 36 (a
+# larger byte becomes "!", which int() refuses)
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-_DIGIT_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_TEXT = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"!")
 
 
-def encode_index(value: int, width: int, q: int) -> Word:
+def encode_index(value: int, width: int, q: int) -> bytes:
     """Fixed-width big-endian base-q encoding of a 0-based index.
 
     Binary fields, such as a rank of n - 2 bits, convert through the C-level
@@ -348,24 +406,24 @@ def encode_index(value: int, width: int, q: int) -> Word:
         raise OverflowError(f"index {value} does not fit in {width} base-{q} symbols")
     if q == 2:
         # the leading 1 of bin() pads the digits to exactly width symbols
-        return tuple(bin(value | 1 << width)[3:].encode("ascii").translate(_BIT_DIGITS))
-    digits = []
-    for _ in range(width):
-        value, digit = divmod(value, q)
-        digits.append(digit)
-    return tuple(reversed(digits))
+        return bin(value | 1 << width)[3:].encode("ascii").translate(_BIT_DIGITS)
+    digits = bytearray(width)
+    for t in range(width - 1, -1, -1):
+        value, digits[t] = divmod(value, q)
+    return bytes(digits)
 
 
-def decode_index(word: Word, q: int) -> int:
-    if q == 2:
-        return int(bytes(word).translate(_DIGIT_BITS), 2) if word else 0
+def decode_index(word: bytes, q: int) -> int:
+    """The value of a big-endian base-q field: ``int`` reads its digit text for q <= 36."""
+    if q <= 36:
+        return int(word.translate(_DIGIT_TEXT), q) if word else 0
     value = 0
     for symbol in word:
         value = value * q + symbol
     return value
 
 
-def decode_field(field: Word, q: int, limit: int, what: str) -> int:
+def decode_field(field: bytes, q: int, limit: int, what: str) -> int:
     """A tail field's value; NotACodeword naming ``what`` unless it is below ``limit``."""
     value = decode_index(field, q)
     if value >= limit:

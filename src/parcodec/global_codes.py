@@ -1,6 +1,7 @@
 """Global constraints: properties of window *pairs* or of the whole word.
 
-One window-pair shrink serves every pair constraint.  It finds the first pair
+Words are ``bytes``, one byte per symbol.  One window-pair shrink serves
+every pair constraint.  It finds the first pair
 (i, j) with transform(window at i) == window at j and j >= i + min_gap, cuts
 window j out in the cut-window layout of :func:`core.cut_window_shrink` and
 appends both indices.  The pair finder (:func:`_pair_finder`) reads the word
@@ -96,10 +97,14 @@ class _Source:
 
     def __init__(self, tables: tuple[Word, ...], reverse: bool = False):
         self.tables, self.reverse = tables, reverse
+        # one distinct table: the whole window goes through one translate
+        self.translation = symbol_translation(tables[0]) if len(set(tables)) == 1 else None
 
-    def __call__(self, window: Word) -> Word:
+    def __call__(self, window: bytes) -> bytes:
         symbols = window[::-1] if self.reverse else window
-        return tuple(map(getitem, cycle(self.tables), symbols))
+        if self.translation is not None:
+            return symbols.translate(self.translation)
+        return bytes(map(getitem, cycle(self.tables), symbols))
 
     def terms(self, q: int, ell: int, digit_bits: int) -> list[tuple[bytes, int]]:
         """(translation, multiplier) pairs, one per distinct table: the sum of
@@ -152,7 +157,7 @@ def _pair_finder(q: int, ell: int, min_gap: int, source: _Source | None):
     terms = None if source is None else source.terms(q, ell, 8 * width)
     unpackers: dict[int, Callable[[bytes], tuple]] = {}  # by word length
 
-    def digits(symbols: bytearray) -> int:
+    def digits(symbols: bytes) -> int:
         """The word as one integer, symbol t in digit t."""
         if width > 1:
             spread = bytearray(len(symbols) * width)
@@ -160,17 +165,16 @@ def _pair_finder(q: int, ell: int, min_gap: int, source: _Source | None):
             symbols = spread
         return int.from_bytes(symbols, "little")
 
-    def find(word: Word) -> tuple[int, int] | None:
+    def find(word: bytes) -> tuple[int, int] | None:
         length = len(word)
         count = length - ell + 1
         if count < 2:
             return None
-        symbols = bytearray(word)
         size = (length + ell - 1) * width
         unpack = unpackers.get(length)
         if unpack is None:
             unpack = unpackers[length] = _key_struct(ell, width, length).unpack_from
-        keys = unpack((digits(symbols) * ones).to_bytes(size, "little"))
+        keys = unpack((digits(word) * ones).to_bytes(size, "little"))
         if terms is None:
             if len(set(keys)) == count:
                 return None
@@ -178,7 +182,7 @@ def _pair_finder(q: int, ell: int, min_gap: int, source: _Source | None):
         else:
             product = 0
             for translation, multiplier in terms:
-                product += digits(symbols.translate(translation)) * multiplier
+                product += digits(word.translate(translation)) * multiplier
             sources = unpack(product.to_bytes(size, "little"))
             if set(keys).isdisjoint(sources):
                 return None
@@ -203,11 +207,11 @@ def _window_pair_shrink(
     """
     index_width = ceil_log(n, q)
 
-    def cut(word: Word, pair: tuple[int, int]) -> tuple[int, Word]:
+    def cut(word: bytes, pair: tuple[int, int]) -> tuple[int, bytes]:
         i, j = pair
         return j, encode_index(i, index_width, q) + encode_index(j, index_width, q)
 
-    def restore(rest: Word, tail: Word) -> tuple[int, Word]:
+    def restore(rest: bytes, tail: bytes) -> tuple[int, bytes]:
         j = decode_field(tail[index_width:], q, n - ell + 1, "pair index j")
         i = decode_field(tail[:index_width], q, j - min_gap + 1, "pair index i")
         if j < i + ell:
@@ -240,14 +244,14 @@ def repeat_free_shrink(
     tables = _normalize_symbol_map(symbol_map, ell, q)
     source = None if tables is None else _symbol_map_keys(tables)
 
-    def regrow(rest: Word, i: int, j: int) -> Word:
+    def regrow(rest: bytes, i: int, j: int) -> bytes:
         # the removed window overlapped its match: regrow left to right,
         # reading already-regrown symbols once the source runs past j
-        grown: list[int] = []
+        grown = bytearray()
         for t in range(ell):
             src = rest[i + t] if i + t < j else grown[i + t - j]
             grown.append(src if tables is None else tables[t][src])
-        return tuple(grown)
+        return bytes(grown)
 
     return _window_pair_shrink(n, ell, q, slack, 1, regrow, source)
 
@@ -293,20 +297,20 @@ def count_weight_at_most(n: int, wmax: int) -> int:
     return count_by_weight(n, range(min(wmax, n) + 1))
 
 
-def rank_weight_at_most(word: Word, wmax: int) -> int:
+def rank_weight_at_most(word: Sequence[int], wmax: int) -> int:
     """Rank of a binary word among weight-<=wmax words (weight asc, then lex)."""
     return rank_by_weight(word, range(wmax + 1))
 
 
-def unrank_weight_at_most(rank: int, n: int, wmax: int) -> Word:
+def unrank_weight_at_most(rank: int, n: int, wmax: int) -> bytes:
     return unrank_by_weight(rank, n, range(wmax + 1))
 
 
 _FLIP_BITS = symbol_translation((1, 0))
 
 
-def _complement_bits(word: Word) -> Word:
-    return tuple(bytearray(word).translate(_FLIP_BITS))
+def _complement_bits(word: bytes) -> bytes:
+    return word.translate(_FLIP_BITS)
 
 
 def min_balanced_weight(n: int) -> int:
@@ -341,24 +345,25 @@ def almost_balanced_shrink_pair(n: int) -> tuple[ShrinkStep, ShrinkStep]:
     def violating(weight: int) -> int | None:
         return weight if weight <= w_star else None
 
-    def cut_light(word: Word, weight: int) -> Word:
+    def cut_light(word: bytes, weight: int) -> bytes:
         return encode_index(rank_weight_at_most(word, w_star), n - 2, 2)
 
-    def unshrink_light(word: Word) -> Word:
+    def unshrink_light(word: bytes) -> bytes:
         return unrank_weight_at_most(decode_field(word, 2, count, "light rank"), n, w_star)
 
-    def cut_heavy(word: Word, weight: int) -> Word:
+    def cut_heavy(word: bytes, weight: int) -> bytes:
         return cut_light(_complement_bits(word), weight)
 
-    def unshrink_heavy(word: Word) -> Word:
+    def unshrink_heavy(word: bytes) -> bytes:
         return _complement_bits(unshrink_light(word))
 
+    # the weight of a binary word is its count of 1 bytes
     weight_floor = ShrinkStep(
-        q=2, n=n, slack=1, first_violation=lambda word: violating(sum(word)),
+        q=2, n=n, slack=1, first_violation=lambda word: violating(word.count(1)),
         cut=cut_light, unshrink=unshrink_light,
     )
     weight_ceiling = ShrinkStep(
-        q=2, n=n, slack=1, first_violation=lambda word: violating(n - sum(word)),
+        q=2, n=n, slack=1, first_violation=lambda word: violating(n - word.count(1)),
         cut=cut_heavy, unshrink=unshrink_heavy,
     )
     return weight_floor, weight_ceiling

@@ -4,8 +4,9 @@ A :class:`WindowCoder` describes one family of forbidden windows: a
 leftmost-witness finder over whole words plus an injective compressor
 ``pack`` that squeezes a forbidden window into ell' < ell symbols; the
 window predicate ``is_forbidden`` is that finder applied to one window.
-The mw, lab, mp and enp finders read the word once as one integer, symbol t
-in digit t, and test every window at once with a few big-integer operations
+Words are ``bytes``, one byte per symbol.  The mw, lab, mp and enp finders
+read the word once as one integer, symbol t in digit t, and test every
+window at once with a few big-integer operations
 that run in C: one multiply gives every window weight, one XOR per shift d
 marks where the word has period d, and one XOR per mirrored pair marks the
 palindromes.  The leftmost flagged digit, found with ``bytes.find``, is the
@@ -46,7 +47,7 @@ from .core import (
 )
 from .errors import NotACodeword, ParameterViolation
 from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
-from .words import Word, check_byte_alphabet, check_complement, check_word, symbol_translation
+from .words import check_byte_alphabet, check_complement, check_symbols, symbol_translation
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,16 @@ class WindowCoder:
     q: int
     window_len: int
     packed_len: int
-    first_violation: Callable[[Word], int | None]
-    pack: Callable[[Word], Word]
-    unpack: Callable[[Word], Word]
+    first_violation: Callable[[bytes], int | None]
+    pack: Callable[[bytes], bytes]
+    unpack: Callable[[bytes], bytes]
 
-    def is_forbidden(self, window: Word) -> bool:
+    def is_forbidden(self, window: bytes) -> bool:
         """Whether one length-window_len window is forbidden (the finder on it)."""
         return self.first_violation(window) == 0
 
 
-def first_forbidden_window(word: Word, coder: WindowCoder) -> int | None:
+def first_forbidden_window(word: bytes, coder: WindowCoder) -> int | None:
     """Smallest start index of a forbidden window, or None. Leftmost wins.
 
     This is ``coder.first_violation(word)``, the coder's own finder.
@@ -82,7 +83,7 @@ def first_forbidden_window(word: Word, coder: WindowCoder) -> int | None:
     return coder.first_violation(word)
 
 
-def _weight_finder(n: int, ell: int, lo: int, hi: int) -> Callable[[Word], int | None]:
+def _weight_finder(n: int, ell: int, lo: int, hi: int) -> Callable[[bytes], int | None]:
     """Finder of the leftmost binary length-ell window with weight outside [lo, hi].
 
     The word is read as one integer x with one ``width``-byte digit per
@@ -105,12 +106,14 @@ def _weight_finder(n: int, ell: int, lo: int, hi: int) -> Callable[[Word], int |
 
     own = masks(n)
 
-    def first_violation(word: Word) -> int | None:
+    def first_violation(word: bytes) -> int | None:
         length = len(word)
         top, at_least_lo, above_hi = own if length == n else masks(length)
-        digits = bytearray(length * width)
-        digits[::width] = word
-        sums = int.from_bytes(digits, "little") * ones
+        if width > 1:
+            digits = bytearray(length * width)
+            digits[::width] = word
+            word = digits
+        sums = int.from_bytes(word, "little") * ones
         flags = (((sums + at_least_lo) ^ top) | (sums + above_hi)) & top
         top_bytes = flags.to_bytes(length * width, "little")[width - 1 :: width]
         end = top_bytes.find(0x80, ell - 1, length)  # the window's last symbol
@@ -131,10 +134,10 @@ def forbidden_window_shrink(coder: WindowCoder, n: int, slack: int = 0) -> Shrin
     q, ell, packed = coder.q, coder.window_len, coder.packed_len
     index_width = ceil_log(n, q)
 
-    def cut(word: Word, i: int) -> tuple[int, Word]:
+    def cut(word: bytes, i: int) -> tuple[int, bytes]:
         return i, encode_index(i, index_width, q) + coder.pack(word[i : i + ell])
 
-    def restore(rest: Word, tail: Word) -> tuple[int, Word]:
+    def restore(rest: bytes, tail: bytes) -> tuple[int, bytes]:
         i = decode_field(tail[:index_width], q, n - ell + 1, "window index")
         return i, coder.unpack(tail[index_width:])
 
@@ -157,18 +160,19 @@ def min_weight_coder(n: int, ell: int, p: int, slack: int = 0) -> WindowCoder:
     packed = (p - 1) * field
     window_room(ell, slack, lambda e: ceil_log(n, 2) + (p - 1) * ceil_log(e + 1, 2))
 
-    def pack(window: Word) -> Word:
-        fields = [encode_index(i, field, 2) for i, s in enumerate(window) if s]
-        fields += [encode_index(ell, field, 2)] * (p - 1 - len(fields))
-        return tuple(s for f in fields for s in f)
+    dummy = encode_index(ell, field, 2)
 
-    def unpack(packed_word: Word) -> Word:
-        window = [0] * ell
+    def pack(window: bytes) -> bytes:
+        fields = [encode_index(i, field, 2) for i, s in enumerate(window) if s]
+        return b"".join(fields) + dummy * (p - 1 - len(fields))
+
+    def unpack(packed_word: bytes) -> bytes:
+        window = bytearray(ell)
         for start in range(0, packed, field):
             pos = decode_field(packed_word[start : start + field], 2, ell + 1, "one-position")
             if pos < ell:  # ell is the dummy
                 window[pos] = 1
-        return tuple(window)
+        return bytes(window)
 
     return WindowCoder(2, ell, packed, _weight_finder(n, ell, p, ell), pack, unpack)
 
@@ -190,16 +194,16 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
             f"forbidden-window count {total} exceeds capacity 2**{packed} = {1 << packed}"
         )
 
-    def pack(window: Word) -> Word:
+    def pack(window: bytes) -> bytes:
         return encode_index(rank_by_weight(window, weights), packed, 2)
 
-    def unpack(packed_word: Word) -> Word:
+    def unpack(packed_word: bytes) -> bytes:
         return unrank_by_weight(decode_field(packed_word, 2, total, "window rank"), ell, weights)
 
     return WindowCoder(2, ell, packed, _weight_finder(n, ell, wmin, wmax), pack, unpack)
 
 
-def minimal_period(window: Word) -> int:
+def minimal_period(window: Sequence[int]) -> int:
     """Smallest p in [1, len) with window[i] == window[i+p] for all i; len if none.
 
     The minimal period is len minus the longest proper border (a prefix that
@@ -232,26 +236,24 @@ def min_period_coder(n: int, ell: int, p: int, slack: int = 0, q: int = 2) -> Wi
     # (up to len - d, where x >> 8*d runs out); a period below p needs d < p
     runs = [(d, bytes(ell - d)) for d in range(1, p)]
 
-    def first_violation(word: Word) -> int | None:
+    def first_violation(word: bytes) -> int | None:
         length = len(word)
         if length < ell:  # and so no negative end, which find() counts from the back
             return None
-        x = int.from_bytes(bytearray(word), "little")
+        x = int.from_bytes(word, "little")
         starts = [(x ^ (x >> 8 * d)).to_bytes(length, "little").find(run, 0, length - d) for d, run in runs]
         return min((i for i in starts if i >= 0), default=None)
 
-    def pack(window: Word) -> Word:
+    def pack(window: bytes) -> bytes:
         period = minimal_period(window)
-        return window[:period] + (1,) + (0,) * (p - period - 1)
+        return window[:period] + b"\x01" + bytes(p - period - 1)
 
-    def unpack(packed_word: Word) -> Word:
-        length = p
-        while length > 0 and packed_word[length - 1] == 0:
-            length -= 1
+    def unpack(packed_word: bytes) -> bytes:
+        length = len(packed_word[:p].rstrip(b"\x00"))
         if length < 2 or packed_word[length - 1] != 1:
             raise NotACodeword("packed window lacks a period marker")
         seed = packed_word[: length - 1]
-        return tuple(seed[i % len(seed)] for i in range(ell))
+        return (seed * (ell // len(seed) + 1))[:ell]
 
     return WindowCoder(q, ell, p, first_violation, pack, unpack)
 
@@ -272,34 +274,35 @@ def no_palindrome_coder(
     window_room(ell, slack, lambda e: ceil_log(n, q) + (e + 1) // 2)
     packed = (ell + 1) // 2
 
-    complement = None if comp == tuple(range(q)) else symbol_translation(comp)
+    mirror = symbol_translation(comp)
+    complement = None if comp == tuple(range(q)) else mirror
     pairs = [(8 * t, 8 * (ell - 1 - t)) for t in range(packed)]
 
-    def first_violation(word: Word) -> int | None:
+    def first_violation(word: bytes) -> int | None:
         # byte i of (x >> 8t) ^ (y >> 8(ell-1-t)), y the complemented word, is
         # zero iff window i passes the mirrored pair (t, ell-1-t)
         if len(word) < ell:  # and so no negative end, which find() counts from the back
             return None
-        raw = bytearray(word)
-        x = int.from_bytes(raw, "little")
-        y = x if complement is None else int.from_bytes(raw.translate(complement), "little")
+        x = int.from_bytes(word, "little")
+        y = x if complement is None else int.from_bytes(word.translate(complement), "little")
         mismatch = 0
         for ahead, behind in pairs:
             mismatch |= (x >> ahead) ^ (y >> behind)
         i = mismatch.to_bytes(len(word), "little").find(0, 0, len(word) - ell + 1)
         return i if i >= 0 else None
 
-    def pack(window: Word) -> Word:
+    def pack(window: bytes) -> bytes:
         return window[:packed]
 
-    def unpack(packed_word: Word) -> Word:
-        return packed_word + tuple(comp[packed_word[ell - 1 - i]] for i in range(packed, ell))
+    def unpack(packed_word: bytes) -> bytes:
+        # symbol i >= packed is comp of symbol ell - 1 - i, which runs down to 0
+        return packed_word + packed_word[: ell - packed][::-1].translate(mirror)
 
     return WindowCoder(q, ell, packed, first_violation, pack, unpack)
 
 
 def listed_window_coder(
-    windows: Sequence[Word],
+    windows: Sequence[Sequence[int]],
     n: int,
     ell: int,
     q: int = 2,
@@ -309,22 +312,20 @@ def listed_window_coder(
 
     The rank takes all the room the window index leaves for word length n.
     """
-    table = sorted(set(windows))
-    for w in table:
-        check_word(w, q, ell, what="forbidden window")
+    table = sorted({check_symbols(w, q, ell, what="forbidden window") for w in windows})
     packed = window_room(ell, slack, lambda e: ceil_log(n, q))
     if len(table) > q ** packed:
         raise ParameterViolation(f"{len(table)} forbidden windows exceed capacity q**{packed} = {q ** packed}")
 
     listed = frozenset(table)
 
-    def first_violation(word: Word) -> int | None:
+    def first_violation(word: bytes) -> int | None:
         return next((i for i in range(len(word) - ell + 1) if word[i : i + ell] in listed), None)
 
-    def pack(window: Word) -> Word:
+    def pack(window: bytes) -> bytes:
         return encode_index(bisect_left(table, window), packed, q)
 
-    def unpack(packed_word: Word) -> Word:
+    def unpack(packed_word: bytes) -> bytes:
         return table[decode_field(packed_word, q, len(table), "window rank")]
 
     return WindowCoder(q, ell, packed, first_violation, pack, unpack)

@@ -9,17 +9,24 @@ also proves each codeword valid (``encode`` returns only words that satisfy
 the constraint) and all codewords distinct (two payloads sharing one decode
 to one payload).  The step graph keeps only its edges, since a word is valid
 iff it has none.
+
+The round trip goes through the public :func:`encode` and :func:`decode`,
+on tuples; the graph, the count and the injectivity check enumerate engine
+words (``bytes``) and call the codec's callables on them.  Reported failure
+witnesses are tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core import CodecSpec, ShrinkStep, decode, encode
 from .errors import BoundExceeded, NotACodeword
 from .words import Word, all_words
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_STATE_BOUND = 1 << 20
 
@@ -71,6 +78,14 @@ class VerifyReport:
         return lines
 
 
+def _exact_mean(total: int, count: int) -> Fraction:
+    # fractions is imported on first use: with decimal, which it imports,
+    # it is about a twelfth of the time ``import parcodec`` takes
+    from fractions import Fraction
+
+    return Fraction(total, count)
+
+
 def _space(q: int, length: int, name: str, bound: int) -> int:
     """q**length, refused above ``bound``."""
     space = q ** length
@@ -99,7 +114,7 @@ def _roundtrip(
                 report.failures.append((payload, ROUNDTRIP))
         except NotACodeword:
             report.failures.append((payload, ROUNDTRIP))
-    report.avg_iterations = Fraction(total_iterations, report.total_inputs)
+    report.avg_iterations = _exact_mean(total_iterations, report.total_inputs)
     report.max_iterations = max_iterations
     return report
 
@@ -157,20 +172,26 @@ def sample_roundtrip(
     return _roundtrip(codec, payloads, report, output_check)
 
 
+def _engine_words(q: int, length: int) -> Iterator[bytes]:
+    """All q**length engine words, in lexicographic order."""
+    return map(bytes, all_words(q, length))
+
+
 @dataclass
 class StateGraph:
-    """The step map over all q**n words: ``edges`` maps each violating word, in
-    lexicographic order, to its step image, so a word is valid iff it has none."""
+    """The step map over all q**n words: ``edges`` maps each violating engine
+    word, in lexicographic order, to its step image, so a word is valid iff it
+    has none."""
 
     q: int
     n: int
-    edges: dict[Word, Word]
-    is_start: Callable[[Word], bool]
+    edges: dict[bytes, bytes]
+    is_start: Callable[[bytes], bool]
 
 
 def build_state_graph(codec: CodecSpec, *, bound: int = DEFAULT_STATE_BOUND) -> StateGraph:
     _space(codec.q, codec.n, "n", bound)
-    edges = {node: codec.step(node) for node in all_words(codec.q, codec.n) if not codec.satisfies(node)}
+    edges = {node: codec.step(node) for node in _engine_words(codec.q, codec.n) if not codec.satisfies(node)}
     return StateGraph(q=codec.q, n=codec.n, edges=edges, is_start=codec.is_start)
 
 
@@ -188,35 +209,35 @@ def check_graph(
     space = codec.q ** codec.n
     report = VerifyReport(total_inputs=codec.q ** codec.k, constraint_count=space - len(graph.edges))
 
-    targets: set[Word] = set()
+    targets: set[bytes] = set()
     for target in graph.edges.values():
         if target in targets:
-            report.failures.append((target, IN_DEGREE))
+            report.failures.append((tuple(target), IN_DEGREE))
         targets.add(target)
         if graph.is_start(target):
-            report.failures.append((target, EDGE_INTO_START))
+            report.failures.append((tuple(target), EDGE_INTO_START))
 
     total_steps = 0
     max_steps = 0
-    for payload in all_words(codec.q, codec.k):
+    for payload in _engine_words(codec.q, codec.k):
         node = codec.embed(payload)
         steps = 0
         while node in graph.edges:
             node = graph.edges[node]
             steps += 1
             if steps > space:
-                report.failures.append((codec.embed(payload), CYCLE))
+                report.failures.append((tuple(codec.embed(payload)), CYCLE))
                 break
         total_steps += steps
         max_steps = max(max_steps, steps)
     if total_steps > space:
         report.failures.append(((), PATH_SUM))
-    report.avg_iterations = Fraction(total_steps, report.total_inputs)
+    report.avg_iterations = _exact_mean(total_steps, report.total_inputs)
     report.max_iterations = max_steps
     return report
 
 
-def _label(word: Word) -> str:
+def _label(word: bytes) -> str:
     return "".join(str(s) for s in word)
 
 
@@ -229,7 +250,7 @@ def graph_to_dot(graph: StateGraph) -> Iterator[str]:
     """
     yield "digraph step_graph {\n"
     yield "  node [shape=circle];\n"
-    for node in all_words(graph.q, graph.n):
+    for node in _engine_words(graph.q, graph.n):
         fill = "white" if node in graph.edges else "palegreen"
         peripheries = 2 if graph.is_start(node) else 1
         yield f'  "{_label(node)}" [style=filled fillcolor="{fill}" peripheries={peripheries}];\n'
@@ -239,11 +260,11 @@ def graph_to_dot(graph: StateGraph) -> Iterator[str]:
 
 
 def count_constraint(
-    q: int, n: int, satisfies: Callable[[Word], bool], *, bound: int = DEFAULT_STATE_BOUND
+    q: int, n: int, satisfies: Callable[[bytes], bool], *, bound: int = DEFAULT_STATE_BOUND
 ) -> int:
-    """Exact |C(n)| by enumeration."""
+    """Exact |C(n)| by enumeration of the engine words."""
     _space(q, n, "n", bound)
-    return sum(1 for word in all_words(q, n) if satisfies(word))
+    return sum(1 for word in _engine_words(q, n) if satisfies(word))
 
 
 def check_shrink_injective(shrink: ShrinkStep, *, bound: int = DEFAULT_STATE_BOUND) -> VerifyReport:
@@ -254,25 +275,25 @@ def check_shrink_injective(shrink: ShrinkStep, *, bound: int = DEFAULT_STATE_BOU
     """
     _space(shrink.q, shrink.n, "n", bound)
     report = VerifyReport(total_inputs=0)
-    images: set[Word] = set()
-    for word in all_words(shrink.q, shrink.n):
+    images: set[bytes] = set()
+    for word in _engine_words(shrink.q, shrink.n):
         witness = shrink.first_violation(word)
         if witness is None:
             continue
         report.total_inputs += 1
         image = shrink.cut(word, witness)
         if len(image) != shrink.target_len:
-            report.failures.append((word, IMAGE_LENGTH))
+            report.failures.append((tuple(word), IMAGE_LENGTH))
             continue
         if any(not 0 <= s < shrink.q for s in image):
-            report.failures.append((word, IMAGE_SYMBOL))
+            report.failures.append((tuple(word), IMAGE_SYMBOL))
             continue
         if image in images:
-            report.failures.append((word, IMAGE_COLLISION))
+            report.failures.append((tuple(word), IMAGE_COLLISION))
         images.add(image)
         try:
             if shrink.unshrink(image) != word:
-                report.failures.append((word, INVERSE))
+                report.failures.append((tuple(word), INVERSE))
         except NotACodeword:
-            report.failures.append((word, INVERSE))
+            report.failures.append((tuple(word), INVERSE))
     return report

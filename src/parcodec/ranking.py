@@ -1,5 +1,8 @@
 """Exact enumerative ranking of binary words (0 < 1, lexicographic).
 
+Ranking reads any sequence of 0/1 symbols, an engine ``bytes`` word or a
+tuple; unranking gives ``bytes``, the engine's word.
+
 Words of one Hamming weight are ranked lexicographically; words drawn from
 several weight classes are ranked class by class, lighter classes first.
 
@@ -22,10 +25,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import RankOutOfRange
-from .words import Word
 
 
 def weight_class_sizes(n: int, weights: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -46,7 +48,7 @@ def count_by_weight(n: int, weights: Iterable[int]) -> int:
     return sum(size for _, size in weight_class_sizes(n, weights))
 
 
-def _lex_rank(word: Word, ones: int, c: int) -> int:
+def _lex_rank(word: Sequence[int], ones: int, c: int) -> int:
     # c = comb(len(word), ones); once no choice is left (all zeros or all
     # ones remain) every later zero block is empty, so the walk stops
     m, rank = len(word), 0
@@ -64,9 +66,9 @@ def _lex_rank(word: Word, ones: int, c: int) -> int:
     return rank
 
 
-def _lex_unrank(rank: int, n: int, ones: int, c: int) -> Word:
+def _lex_unrank(rank: int, n: int, ones: int, c: int) -> bytes:
     # inverse of _lex_rank with c = comb(n, ones) and 0 <= rank < c
-    symbols = []
+    symbols = bytearray()
     m = n
     while 0 < ones < m:
         zero_block = c * (m - ones) // m
@@ -79,16 +81,16 @@ def _lex_unrank(rank: int, n: int, ones: int, c: int) -> Word:
             c -= zero_block
             ones -= 1
         m -= 1
-    return tuple(symbols) + (1 if ones else 0,) * m
+    return bytes(symbols + (b"\x01" if ones else b"\x00") * m)
 
 
-def lex_rank_fixed_weight(word: Word) -> int:
+def lex_rank_fixed_weight(word: Sequence[int]) -> int:
     """Rank of a binary word among all words of its length and Hamming weight."""
     ones = sum(word)
     return _lex_rank(word, ones, comb(len(word), ones))
 
 
-def lex_unrank_fixed_weight(rank: int, n: int, weight: int) -> Word:
+def lex_unrank_fixed_weight(rank: int, n: int, weight: int) -> bytes:
     size = comb(n, weight)
     if not 0 <= rank < size:
         raise RankOutOfRange(f"rank {rank} out of range for {n} choose {weight}")
@@ -116,7 +118,7 @@ def _hashable(weights: Iterable[int]) -> tuple[int, ...] | range:
     return weights if isinstance(weights, range) else tuple(weights)
 
 
-def rank_by_weight(word: Word, weights: Iterable[int]) -> int:
+def rank_by_weight(word: Sequence[int], weights: Iterable[int]) -> int:
     """Rank of a binary word among all words of its length whose weight is in
     ``weights``, ordered by weight class (in the order given, ascending in
     every caller) and then lexicographically."""
@@ -128,7 +130,7 @@ def rank_by_weight(word: Word, weights: Iterable[int]) -> int:
     return offset + _lex_rank(word, weight, size)
 
 
-def unrank_by_weight(rank: int, n: int, weights: Iterable[int]) -> Word:
+def unrank_by_weight(rank: int, n: int, weights: Iterable[int]) -> bytes:
     """Inverse of :func:`rank_by_weight` for words of length n."""
     _, offsets, classes = _class_table(n, _hashable(weights))
     if not 0 <= rank < offsets[-1]:

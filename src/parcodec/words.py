@@ -1,13 +1,20 @@
 """Words over a size-q integer alphabet, plus the text formats the CLI speaks.
 
-A word is a plain ``tuple[int, ...]`` with every symbol in ``[0, q)``.
-Alphabet size and expected length travel with the codec objects, so
-validation happens at operation boundaries rather than per value.
+A word has two forms.  Inside the engine it is ``bytes``, one byte per
+symbol in ``[0, q)``, so q is at most 256; every finder, step and field works
+on that form.  At the public boundary it is a ``tuple[int, ...]`` (``Word``):
+:func:`check_word`, :func:`all_words`, :func:`text_to_word` and
+:func:`word_to_text` speak tuples.  Alphabet size and expected length travel
+with the codec objects, so validation happens at operation boundaries
+rather than per value.
 
-The three boundary functions test and convert a whole word with C-level
-``bytes`` operations (``bytearray()``, ``translate``, ``decode``).  Only
-input the fast test rejects reaches a per-symbol Python loop, which names
-the first bad symbol or character.  Symbol maps (substitution tables and
+The boundary functions test and convert a whole word with C-level ``bytes``
+operations (``bytearray()``, ``translate``, ``decode``):
+:func:`check_symbols` gives the engine form and :func:`check_word` the
+tuple, and :func:`text_symbols` and :func:`symbols_text` carry the CLI's
+text to and from the engine form with one ``translate`` each.  Only input
+the fast test rejects reaches a per-symbol Python loop, which names the
+first bad symbol or character.  Symbol maps (substitution tables and
 complements) are validated here too, and turned into ``translate`` tables.
 """
 
@@ -27,6 +34,8 @@ FORMAT_ALPHABETS = {"bits": "01", "dna": "ACGT"}
 FORMAT_Q = {"bits": 2, "dna": 4}
 
 _BYTE_VALUES = bytes(range(256))
+# the symbols [0, q) of each alphabet that fits a byte: translate(None, ...) deletes them
+_SYMBOLS = {q: _BYTE_VALUES[:q] for q in range(1, 257)}
 _NOT_A_SYMBOL = 0xFF  # text byte outside the format's alphabet; every format has q < 255
 _TEXT_TO_SYMBOL = {
     fmt: bytes(alphabet.index(chr(b)) if chr(b) in alphabet else _NOT_A_SYMBOL for b in range(256))
@@ -58,14 +67,41 @@ def check_word(word: Sequence[int], q: int, length: int | None = None, what: str
     symbols = tuple(word)  # no copy for a tuple, and bytearray() never sees a buffer
     try:
         raw = bytearray(symbols)
-        if q > 0 and not raw.translate(None, _BYTE_VALUES[:q]):
+        if not raw.translate(None, _SYMBOLS[q]):
             return symbols if symbols is word else tuple(raw)
-    except (TypeError, ValueError):
-        pass  # a non-integer, or an integer outside [0, 256)
+    except (TypeError, ValueError, KeyError):
+        pass  # a non-integer, an integer outside [0, 256), or q outside [1, 256]
+    _refuse_bad_symbol(symbols, q, what)
+    return symbols if symbols is word else tuple(map(index, symbols))
+
+
+def check_symbols(word: Sequence[int], q: int, length: int | None = None, what: str = "word") -> bytes:
+    """:func:`check_word`, giving the engine form: the word as ``bytes``.
+
+    A ``bytes`` word comes back as is, and no tuple is built for it.  A
+    symbol must also fit one byte, which matters only when q > 256.
+    """
+    if length is not None and len(word) != length:
+        raise DimensionMismatch(f"{what} has length {len(word)}, expected {length}")
+    symbols = word if type(word) is bytes else tuple(word)
+    try:
+        raw = symbols if type(symbols) is bytes else bytearray(symbols)
+        if not raw.translate(None, _SYMBOLS[q]):
+            return bytes(raw)  # no copy for bytes
+    except (TypeError, ValueError, KeyError):
+        pass  # a non-integer, an integer outside [0, 256), or q outside [1, 256]
+    _refuse_bad_symbol(symbols, q, what)
+    try:
+        return bytes(map(index, symbols))
+    except ValueError:
+        raise DimensionMismatch(f"{what} has a symbol that does not fit one byte") from None
+
+
+def _refuse_bad_symbol(symbols: Sequence, q: int, what: str) -> None:
+    """DimensionMismatch naming the first symbol that is not an integer in [0, q)."""
     for s in symbols:
         if not _is_symbol(s, q):
             raise DimensionMismatch(f"{what} contains symbol {s!r} outside alphabet [0, {q})")
-    return symbols if symbols is word else tuple(map(index, symbols))
 
 
 def check_byte_alphabet(q: int, what: str) -> None:
@@ -108,16 +144,20 @@ def word_to_text(word: Sequence[int], fmt: str) -> str:
         raise DimensionMismatch(f"word {word} not representable in format {fmt!r}") from None
 
 
+def symbols_text(word: bytes, fmt: str) -> bytes:
+    """An engine word as its ASCII text in format ``fmt``; every symbol must be in the format's alphabet."""
+    return word.translate(_SYMBOL_TO_TEXT[fmt])
+
+
 def text_to_word(text: str, fmt: str) -> Word:
-    alphabet = FORMAT_ALPHABETS[fmt]
+    return tuple(text_symbols(text, fmt))
+
+
+def text_symbols(text: str, fmt: str) -> bytes:
+    """The engine word a line of text in format ``fmt`` spells; ParseError names a bad character."""
     if text.isascii():
         raw = text.encode("ascii").translate(_TEXT_TO_SYMBOL[fmt])
         if _NOT_A_SYMBOL not in raw:
-            return tuple(raw)
-    symbols = []
-    for ch in text:
-        idx = alphabet.find(ch)
-        if idx < 0:
-            raise ParseError(f"character {ch!r} is not valid in format {fmt!r}")
-        symbols.append(idx)
-    return tuple(symbols)
+            return raw
+    bad = next(ch for ch in text if ch not in FORMAT_ALPHABETS[fmt])
+    raise ParseError(f"character {bad!r} is not valid in format {fmt!r}")

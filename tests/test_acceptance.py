@@ -218,13 +218,13 @@ def test_criterion_5_shrink_and_coder_injectivity():
         members = 0
         images = set()
         for window in product(range(q), repeat=coder.window_len):
-            if not coder.is_forbidden(window):
+            if not coder.is_forbidden(bytes(window)):
                 continue
             members += 1
-            packed = coder.pack(window)
+            packed = coder.pack(bytes(window))
             if (
                 len(packed) != coder.packed_len
-                or coder.unpack(packed) != window
+                or tuple(coder.unpack(packed)) != window
                 or packed in images
             ):
                 failures += 1
@@ -276,7 +276,7 @@ def test_criterion_7_overlap_reconstruction():
         if j >= i + 7:
             continue  # only overlapping minimal pairs are in scope
         checked += 1
-        if shrink.unshrink(shrink.shrink(word)) != word:
+        if tuple(shrink.unshrink(shrink.shrink(bytes(word)))) != word:
             failures += 1
     ok = failures == 0 and checked == 2  # exactly the two constant words
     _report_line(7, "rf n=8 l=7 overlaps", ok, f"{checked} overlapping words, {failures} failures")

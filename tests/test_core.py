@@ -16,9 +16,11 @@ from parcodec import (
     NotACodeword,
     ShrinkStep,
     SlackMismatch,
+    almost_balanced_shrink_pair,
     build_codec,
     build_intersection,
     build_one_symbol,
+    build_shrink,
     build_state_graph,
     ceil_log,
     decode,
@@ -26,9 +28,13 @@ from parcodec import (
     encode,
     encode_index,
     forbidden_window_shrink,
+    min_balanced_weight,
     min_weight_coder,
     parse_spec,
+    rank_weight_at_most,
+    unrank_weight_at_most,
 )
+from parcodec.ranking import lex_rank_fixed_weight, lex_unrank_fixed_weight
 
 from oracles import min_weight_ok
 
@@ -41,12 +47,12 @@ def mw16():
 # --- index coding -----------------------------------------------------------
 
 def test_encode_index_binary():
-    assert encode_index(5, 3, 2) == (1, 0, 1)
-    assert encode_index(0, 3, 2) == (0, 0, 0)
+    assert tuple(encode_index(5, 3, 2)) == (1, 0, 1)
+    assert tuple(encode_index(0, 3, 2)) == (0, 0, 0)
 
 
 def test_encode_index_base4():
-    assert encode_index(6, 2, 4) == (1, 2)
+    assert tuple(encode_index(6, 2, 4)) == (1, 2)
 
 
 def test_encode_index_overflow():
@@ -55,7 +61,7 @@ def test_encode_index_overflow():
 
 
 def test_encode_index_zero_width():
-    assert encode_index(0, 0, 2) == ()
+    assert tuple(encode_index(0, 0, 2)) == ()
 
 
 @given(st.integers(2, 6), st.integers(0, 8), st.data())
@@ -87,14 +93,14 @@ def test_index_coding_every_value(q, max_width):
     # product() lists the width-digit words in increasing base-q value
     for width in range(max_width + 1):
         for value, word in enumerate(product(range(q), repeat=width)):
-            assert encode_index(value, width, q) == word == _index_ref(value, width, q)
-            assert decode_index(word, q) == value
+            assert tuple(encode_index(value, width, q)) == word == _index_ref(value, width, q)
+            assert decode_index(bytes(word), q) == value
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_index_coding_empty_field(q):
-    assert encode_index(0, 0, q) == ()
-    assert decode_index((), q) == 0
+    assert tuple(encode_index(0, 0, q)) == ()
+    assert decode_index(bytes(()), q) == 0
 
 
 @pytest.mark.parametrize("q, width", [(2, 254), (2, 1022), (3, 200), (4, 300)])
@@ -102,7 +108,7 @@ def test_index_coding_wide_fields(q, width):
     rng = random.Random(width)
     for value in (0, 1, q**width - 1, q ** (width - 1), *(rng.randrange(q**width) for _ in range(20))):
         word = encode_index(value, width, q)
-        assert word == _index_ref(value, width, q)
+        assert tuple(word) == _index_ref(value, width, q)
         assert decode_index(word, q) == value == _value_ref(word, q)
 
 
@@ -134,7 +140,7 @@ def test_start_indicator_is_last_symbol(mw16):
 
 def test_step_image_never_starts(mw16):
     # a step always appends the 0 marker, so its image avoids the start set
-    bad = (0,) * 16
+    bad = bytes((0,) * 16)
     assert not mw16.satisfies(bad)
     assert not mw16.is_start(mw16.step(bad))
 
@@ -199,8 +205,8 @@ def test_trace_records_all_states(mw16):
     word, stats = encode(mw16, (0,) * 15, record_visited=True)
     assert len(stats.visited) == stats.iterations + 1
     assert len(set(stats.visited)) == len(stats.visited)
-    assert stats.visited[0] == (0,) * 15 + (1,)
-    assert stats.visited[-1] == word
+    assert tuple(stats.visited[0]) == (0,) * 15 + (1,)
+    assert tuple(stats.visited[-1]) == word
 
 
 def test_encode_rejects_wrong_length(mw16):
@@ -294,11 +300,11 @@ def test_decode_stops_on_every_word(text, q):
 def _cycling_codec():
     # step maps everything to a fixed non-start word: a deliberate self-loop
     def step(word):
-        return (word[0], word[1], 0)
+        return bytes((word[0], word[1], 0))
 
     return CodecSpec(
         q=2, n=3, k=2,
-        embed=lambda x: x + (1,),
+        embed=lambda x: x + type(x)((1,)),
         unembed=lambda y: y[:-1],
         is_start=lambda y: y[-1] == 1,
         step=step,
@@ -345,7 +351,7 @@ def test_intersection_tag_width_binary():
 def test_intersection_dispatches_first_violating_member():
     members = [_mw_shrink(16, 10, 2, 1), _mp_shrink(16, 9, 3, 1)]
     combined = build_intersection(members)
-    word = (0,) * 16  # violates both; member 0 must win the tie
+    word = bytes((0,) * 16)  # violates both; member 0 must win the tie
     image = combined.shrink(word)
     assert image[-1] == 0  # tag of member 0
     assert combined.unshrink(image) == word
@@ -355,7 +361,7 @@ def test_intersection_uses_second_member_when_first_passes():
     members = [_mw_shrink(16, 10, 2, 1), _mp_shrink(16, 9, 3, 1)]
     combined = build_intersection(members)
     # alternating word: every 10-window has weight 5, but period 2 < 3
-    word = (0, 1) * 8
+    word = bytes((0, 1) * 8)
     assert members[0].satisfies(word)
     assert not members[1].satisfies(word)
     image = combined.shrink(word)
@@ -379,6 +385,7 @@ def test_intersection_scans_each_member_once_up_to_the_one_that_fires():
     combined = build_intersection([counted(idx, m) for idx, m in enumerate(members)])
     # (01)^8 has weight 5 or more in every 11- and 12-window, but period 2 < 3
     for word, fired in [((0,) * 16, 0), ((0, 1) * 8, 1)]:
+        word = bytes(word)
         calls[:] = [0] * len(members)
         image = combined.shrink(word)
         assert calls == [1] * (fired + 1) + [0] * (len(members) - fired - 1)
@@ -394,14 +401,14 @@ def test_intersection_rejects_wrong_slack():
 def test_intersection_rejects_out_of_range_tag():
     members = [_mw_shrink(16, 11, 2, 2), _mp_shrink(16, 10, 3, 2), _mw_shrink(16, 12, 2, 2)]
     combined = build_intersection(members)
-    image = combined.shrink((0,) * 16)
+    image = combined.shrink(bytes((0,) * 16))
     with pytest.raises(NotACodeword):
-        combined.unshrink(image[:-2] + (1, 1))  # tag 3 with only 3 members
+        combined.unshrink(image[:-2] + bytes((1, 1)))  # tag 3 with only 3 members
 
 
 def test_single_member_intersection_has_empty_tag():
     single = build_intersection([_mw_shrink(16, 9, 2, 0)])
-    word = (0,) * 16
+    word = bytes((0,) * 16)
     assert single.shrink(word) == _mw_shrink(16, 9, 2, 0).shrink(word)
     assert single.unshrink(single.shrink(word)) == word
 
@@ -410,9 +417,9 @@ def test_three_member_intersection_tag_width():
     members = [_mw_shrink(16, 11, 2, 2), _mp_shrink(16, 10, 3, 2), _mw_shrink(16, 12, 2, 2)]
     combined = build_intersection(members)
     assert combined.target_len == 15
-    word = (0,) * 16
+    word = bytes((0,) * 16)
     image = combined.shrink(word)
-    assert image[-2:] == (0, 0)  # two-symbol tag for three members
+    assert tuple(image[-2:]) == (0, 0)  # two-symbol tag for three members
     assert combined.unshrink(image) == word
 
 
@@ -424,8 +431,8 @@ def _even_weight_codec():
     The step map is an arbitrary injective table from the odd-weight words
     into words not ending 11; convergence needs nothing else.
     """
-    odd = sorted(w for w in product((0, 1), repeat=4) if sum(w) % 2)
-    pool = sorted(w for w in product((0, 1), repeat=4) if w[2:] != (1, 1))[: len(odd)]
+    odd = sorted(bytes(w) for w in product((0, 1), repeat=4) if sum(w) % 2)
+    pool = sorted(bytes(w) for w in product((0, 1), repeat=4) if w[2:] != (1, 1))[: len(odd)]
     step_map = dict(zip(odd, pool))
     back_map = {v: k for k, v in step_map.items()}
 
@@ -437,9 +444,9 @@ def _even_weight_codec():
 
     return CodecSpec(
         q=2, n=4, k=2,
-        embed=lambda x: x + (1, 1),
+        embed=lambda x: x + type(x)((1, 1)),
         unembed=lambda y: y[:2],
-        is_start=lambda y: y[2:] == (1, 1),
+        is_start=lambda y: tuple(y[2:]) == (1, 1),
         step=lambda y: step_map[y],
         step_back=step_back,
         satisfies=lambda y: sum(y) % 2 == 0,
@@ -539,16 +546,16 @@ def test_codec_with_wrapped_satisfies_and_step_encodes_the_same():
 def test_step_matches_a_fresh_shrink_whatever_was_checked_before():
     shrink = _mw_shrink(16, 9, 2, 0)
     codec = build_one_symbol(shrink)
-    light = (0,) * 16  # first light 9-window starts at 0
-    late = (1,) * 8 + (0,) * 8  # ... and here at 7
+    light = bytes((0,) * 16)  # first light 9-window starts at 0
+    late = bytes((1,) * 8 + (0,) * 8)  # ... and here at 7
     assert shrink.first_violation(light) == 0 and shrink.first_violation(late) == 7
-    image = {word: shrink.shrink(word) + (0,) for word in (light, late)}
+    image = {word: shrink.shrink(word) + bytes((0,)) for word in (light, late)}
 
     assert codec.step(late) == image[late]  # never checked
-    twin = tuple(list(light))
+    twin = bytes(bytearray(light))
     assert twin == light and twin is not light
     assert not codec.satisfies(light)
-    assert codec.step(twin) == image[light]  # equal but distinct tuple
+    assert codec.step(twin) == image[light]  # equal but distinct bytes object
     assert not codec.satisfies(light) and not codec.satisfies(late)
     assert codec.step(light) == image[light]  # checked just after another word
     assert not codec.satisfies(light)
@@ -561,7 +568,7 @@ def test_a_check_run_inside_another_check_keeps_each_witness_with_its_word():
     # never pair one word with the other's witness
     shrink = _mw_shrink(16, 9, 2, 0)
     find = shrink.first_violation
-    light, late = (0,) * 16, (1,) * 8 + (0,) * 8
+    light, late = bytes((0,) * 16), bytes((1,) * 8 + (0,) * 8)
 
     def first_violation(word):
         if word is light:
@@ -570,13 +577,13 @@ def test_a_check_run_inside_another_check_keeps_each_witness_with_its_word():
 
     codec = build_one_symbol(replace(shrink, first_violation=first_violation))
     assert not codec.satisfies(light)
-    assert codec.step(late) == shrink.shrink(late) + (0,)
-    assert codec.step(light) == shrink.shrink(light) + (0,)
+    assert codec.step(late) == shrink.shrink(late) + bytes((0,))
+    assert codec.step(light) == shrink.shrink(light) + bytes((0,))
 
 
 def test_step_on_a_satisfying_word_raises_right_after_satisfies():
     codec = build_one_symbol(_mw_shrink(16, 9, 2, 0))
-    word = (1,) * 16
+    word = bytes((1,) * 16)
     assert codec.satisfies(word)
     with pytest.raises(ValueError, match="^shrink called on a word that satisfies the constraint$"):
         codec.step(word)
@@ -586,11 +593,12 @@ def test_a_list_changed_after_satisfies_is_scanned_again():
     shrink = _mw_shrink(16, 9, 2, 0)
     cut = shrink.cut
     # a cut that takes any sequence, so that step runs on a list at all
-    codec = build_one_symbol(replace(shrink, cut=lambda word, witness: cut(tuple(word), witness)))
-    word = [0] * 16
-    assert not codec.satisfies(word)  # witness 0
-    word[:8] = [1] * 8  # now the first light window starts at 7
-    assert codec.step(word) == shrink.shrink(tuple(word)) + (0,)
+    codec = build_one_symbol(replace(shrink, cut=lambda word, witness: cut(bytes(word), witness)))
+    # a bytearray, the engine's mutable word, is never trusted to the slot either
+    for word in ([0] * 16, bytearray(16)):
+        assert not codec.satisfies(word)  # witness 0
+        word[:8] = [1] * 8  # now the first light window starts at 7
+        assert codec.step(word) == shrink.shrink(bytes(word)) + bytes((0,))
 
 
 @pytest.mark.parametrize(
@@ -629,3 +637,110 @@ def test_threads_sharing_one_codec_match_a_serial_run(text):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert threaded == serial
+
+
+# --- the public boundary: tuples out, whatever symbol sequence goes in ---------
+
+# every registry spec that builds at n = 16 over q = 2 or at n = 8 over q = 4
+# (mw, lab and ab are binary only, and mpl's windows do not fit n = 8 at q = 4)
+BOUNDARY_SPECS = [
+    ("mw:n=16,l=9,p=2", 2),
+    ("lab:n=16,l=12,wmin=2,wmax=10", 2),
+    ("mp:n=16,l=8,p=3", 2),
+    ("enp:n=16,l=10", 2),
+    ("mpl:n=16", 2),
+    ("rf:n=16,l=9", 2),
+    ("srf:n=16,l=9,beta=10", 2),
+    ("ab:n=16", 2),
+    ("mp:n=8,l=6,p=3", 4),
+    ("enp:n=8,l=8,rc=1", 4),
+    ("rf:n=8,l=5", 4),
+    ("srf:n=8,l=5,beta=1032", 4),
+    ("rss:n=8,l=5", 4),
+    ("ss:n=8", 4),
+]
+
+
+@pytest.mark.parametrize("text, q", BOUNDARY_SPECS, ids=[text for text, _ in BOUNDARY_SPECS])
+def test_every_input_sequence_type_gives_the_same_tuples(text, q):
+    codec = build_codec(parse_spec(text), q)
+    stepped = 0
+    for payload in product(range(q), repeat=codec.k):
+        word, stats = encode(codec, payload)
+        assert type(word) is tuple and decode(codec, word) == payload
+        stepped += stats.iterations > 0
+        for kind in (list, bytes, bytearray):
+            assert encode(codec, kind(payload)) == (word, stats)
+            back = decode(codec, kind(word))
+            assert type(back) is tuple and back == payload
+    assert stepped > 0 or text.startswith("rss")  # rss:n=8 has no room for a pair
+
+
+def _spec_shrink(text, q):
+    spec = parse_spec(text)
+    if spec.name == "intersect":
+        tag = ceil_log(len(spec.members), q)
+        return build_intersection([build_shrink(member, q, tag) for member in spec.members])
+    return build_shrink(spec, q)
+
+
+def _sparse_symbol(rng):
+    return rng.randrange(4) if rng.randrange(6) == 0 else 0
+
+
+# shrink steps whose codecs walk several steps from low-entropy payloads, and
+# how a payload draws each symbol: an A/T payload is rich in
+# reverse-complement pairs
+VISITED_SHRINKS = {
+    "mw": (lambda: _spec_shrink("mw:n=64,l=13,p=2", 2), lambda rng: int(rng.randrange(6) == 0)),
+    "mp": (lambda: _spec_shrink("mp:n=64,l=10,p=3", 2), lambda rng: int(rng.randrange(6) == 0)),
+    "enp": (lambda: _spec_shrink("enp:n=64,l=14", 2), lambda rng: int(rng.randrange(6) == 0)),
+    "rf": (lambda: _spec_shrink("rf:n=64,l=13", 2), lambda rng: int(rng.randrange(6) == 0)),
+    "intersect": (
+        lambda: _spec_shrink("intersect:mw:n=64,l=14,p=2+mp:n=64,l=11,p=3", 2),
+        lambda rng: int(rng.randrange(6) == 0),
+    ),
+    "ab": (lambda: build_intersection(almost_balanced_shrink_pair(64)), lambda rng: int(rng.randrange(6) == 0)),
+    "rss-q4": (lambda: _spec_shrink("rss:n=64,l=7", 4), lambda rng: rng.choice((0, 3))),
+    "mp-q4": (lambda: _spec_shrink("mp:n=64,l=7,p=3", 4), _sparse_symbol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VISITED_SHRINKS))
+def test_visited_words_are_bytes_and_replay_through_their_shrink_step(name):
+    make, draw = VISITED_SHRINKS[name]
+    shrink = make()
+    codec = build_one_symbol(shrink)
+    rng = random.Random(len(name))
+    steps = 0
+    for _ in range(40):
+        payload = tuple(draw(rng) for _ in range(codec.k))
+        word, stats = encode(codec, payload, record_visited=True)
+        visited = stats.visited
+        assert all(type(w) is bytes and len(w) == codec.n for w in visited)
+        assert visited[0] == bytes(payload) + bytes((1,)) and tuple(visited[-1]) == word
+        for before, after in zip(visited, visited[1:]):
+            assert not shrink.satisfies(before)
+            assert shrink.shrink(before) + bytes((0,)) == after
+            assert shrink.unshrink(after[:-1]) == before
+        assert shrink.satisfies(visited[-1])
+        steps += stats.iterations
+        if name == "ab":
+            _check_ranking_takes_tuples(visited, codec.n)
+    assert steps >= 20
+
+
+def _check_ranking_takes_tuples(visited, n):
+    # the ranks the ab steps take, from the engine's bytes and from tuples alike
+    w_star = min_balanced_weight(n) - 1
+    for word in visited:
+        weight = word.count(1)
+        light = word if weight <= w_star else bytes(1 - s for s in word) if n - weight <= w_star else None
+        if light is None:
+            continue
+        rank = rank_weight_at_most(light, w_star)
+        assert rank_weight_at_most(tuple(light), w_star) == rank
+        assert unrank_weight_at_most(rank, n, w_star) == light
+        fixed = lex_rank_fixed_weight(light)
+        assert lex_rank_fixed_weight(tuple(light)) == fixed
+        assert lex_unrank_fixed_weight(fixed, n, sum(light)) == light

@@ -68,7 +68,7 @@ def test_window_finder_exhaustive_binary(name):
     coder = make()
     for word in words_up_to(2, 14):
         want = first_forbidden_window_ref(word, coder.window_len, forbidden)
-        assert first_forbidden_window(word, coder) == want, word
+        assert first_forbidden_window(bytes(word), coder) == want, word
 
 
 QUATERNARY_WINDOW_CASES = {
@@ -91,7 +91,7 @@ def test_window_finder_exhaustive_quaternary(name):
     coder = make()
     for word in words_up_to(4, 7):
         want = first_forbidden_window_ref(word, coder.window_len, forbidden)
-        assert first_forbidden_window(word, coder) == want, word
+        assert first_forbidden_window(bytes(word), coder) == want, word
 
 
 FLIP = (1, 0)
@@ -118,7 +118,7 @@ def test_pair_finder_exhaustive(name):
     q, max_len, ell, min_gap, keys, transform = PAIR_CASES[name]
     find = _pair_finder(q, ell, min_gap, keys)
     for word in words_up_to(q, max_len):
-        assert find(word) == first_pair_ref(word, ell, transform, min_gap), word
+        assert find(bytes(word)) == first_pair_ref(word, ell, transform, min_gap), word
 
 
 # --- seeded words at n = 256 and n = 1024 --------------------------------------
@@ -182,7 +182,7 @@ def test_window_finder_seeded(name):
     n = int(name.rpartition("-n")[2])
     for word in seeded_words(n, q, seed=n + len(name), per_kind=12):
         want = first_forbidden_window_ref(word, coder.window_len, forbidden)
-        assert first_forbidden_window(word, coder) == want, word
+        assert first_forbidden_window(bytes(word), coder) == want, word
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED_WINDOW_CASES))
@@ -191,11 +191,12 @@ def test_window_finder_takes_lists_and_short_words(name):
     coder = make()
     n = int(name.rpartition("-n")[2])
     for word in seeded_words(n, q, seed=n + len(name), per_kind=3):
-        assert first_forbidden_window(list(word), coder) == first_forbidden_window(word, coder)
+        # a bytearray, the mutable engine word, reads like the bytes word
+        assert first_forbidden_window(bytearray(word), coder) == first_forbidden_window(bytes(word), coder)
         # every prefix shorter than the window, the all-zero one included
         for length in (0, 1, coder.window_len // 2, coder.window_len - 1):
-            assert first_forbidden_window(word[:length], coder) is None
-            assert first_forbidden_window((0,) * length, coder) is None
+            assert first_forbidden_window(bytes(word[:length]), coder) is None
+            assert first_forbidden_window(bytes((0,) * length), coder) is None
 
 
 REVERSED_BYTES = tuple(range(255, -1, -1))
@@ -231,7 +232,7 @@ def test_palindrome_finder_planted(name):
         assert len(word) == n
         want = first_forbidden_window_ref(word, ell, lambda w: is_palindrome(w, comp))
         hits += want is not None
-        assert first_forbidden_window(word, coder) == want, word
+        assert first_forbidden_window(bytes(word), coder) == want, word
     assert hits >= 12
 
 
@@ -270,13 +271,14 @@ def test_weight_finder_wide_windows(name):
     for word in spliced_density_words(n, coder.window_len, seed=n + len(name), count=24):
         want = first_forbidden_window_ref(word, coder.window_len, forbidden)
         witnesses.add(want)
-        assert first_forbidden_window(word, coder) == want, word
-        assert first_forbidden_window(list(word), coder) == want
+        assert first_forbidden_window(bytes(word), coder) == want, word
+        assert first_forbidden_window(bytearray(word), coder) == want
     assert len(witnesses - {None}) >= 1 and len(witnesses) >= 2
 
 
 def shrink_witness(shrink, ell, word):
     """The pair (i, j) a window-pair shrink removed, read from its image."""
+    word = bytes(word)
     if shrink.satisfies(word):
         return None
     width = ceil_log(shrink.n, shrink.q)
@@ -343,7 +345,7 @@ def test_pair_finder_wide_windows(name):
         witnesses.add(want)
         assert shrink_witness(shrink, ell, word) == want, word
         if want is not None:
-            assert shrink.unshrink(shrink.shrink(word)) == word
+            assert tuple(shrink.unshrink(shrink.shrink(bytes(word)))) == word
     assert None in witnesses and len(witnesses) >= 6
 
 

@@ -93,7 +93,7 @@ def _outcome(fn, word) -> bytes:
 def test_codec_format_pinned(text, q, expected):
     codec = build_codec(parse_spec(text), q)
     digest = hashlib.sha256()
-    for word in all_words(q, codec.n):
+    for word in map(bytes, all_words(q, codec.n)):
         if not codec.satisfies(word):
             digest.update(bytes(codec.step(word)))
         if not codec.is_start(word):
@@ -108,12 +108,12 @@ def test_reverse_complement_pair_format_pinned():
     shrink = reverse_complement_shrink(10, 5)
     digest = hashlib.sha256()
     for head in all_words(4, 5):
-        image = shrink.shrink(head + reverse_complement(head))
+        image = shrink.shrink(bytes(head + reverse_complement(head)))
         digest.update(bytes(image) + b"|" + _outcome(shrink.unshrink, image))
     # every index pair under two fixed bodies: in-range, overlapping, past the end
     for rest in ((0, 1, 2, 3, 0), (3, 3, 1, 0, 2)):
         for fields in all_words(4, 4):
-            digest.update(_outcome(shrink.unshrink, rest + fields))
+            digest.update(_outcome(shrink.unshrink, bytes(rest + fields)))
     assert digest.hexdigest() == RC_PAIR_DIGEST
 
 

@@ -44,12 +44,12 @@ def bits(text):
 def test_repeat_free_shrink_all_zero():
     shrink = repeat_free_shrink(8, 7)
     # first repeated pair is windows 0 and 1; 3-bit indices 000 and 001
-    assert shrink.shrink((0,) * 8) == bits("0000001")
+    assert tuple(shrink.shrink(bytes((0,) * 8))) == bits("0000001")
 
 
 def test_repeat_free_unshrink_overlap_branch():
     shrink = repeat_free_shrink(8, 7)
-    assert shrink.unshrink(bits("0000001")) == (0,) * 8
+    assert tuple(shrink.unshrink(bytes(bits("0000001")))) == (0,) * 8
 
 
 def test_repeat_free_length_at_minimal_window():
@@ -69,36 +69,36 @@ def test_repeat_free_unshrink_copy_branch():
     shrink = repeat_free_shrink(16, 9)
     word = bits("1101101") + bits("110110111")  # windows 0 and 7 both 110110111
     assert word[0:9] == word[7:16]
-    image = shrink.shrink(word)
-    assert shrink.unshrink(image) == word
+    image = shrink.shrink(bytes(word))
+    assert tuple(shrink.unshrink(image)) == word
 
 
 def test_repeat_free_overlap_reconstruction_exhaustive_n8():
     shrink = repeat_free_shrink(8, 7)
     violating = 0
     for word in all_binary_words(8):
-        if shrink.satisfies(word):
+        if shrink.satisfies(bytes(word)):
             assert repeat_free_ok(word, 7)
             continue
         violating += 1
         i, j = minimal_repeat_pair(word, 7)
         assert j < i + 7  # length 8 admits only overlapping repeats
-        assert shrink.unshrink(shrink.shrink(word)) == word
+        assert tuple(shrink.unshrink(shrink.shrink(bytes(word)))) == word
     assert violating == 2  # only 0^8 and 1^8 repeat a 7-window
 
 
 def test_repeat_free_satisfies_matches_scan_n16():
     shrink = repeat_free_shrink(16, 9)
     for word in [(0,) * 16, (1,) * 16, bits("0110100110010110"), bits("0000000011111111")]:
-        assert shrink.satisfies(word) == repeat_free_ok(word, 9)
+        assert shrink.satisfies(bytes(word)) == repeat_free_ok(word, 9)
 
 
 def test_repeat_free_unshrink_rejects_bad_pair():
     shrink = repeat_free_shrink(8, 7)
     with pytest.raises(NotACodeword):
-        shrink.unshrink(bits("0001000"))  # i == j == 1
+        shrink.unshrink(bytes(bits("0001000")))  # i == j == 1
     with pytest.raises(NotACodeword):
-        shrink.unshrink(bits("0010000"))  # i=2 > j=0
+        shrink.unshrink(bytes(bits("0010000")))  # i=2 > j=0
 
 
 def test_symbolwise_repeat_free_flip_map():
@@ -107,11 +107,11 @@ def test_symbolwise_repeat_free_flip_map():
     shrink = repeat_free_shrink(16, 9, symbol_map=table)
     word = bits("0000000001111111") + ()
     # window at 0 is 0^9; its flip 1^9 never occurs, but window 7 = 0,1^8?
-    assert shrink.satisfies(word) == mapped_repeat_free_ok(word, 9, [table] * 9)
+    assert shrink.satisfies(bytes(word)) == mapped_repeat_free_ok(word, 9, [table] * 9)
     violating = bits("0000000001111111")
     # construct an explicit violation: 0^9 then 1^7 gives flip(w0)=1^9 vs w7=001111111? scan decides
     for candidate in [violating, bits("0101010101010101"), (0,) * 16]:
-        assert shrink.satisfies(candidate) == mapped_repeat_free_ok(candidate, 9, [table] * 9)
+        assert shrink.satisfies(bytes(candidate)) == mapped_repeat_free_ok(candidate, 9, [table] * 9)
 
 
 def test_symbolwise_repeat_free_roundtrip_on_violations():
@@ -119,9 +119,9 @@ def test_symbolwise_repeat_free_roundtrip_on_violations():
     shrink = repeat_free_shrink(12, 9, symbol_map=table)
     checked = 0
     for word in all_binary_words(12):
-        if not shrink.satisfies(word):
+        if not shrink.satisfies(bytes(word)):
             checked += 1
-            assert shrink.unshrink(shrink.shrink(word)) == word
+            assert tuple(shrink.unshrink(shrink.shrink(bytes(word)))) == word
     assert checked > 0
 
 
@@ -135,11 +135,11 @@ def test_per_position_repeat_free_roundtrip_exhaustive_n12():
     shrink = repeat_free_shrink(12, 9, symbol_map=_PER_POSITION)
     checked = 0
     for word in all_binary_words(12):
-        if shrink.satisfies(word):
+        if shrink.satisfies(bytes(word)):
             assert mapped_repeat_free_ok(word, 9, _PER_POSITION)
             continue
         checked += 1
-        assert shrink.unshrink(shrink.shrink(word)) == word
+        assert tuple(shrink.unshrink(shrink.shrink(bytes(word)))) == word
     assert checked > 0
 
 
@@ -156,7 +156,7 @@ def test_mapped_repeat_free_roundtrip_copy_branch(per_position):
         i = seed % 3
         j = i + ell + seed % (3 - i)
         word[j : j + ell] = [t[s] for t, s in zip(tables, word[i : i + ell])]
-        word = tuple(word)
+        word = bytes(word)
         i, j = shrink.first_violation(word)
         copied += j >= i + ell
         assert shrink.unshrink(shrink.shrink(word)) == word
@@ -192,17 +192,17 @@ def test_rc_shrink_detects_nonoverlapping_pair():
     shrink = reverse_complement_shrink(12, 5)
     head = (0, 0, 1, 2, 3)
     word = head + (0, 0) + reverse_complement(head)
-    assert not shrink.satisfies(word)
-    image = shrink.shrink(word)
+    assert not shrink.satisfies(bytes(word))
+    image = shrink.shrink(bytes(word))
     assert len(image) == 11
-    assert shrink.unshrink(image) == word
+    assert tuple(shrink.unshrink(image)) == word
 
 
 def test_rc_shrink_unshrink_rejects_bad_pair():
     # n=12, ell=5, q=4: 7 surviving symbols, then i and j in two base-4 digits each
     shrink = reverse_complement_shrink(12, 5)
     rest = (0, 1, 2, 3, 0, 1, 2)
-    assert len(shrink.unshrink(rest + (0, 0, 1, 1))) == 12  # (0, 5) is a valid pair
+    assert len(shrink.unshrink(bytes(rest + (0, 0, 1, 1)))) == 12  # (0, 5) is a valid pair
     for fields in [
         (0, 0, 0, 2),  # i=0, j=2 overlaps: i < j < i + ell
         (0, 1, 1, 1),  # i=1, j=5 overlaps at the last symbol
@@ -210,19 +210,19 @@ def test_rc_shrink_unshrink_rejects_bad_pair():
         (1, 0, 0, 0),  # i=4 > j=0
     ]:
         with pytest.raises(NotACodeword):
-            shrink.unshrink(rest + fields)
+            shrink.unshrink(bytes(rest + fields))
 
 
 def test_rc_shrink_ignores_overlapping_pairs():
     shrink = reverse_complement_shrink(12, 5)
     for word in [(0,) * 12, (0, 3) * 6, (1, 2, 1, 2) * 3]:
-        assert shrink.satisfies(word) == rc_pair_free(word, 5, require_gap=True)
+        assert shrink.satisfies(bytes(word)) == rc_pair_free(word, 5, require_gap=True)
 
 
 def test_rc_shrink_roundtrip_exhaustive_n8_ell5():
     # at n=8 no non-overlapping pair fits, so the constraint is vacuous
     shrink = reverse_complement_shrink(8, 5)
-    assert all(shrink.satisfies(w) for w in product(range(4), repeat=8))
+    assert all(shrink.satisfies(bytes(w)) for w in product(range(4), repeat=8))
 
 
 def test_rc_shrink_roundtrip_sampled_n10():
@@ -231,9 +231,9 @@ def test_rc_shrink_roundtrip_sampled_n10():
     for word in product(range(4), repeat=10):
         if word[0] or word[1]:  # deterministic 1/16 slice of the space
             continue
-        if not shrink.satisfies(word):
+        if not shrink.satisfies(bytes(word)):
             checked += 1
-            assert shrink.unshrink(shrink.shrink(word)) == word
+            assert tuple(shrink.unshrink(shrink.shrink(bytes(word)))) == word
     assert checked > 0
 
 
@@ -302,7 +302,7 @@ def test_rank_unrank_bijection_exhaustive():
     assert len(members) == 697
     for rank, word in enumerate(members):
         assert rank_weight_at_most(word, 3) == rank
-        assert unrank_weight_at_most(rank, 16, 3) == word
+        assert tuple(unrank_weight_at_most(rank, 16, 3)) == word
 
 
 def test_rank_rejects_overweight_word():
@@ -326,12 +326,12 @@ def test_almost_balanced_members():
     floor_member, ceiling_member = almost_balanced_shrink_pair(16)
     assert floor_member.target_len == ceiling_member.target_len == 14
     # too-light word violates the floor member and packs to rank 0
-    assert not floor_member.satisfies((0,) * 16)
-    assert floor_member.shrink((0,) * 16) == (0,) * 14
+    assert not floor_member.satisfies(bytes((0,) * 16))
+    assert tuple(floor_member.shrink(bytes((0,) * 16))) == (0,) * 14
     # too-heavy word violates the ceiling member
-    assert not ceiling_member.satisfies((1,) * 16)
-    assert ceiling_member.satisfies((0,) * 16)
-    assert ceiling_member.unshrink(ceiling_member.shrink((1,) * 16)) == (1,) * 16
+    assert not ceiling_member.satisfies(bytes((1,) * 16))
+    assert ceiling_member.satisfies(bytes((0,) * 16))
+    assert tuple(ceiling_member.unshrink(ceiling_member.shrink(bytes((1,) * 16)))) == (1,) * 16
 
 
 def test_almost_balanced_members_match_exact_square_test():
@@ -340,7 +340,7 @@ def test_almost_balanced_members_match_exact_square_test():
     for n in range(5, 301):
         floor_member, ceiling_member = almost_balanced_shrink_pair(n)
         for w in range(n + 1):
-            word = (1,) * w + (0,) * (n - w)
+            word = bytes((1,) * w + (0,) * (n - w))
             light, heavy = n - 2 * w, 2 * w - n
             assert floor_member.satisfies(word) == (light <= 0 or light * light <= 4 * n)
             assert ceiling_member.satisfies(word) == (heavy <= 0 or heavy * heavy <= 4 * n)

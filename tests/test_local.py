@@ -38,24 +38,24 @@ def bits(text):
 
 def test_min_weight_pack_single_one():
     coder = min_weight_coder(16, 9, 2)
-    assert coder.pack(bits("000010000")) == bits("0100")
+    assert tuple(coder.pack(bytes(bits("000010000")))) == bits("0100")
 
 
 def test_min_weight_pack_dummy_for_all_zero():
     coder = min_weight_coder(16, 9, 2)
-    assert coder.pack(bits("000000000")) == bits("1001")  # dummy position 9
+    assert tuple(coder.pack(bytes(bits("000000000")))) == bits("1001")  # dummy position 9
 
 
 def test_min_weight_unpack():
     coder = min_weight_coder(16, 9, 2)
-    assert coder.unpack(bits("0100")) == bits("000010000")
-    assert coder.unpack(bits("1001")) == bits("000000000")
+    assert tuple(coder.unpack(bytes(bits("0100")))) == bits("000010000")
+    assert tuple(coder.unpack(bytes(bits("1001")))) == bits("000000000")
 
 
 def test_min_weight_unpack_rejects_position_past_dummy():
     coder = min_weight_coder(16, 9, 2)
     with pytest.raises(NotACodeword):
-        coder.unpack(bits("1010"))  # 10 > dummy 9
+        coder.unpack(bytes(bits("1010")))  # 10 > dummy 9
 
 
 def test_min_weight_accepts_exact_bound():
@@ -74,12 +74,12 @@ def test_min_weight_pack_roundtrip_exhaustive():
     members = 0
     images = set()
     for window in all_binary_words(9):
-        if not coder.is_forbidden(window):
+        if not coder.is_forbidden(bytes(window)):
             continue
         members += 1
-        packed = coder.pack(window)
+        packed = coder.pack(bytes(window))
         assert len(packed) == coder.packed_len
-        assert coder.unpack(packed) == window
+        assert tuple(coder.unpack(packed)) == window
         images.add(packed)
     assert members == 1 + 9  # weight 0 plus weight 1
     assert len(images) == members
@@ -90,25 +90,25 @@ def test_min_weight_pack_roundtrip_exhaustive():
 def test_weight_window_count():
     # C(12,0)+C(12,1)+C(12,11)+C(12,12) = 26 forbidden windows
     coder = weight_window_coder(16, 12, 2, 10)
-    forbidden = [w for w in all_binary_words(12) if coder.is_forbidden(w)]
+    forbidden = [w for w in all_binary_words(12) if coder.is_forbidden(bytes(w))]
     assert len(forbidden) == 26
 
 
 def test_weight_window_rank_order_starts_at_zero():
     coder = weight_window_coder(16, 12, 2, 10)
-    assert coder.pack((0,) * 12) == (0,) * 7  # lowest weight, lexicographically first
+    assert tuple(coder.pack(bytes((0,) * 12))) == (0,) * 7  # lowest weight, lexicographically first
 
 
 def test_weight_window_rank_matches_sorted_enumeration():
     coder = weight_window_coder(16, 12, 2, 10)
     forbidden = sorted(
-        (w for w in all_binary_words(12) if coder.is_forbidden(w)),
+        (w for w in all_binary_words(12) if coder.is_forbidden(bytes(w))),
         key=lambda w: (sum(w), w),
     )
     for rank, window in enumerate(forbidden):
-        packed = coder.pack(window)
+        packed = tuple(coder.pack(bytes(window)))
         assert int("".join(map(str, packed)), 2) == rank
-        assert coder.unpack(packed) == window
+        assert tuple(coder.unpack(bytes(packed))) == window
 
 
 def test_weight_window_rejects_overfull_set():
@@ -121,7 +121,7 @@ def test_weight_window_rejects_overfull_set():
 def test_weight_window_unpack_rejects_rank_past_end():
     coder = weight_window_coder(16, 12, 2, 10)
     with pytest.raises(NotACodeword):
-        coder.unpack(bits("0011010"))  # rank 26 == |W|
+        coder.unpack(bytes(bits("0011010")))  # rank 26 == |W|
 
 
 # --- minimal period ----------------------------------------------------------
@@ -151,22 +151,22 @@ def test_minimal_period_oracle_quaternary(symbols):
 
 def test_min_period_pack():
     coder = min_period_coder(16, 8, 3)
-    assert coder.pack(bits("01010101")) == bits("011")
-    assert coder.pack(bits("00000000")) == bits("010")
+    assert tuple(coder.pack(bytes(bits("01010101")))) == bits("011")
+    assert tuple(coder.pack(bytes(bits("00000000")))) == bits("010")
 
 
 def test_min_period_unpack_extends_seed():
     coder = min_period_coder(16, 8, 3)
-    assert coder.unpack(bits("011")) == bits("01010101")
-    assert coder.unpack(bits("010")) == bits("00000000")
+    assert tuple(coder.unpack(bytes(bits("011")))) == bits("01010101")
+    assert tuple(coder.unpack(bytes(bits("010")))) == bits("00000000")
 
 
 def test_min_period_unpack_rejects_missing_marker():
     coder = min_period_coder(16, 8, 3)
     with pytest.raises(NotACodeword):
-        coder.unpack(bits("000"))
+        coder.unpack(bytes(bits("000")))
     with pytest.raises(NotACodeword):
-        coder.unpack(bits("100"))  # marker in first slot leaves no seed
+        coder.unpack(bytes(bits("100")))  # marker in first slot leaves no seed
 
 
 def test_min_period_bounds():
@@ -177,18 +177,18 @@ def test_min_period_bounds():
 
 def test_min_period_pack_roundtrip_exhaustive():
     coder = min_period_coder(16, 8, 3)
-    forbidden = [w for w in all_binary_words(8) if coder.is_forbidden(w)]
+    forbidden = [w for w in all_binary_words(8) if coder.is_forbidden(bytes(w))]
     # minimal period 1 or 2: 0^8, 1^8, (01)^4, (10)^4
     assert len(forbidden) == 4
     for window in forbidden:
-        assert coder.unpack(coder.pack(window)) == window
+        assert tuple(coder.unpack(coder.pack(bytes(window)))) == window
 
 
 def test_min_period_forbidden_matches_definition():
     coder = min_period_coder(16, 8, 3)
     for window in all_binary_words(8):
         direct = any(has_period(window, p) for p in (1, 2))
-        assert coder.is_forbidden(window) == direct
+        assert coder.is_forbidden(bytes(window)) == direct
 
 
 # --- no-palindrome coder -----------------------------------------------------
@@ -197,19 +197,19 @@ def test_no_palindrome_detects_and_packs():
     coder = no_palindrome_coder(16, 10)
     window = bits("0110110110")
     assert window == tuple(reversed(window))
-    assert coder.is_forbidden(window)
-    assert coder.pack(window) == bits("01101")
+    assert coder.is_forbidden(bytes(window))
+    assert tuple(coder.pack(bytes(window))) == bits("01101")
 
 
 def test_no_palindrome_unpack_mirrors():
     coder = no_palindrome_coder(16, 10)
-    assert coder.unpack(bits("01101")) == bits("0110110110")
+    assert tuple(coder.unpack(bytes(bits("01101")))) == bits("0110110110")
 
 
 def test_no_palindrome_dna_reverse_complement():
     coder = no_palindrome_coder(4, 4, comp=(3, 2, 1, 0), q=4)
-    assert coder.is_forbidden((0, 1, 2, 3))  # ACGT
-    assert not coder.is_forbidden((0, 1, 2, 2))
+    assert coder.is_forbidden(bytes((0, 1, 2, 3)))  # ACGT
+    assert not coder.is_forbidden(bytes((0, 1, 2, 2)))
 
 
 def test_no_palindrome_bounds():
@@ -221,20 +221,20 @@ def test_no_palindrome_bounds():
 def test_no_palindrome_odd_length_fixed_point_free_is_empty():
     coder = no_palindrome_coder(8, 9, comp=(3, 2, 1, 0), q=4)
     assert not any(
-        coder.is_forbidden(w) for w in product(range(4), repeat=9)
+        coder.is_forbidden(bytes(w)) for w in product(range(4), repeat=9)
         if w[:4] == (0, 0, 0, 0)  # spot slice; middle symbol can never match
     )
     # the degenerate coder is still usable: no window is ever forbidden
-    assert not coder.is_forbidden((0,) * 9)
+    assert not coder.is_forbidden(bytes((0,) * 9))
 
 
 def test_no_palindrome_pack_roundtrip_exhaustive():
     coder = no_palindrome_coder(16, 10)
     count = 0
     for window in all_binary_words(10):
-        if coder.is_forbidden(window):
+        if coder.is_forbidden(bytes(window)):
             count += 1
-            assert coder.unpack(coder.pack(window)) == window
+            assert tuple(coder.unpack(coder.pack(bytes(window)))) == window
     assert count == 2 ** 5  # palindromes are free in their first half
 
 
@@ -248,8 +248,8 @@ def test_min_weight_p1_forbids_only_zero_window():
     # single forbidden window and packs into zero symbols
     coder = min_weight_coder(12, 5, 1)
     assert coder.packed_len == 0
-    assert coder.pack((0,) * 5) == ()
-    assert coder.unpack(()) == (0,) * 5
+    assert tuple(coder.pack(bytes((0,) * 5))) == ()
+    assert tuple(coder.unpack(bytes(()))) == (0,) * 5
     from parcodec import build_one_symbol, exhaustive_roundtrip
 
     codec = build_one_symbol(forbidden_window_shrink(coder, 12))
@@ -263,11 +263,11 @@ def test_min_weight_p1_forbids_only_zero_window():
 
 def test_listed_windows_two_element():
     coder = listed_window_coder([(0, 0, 0), (1, 1, 1)], n=2, ell=3)
-    assert coder.pack((0, 0, 0)) == (0,)
-    assert coder.pack((1, 1, 1)) == (1,)
-    assert coder.unpack((1,)) == (1, 1, 1)
-    assert coder.is_forbidden((0, 0, 0))
-    assert not coder.is_forbidden((0, 1, 0))
+    assert tuple(coder.pack(bytes((0, 0, 0)))) == (0,)
+    assert tuple(coder.pack(bytes((1, 1, 1)))) == (1,)
+    assert tuple(coder.unpack(bytes((1,)))) == (1, 1, 1)
+    assert coder.is_forbidden(bytes((0, 0, 0)))
+    assert not coder.is_forbidden(bytes((0, 1, 0)))
 
 
 def test_listed_windows_over_capacity():
@@ -284,43 +284,43 @@ def test_listed_windows_derives_width_from_n():
 
 def test_first_forbidden_window_none_when_clean():
     coder = min_weight_coder(16, 9, 2)
-    assert first_forbidden_window((1,) * 16, coder) is None
+    assert first_forbidden_window(bytes((1,) * 16), coder) is None
     # 1^9 0^7: every window still holds two ones
-    assert first_forbidden_window(bits("1111111110000000"), coder) is None
+    assert first_forbidden_window(bytes(bits("1111111110000000")), coder) is None
 
 
 def test_first_forbidden_window_leftmost():
     coder = min_weight_coder(16, 9, 2)
-    assert first_forbidden_window((0,) * 16, coder) == 0
-    assert first_forbidden_window(bits("1100000000000000"), coder) == 1
+    assert first_forbidden_window(bytes((0,) * 16), coder) == 0
+    assert first_forbidden_window(bytes(bits("1100000000000000")), coder) == 1
 
 
 def test_shrink_layout_for_all_zero_word():
     shrink = forbidden_window_shrink(min_weight_coder(16, 9, 2), 16)
     # suffix 0^7, index 0 in 4 bits, dummy-packed window in 4 bits
-    assert shrink.shrink((0,) * 16) == bits("000000000001001")
+    assert tuple(shrink.shrink(bytes((0,) * 16))) == bits("000000000001001")
 
 
 def test_shrink_pads_when_packed_field_is_short():
     # no-palindrome at ell=12, slack 0: content is 16-12+4+6 = 14, padded to 15
     shrink = forbidden_window_shrink(no_palindrome_coder(16, 12), 16)
-    image = shrink.shrink((0,) * 16)
+    image = shrink.shrink(bytes((0,) * 16))
     assert len(image) == 15
-    assert shrink.unshrink(image) == (0,) * 16
+    assert tuple(shrink.unshrink(image)) == (0,) * 16
 
 
 def test_unshrink_rejects_nonzero_padding():
     shrink = forbidden_window_shrink(no_palindrome_coder(16, 12), 16)
-    image = shrink.shrink((0,) * 16)
+    image = shrink.shrink(bytes((0,) * 16))
     with pytest.raises(NotACodeword):
-        shrink.unshrink(image[:-1] + (1,))
+        shrink.unshrink(image[:-1] + bytes((1,)))
 
 
 def test_unshrink_rejects_out_of_range_index():
     shrink = forbidden_window_shrink(min_weight_coder(16, 9, 2), 16)
-    image = shrink.shrink((0,) * 16)
+    image = shrink.shrink(bytes((0,) * 16))
     # overwrite the index field (positions 7..10) with 15 > n - ell = 7
-    bad = image[:7] + (1, 1, 1, 1) + image[11:]
+    bad = image[:7] + bytes((1, 1, 1, 1)) + image[11:]
     with pytest.raises(NotACodeword):
         shrink.unshrink(bad)
 

@@ -56,7 +56,7 @@ def _colliding_codec():
     """No steps; payloads (0, 0) and (0, 1) both embed to the codeword 001."""
     return CodecSpec(
         q=2, n=3, k=2,
-        embed=lambda x: (0, 0, 1) if x == (0, 1) else x + (1,),
+        embed=lambda x: type(x)((0, 0, 1)) if tuple(x) == (0, 1) else x + type(x)((1,)),
         unembed=lambda y: y[:-1],
         is_start=lambda y: y[-1] == 1,
         step=lambda y: y,
@@ -95,19 +95,19 @@ def test_graph_counts_constraint_words():
 def _faulty_codec():
     """Deliberately corrupt step: two words map to one target, forming a cycle."""
     table = {
-        (0, 0): (1, 0),
-        (1, 0): (1, 0),  # collides with the image of (0, 0) and self-loops
-        (0, 1): (0, 0),
+        bytes((0, 0)): bytes((1, 0)),
+        bytes((1, 0)): bytes((1, 0)),  # collides with the image of (0, 0) and self-loops
+        bytes((0, 1)): bytes((0, 0)),
     }
 
     return CodecSpec(
         q=2, n=2, k=1,
-        embed=lambda x: x + (1,),
+        embed=lambda x: x + type(x)((1,)),
         unembed=lambda y: y[:-1],
         is_start=lambda y: y[-1] == 1,
         step=lambda y: table[y],
         step_back=lambda y: y,
-        satisfies=lambda y: y == (1, 1),
+        satisfies=lambda y: tuple(y) == (1, 1),
     )
 
 
@@ -189,7 +189,7 @@ def test_shrink_injectivity_flags_collisions():
     constant = ShrinkStep(
         q=2, n=8, slack=0,
         first_violation=inner.first_violation,
-        cut=lambda w, witness: (0,) * 7,
+        cut=lambda w, witness: bytes((0,) * 7),
         unshrink=inner.unshrink,
     )
     report = check_shrink_injective(constant)

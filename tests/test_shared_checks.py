@@ -82,7 +82,7 @@ def _set_field(word, start, width, value, q):
 )
 def test_decoded_field_rejected_at_its_limit_only(shrink, word, edits, field, limit, what):
     q = shrink.q
-    image = shrink.shrink(word)
+    image = shrink.shrink(bytes(word))
     for edit in edits:
         image = _set_field(image, *edit, q)
     start, width = field
@@ -155,10 +155,10 @@ def test_flat_numpy_symbol_map_is_one_table_for_every_position():
     plain = repeat_free_shrink(N, 9, symbol_map=(1, 0))
     for symbol_map in (np.array([1, 0]), (np.int64(1), np.int64(0))):
         shrink = repeat_free_shrink(N, 9, symbol_map=symbol_map)
-        assert shrink.first_violation(word) == plain.first_violation(word) == (0, 7)
-        image = shrink.shrink(word)
-        assert image == plain.shrink(word)
-        restored = shrink.unshrink(image)
+        assert shrink.first_violation(bytes(word)) == plain.first_violation(bytes(word)) == (0, 7)
+        image = shrink.shrink(bytes(word))
+        assert image == plain.shrink(bytes(word))
+        restored = tuple(shrink.unshrink(image))
         assert restored == word and all(type(s) is int for s in restored)
 
 

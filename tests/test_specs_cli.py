@@ -493,11 +493,11 @@ def _encode_argv(tmp_path, lines: int) -> list[str]:
     return ["encode", "--spec", "mw:n=16,l=9,p=2", "--input", str(src), "--output", str(tmp_path / "out.txt")]
 
 
-def _traced_peak(argv) -> int:
-    """tracemalloc peak, in bytes, of one in-process CLI run."""
+def _traced_peak(argv, code: int = 0) -> int:
+    """tracemalloc peak, in bytes, of one in-process CLI run that exits with ``code``."""
     tracemalloc.start()
     try:
-        assert run_cli(argv) == 0
+        assert run_cli(argv) == code
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -508,3 +508,84 @@ def test_cli_memory_does_not_grow_with_the_stream(tmp_path):
     # a first run fills what a process keeps once: the parser, codec tables, free lists
     assert run_cli(short) == 0
     assert _traced_peak(long) <= _traced_peak(short) + 64 * 1024
+
+
+def test_cli_dna_gives_the_library_codewords_byte_for_byte(tmp_path):
+    from parcodec.words import text_to_word, word_to_text
+
+    rng = __import__("random").Random(4)
+    for text in ("ss:n=16", "rf:n=16,l=5", "mp:n=16,l=6,p=3"):
+        codec = build_codec(parse_spec(text), 4)
+        # half the payloads mostly A, so that some words take steps
+        payloads = [
+            tuple(rng.randrange(4) if i % 2 or rng.randrange(5) == 0 else 0 for _ in range(codec.k))
+            for i in range(60)
+        ]
+        src, mid, dst = tmp_path / "in.txt", tmp_path / "mid.txt", tmp_path / "out.txt"
+        src.write_text("".join(word_to_text(p, "dna") + "\n" for p in payloads))
+        common = ["--spec", text, "--q", "4", "--format", "dna"]
+        assert run_cli(["encode", *common, "--input", str(src), "--output", str(mid)]) == 0
+        words = [encode(codec, p) for p in payloads]
+        assert any(stats.iterations for _, stats in words)
+        assert mid.read_bytes() == "".join(word_to_text(w, "dna") + "\n" for w, _ in words).encode("ascii")
+        assert run_cli(["decode", *common, "--input", str(mid), "--output", str(dst)]) == 0
+        assert dst.read_bytes() == src.read_bytes()
+        assert [text_to_word(line, "dna") for line in dst.read_text().split()] == payloads
+
+
+def test_cli_overwrites_a_longer_target_to_exactly_the_new_output(tmp_path, capsys):
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("111111111111111\n")
+    old = "#" * 50_000 + "\n"
+    out.write_text(old)
+    argv = ["encode", "--spec", "mw:n=16,l=9,p=2", "--input", str(src), "--output", str(out)]
+    # a failed run leaves the long target as it was
+    src.write_text("111111111111111\n0101\n")
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith("error: line 2:")
+    assert out.read_text() == old
+    src.write_text("111111111111111\n")
+    assert run_cli(argv) == 0
+    assert out.read_bytes() == b"1111111111111111\n"
+
+
+LONG = 2_000_000  # characters in one long input line
+
+
+@pytest.mark.parametrize(
+    "command, short",
+    [("encode", "1" * 15), ("decode", "1" * 16), ("check", "1" * 16)],
+)
+@pytest.mark.parametrize("kind", ["data", "comment", "blank"])
+def test_cli_memory_per_line_is_bounded(tmp_path, command, short, kind):
+    src = tmp_path / "in.txt"
+    argv = [command, "--spec", "mw:n=16,l=9,p=2", "--input", str(src), "--output", str(tmp_path / "out.txt")]
+    src.write_text(f"{short}\n")
+    assert run_cli(argv) == 0  # a first run fills what a process keeps once
+    baseline = _traced_peak(argv)
+    long_line = {"data": "1" * LONG, "comment": "#" + "1" * LONG, "blank": " " * LONG}[kind]
+    src.write_text(f"{short}\n{long_line}\n{short}\n")
+    assert _traced_peak(argv, 1 if kind == "data" else 0) <= baseline + 256 * 1024
+
+
+def test_cli_refuses_an_overlong_data_line_by_its_number(tmp_path, capsys):
+    from parcodec.cli import LINE_ROOM
+
+    src = tmp_path / "in.txt"
+    argv = ["decode", "--spec", "mw:n=16,l=9,p=2", "--input", str(src)]
+    # a line of exactly the limit, the word plus LINE_ROOM blanks, is read as usual
+    src.write_text("1" * 16 + " " * (LINE_ROOM - 1) + "\n" + " " * LINE_ROOM + "1" * 16 + "\n")
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == "111111111111111\n" * 2
+    for long_line in ("1" * 16 + " " * (LINE_ROOM + 1), " " * (LINE_ROOM + 1) + "1" * 16, "1" * 100_000):
+        src.write_text(f"# header\n{'1' * 16}\n{long_line}\n{'1' * 16}\n")
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: line 3: line longer than {16 + LINE_ROOM} characters, expected a codeword of 16 symbols\n"
+        )
+    # a long comment line, however it starts, is skipped
+    src.write_text(f"{' ' * 300}# {'x' * 300_000}\n{'1' * 16}\n")
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == "111111111111111\n"
