@@ -37,6 +37,7 @@ overlapping window is regrown:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import cycle
 from math import isqrt
 from operator import getitem, index
@@ -118,16 +119,6 @@ class _Source:
             table = self.tables[u % len(self.tables)]
             multipliers[table] = multipliers.get(table, 0) + (q ** (ell - 1 - u) << digit_bits * s)
         return [(symbol_translation(table), m) for table, m in multipliers.items()]
-
-
-def _symbol_map_keys(tables: tuple[Word, ...]) -> _Source:
-    """The per-position symbol map, one table per window position."""
-    return _Source(tables)
-
-
-def _reverse_complement_keys(comp: Word) -> _Source:
-    """The reverse complement: image symbol u is comp of window symbol ell - 1 - u."""
-    return _Source((comp,), reverse=True)
 
 
 def _key_struct(ell: int, width: int, length: int) -> Struct:
@@ -242,7 +233,7 @@ def repeat_free_shrink(
     """
     check_byte_alphabet(q, "a window-pair constraint")
     tables = _normalize_symbol_map(symbol_map, ell, q)
-    source = None if tables is None else _symbol_map_keys(tables)
+    source = None if tables is None else _Source(tables)
 
     def regrow(rest: bytes, i: int, j: int) -> bytes:
         # the removed window overlapped its match: regrow left to right,
@@ -268,7 +259,22 @@ def reverse_complement_shrink(
     q = len(comp)
     comp = check_complement(comp, q, "complement table")
     check_byte_alphabet(q, "a window-pair constraint")
-    return _window_pair_shrink(n, ell, q, slack, ell, None, _reverse_complement_keys(comp))
+    return _window_pair_shrink(n, ell, q, slack, ell, None, _Source((comp,), reverse=True))
+
+
+def secondary_structure_member(
+    n: int, palindromes: bool, slack: int, comp: Sequence[int] = DNA_COMPLEMENT
+) -> ShrinkStep:
+    """One member of :func:`build_secondary_structure`: the non-overlapping
+    reverse-complement pair shrink, or, if ``palindromes``, the
+    reverse-complement-palindrome window shrink."""
+    comp = tuple(comp)
+    q = len(comp)
+    ell = 2 * ceil_log(n, q) + 2
+    if not palindromes:
+        return reverse_complement_shrink(n, ell, comp, slack)
+    coder = no_palindrome_coder(n, 2 * (ell // 2) + 2, comp=comp, q=q, slack=slack)
+    return forbidden_window_shrink(coder, n, slack)
 
 
 def build_secondary_structure(n: int, comp: Sequence[int] = DNA_COMPLEMENT) -> CodecSpec:
@@ -279,19 +285,11 @@ def build_secondary_structure(n: int, comp: Sequence[int] = DNA_COMPLEMENT) -> C
     inside the word, so intersecting the non-overlapping shrink with a
     no-palindrome coder of that length covers every offset.
     """
-    comp = tuple(comp)
-    q = len(comp)
-    ell = 2 * ceil_log(n, q) + 2
-    palindrome_len = 2 * (ell // 2) + 2
-    members = [
-        reverse_complement_shrink(n, ell, comp, slack=1),
-        forbidden_window_shrink(
-            no_palindrome_coder(n, palindrome_len, comp=comp, q=q, slack=1), n, slack=1
-        ),
-    ]
+    members = [secondary_structure_member(n, palindromes, 1, comp) for palindromes in (False, True)]
     return build_one_symbol(build_intersection(members))
 
 
+@lru_cache(maxsize=64)  # each almost-balanced half counts the same set
 def count_weight_at_most(n: int, wmax: int) -> int:
     """Number of binary n-words with Hamming weight <= wmax, exactly."""
     return count_by_weight(n, range(min(wmax, n) + 1))
@@ -309,10 +307,6 @@ def unrank_weight_at_most(rank: int, n: int, wmax: int) -> bytes:
 _FLIP_BITS = symbol_translation((1, 0))
 
 
-def _complement_bits(word: bytes) -> bytes:
-    return word.translate(_FLIP_BITS)
-
-
 def min_balanced_weight(n: int) -> int:
     """Smallest integer weight w with w >= n/2 - sqrt(n), exactly.
 
@@ -322,51 +316,42 @@ def min_balanced_weight(n: int) -> int:
     return (n - isqrt(4 * n) + 1) // 2
 
 
-def almost_balanced_shrink_pair(n: int) -> tuple[ShrinkStep, ShrinkStep]:
-    """Shrink steps for the two halves of the almost-balanced constraint.
+def almost_balanced_member(n: int, heavy: bool, slack: int) -> ShrinkStep:
+    """Shrink step for one half of the almost-balanced constraint.
 
-    The first handles too-light words (weight <= w_star, the heaviest weight
-    below n/2 - sqrt(n)) by encoding their enumerative rank in n-2 bits; the
-    second handles too-heavy words (n - weight <= w_star) by ranking the
-    bitwise complement.  The witness is that weight.  Both carry slack 1 so
-    they can be intersected with a one-bit tag.  The n-2-bit capacity is
-    checked by exact counting at build time, not assumed.
+    The light half cuts a word of weight <= w_star, the heaviest weight below
+    n/2 - sqrt(n), to its enumerative rank in n-1-slack bits; the heavy half
+    does the same for a word with at most w_star zeros, ranking its bitwise
+    complement.  The witness is that count of ones (zeros).  The capacity of
+    n-1-slack bits is checked by exact counting at build time, not assumed.
     """
     if n <= 4:
         raise ParameterViolation(f"almost-balanced constraint needs n > 4, got {n}")
     w_star = min_balanced_weight(n) - 1
     count = count_weight_at_most(n, w_star)
-    capacity = 1 << (n - 2)
-    if count > capacity:
+    width = n - 1 - slack
+    if count > 1 << width:
         raise ParameterViolation(
-            f"{count} words of weight <= {w_star} exceed 2**(n-2) = {capacity}"
+            f"{count} words of weight <= {w_star} exceed 2**{width} = {1 << width}"
         )
+    counted, flip = (0, _FLIP_BITS) if heavy else (1, None)
 
-    def violating(weight: int) -> int | None:
+    def first_violation(word: bytes) -> int | None:
+        weight = word.count(counted)
         return weight if weight <= w_star else None
 
-    def cut_light(word: bytes, weight: int) -> bytes:
-        return encode_index(rank_weight_at_most(word, w_star), n - 2, 2)
+    def cut(word: bytes, weight: int) -> bytes:
+        return encode_index(rank_weight_at_most(word.translate(flip), w_star), width, 2)
 
-    def unshrink_light(word: bytes) -> bytes:
-        return unrank_weight_at_most(decode_field(word, 2, count, "light rank"), n, w_star)
+    def unshrink(word: bytes) -> bytes:
+        return unrank_weight_at_most(decode_field(word, 2, count, "light rank"), n, w_star).translate(flip)
 
-    def cut_heavy(word: bytes, weight: int) -> bytes:
-        return cut_light(_complement_bits(word), weight)
+    return ShrinkStep(q=2, n=n, slack=slack, first_violation=first_violation, cut=cut, unshrink=unshrink)
 
-    def unshrink_heavy(word: bytes) -> bytes:
-        return _complement_bits(unshrink_light(word))
 
-    # the weight of a binary word is its count of 1 bytes
-    weight_floor = ShrinkStep(
-        q=2, n=n, slack=1, first_violation=lambda word: violating(word.count(1)),
-        cut=cut_light, unshrink=unshrink_light,
-    )
-    weight_ceiling = ShrinkStep(
-        q=2, n=n, slack=1, first_violation=lambda word: violating(n - word.count(1)),
-        cut=cut_heavy, unshrink=unshrink_heavy,
-    )
-    return weight_floor, weight_ceiling
+def almost_balanced_shrink_pair(n: int) -> tuple[ShrinkStep, ShrinkStep]:
+    """The light and the heavy half of the almost-balanced constraint, each at slack 1."""
+    return tuple(almost_balanced_member(n, heavy, 1) for heavy in (False, True))
 
 
 def build_almost_balanced(n: int) -> CodecSpec:

@@ -331,15 +331,17 @@ def listed_window_coder(
     return WindowCoder(q, ell, packed, first_violation, pack, unpack)
 
 
+def palindrome_free_member(n: int, q: int, odd: bool, slack: int) -> ShrinkStep:
+    """Shrink step forbidding palindromes of length 2*ceil_log(n) + 4, plus one if ``odd``."""
+    ell = 2 * ceil_log(n, q) + 4 + odd
+    return forbidden_window_shrink(no_palindrome_coder(n, ell, q=q, slack=slack), n, slack)
+
+
 def build_palindrome_free(n: int, q: int = 2) -> CodecSpec:
     """Codec whose outputs contain no palindrome of length >= 2*ceil_log(n) + 4 (CLI: mpl).
 
     Intersects no-palindrome coders for one even and one odd length; any
     longer palindrome contains one of those two lengths, so both are enough.
     """
-    ell_even = 2 * ceil_log(n, q) + 4
-    members = [
-        forbidden_window_shrink(no_palindrome_coder(n, ell, q=q, slack=1), n, slack=1)
-        for ell in (ell_even, ell_even + 1)
-    ]
+    members = [palindrome_free_member(n, q, odd, slack=1) for odd in (False, True)]
     return build_one_symbol(build_intersection(members))

@@ -5,17 +5,17 @@ Grammar (one line, no spaces):
     NAME:key=val[,key=val...]
     intersect:NAME:...+NAME:...
 
-Values are non-negative integers.  Intersection members automatically
-receive the slack needed for the member tag.  The alphabet size q is not
-part of the text; it is supplied at build time (CLI flag ``--q``).
+Values are non-negative integers.  The alphabet size q is not part of the
+text; it is supplied at build time (CLI flag ``--q``).
 
 Every word length n is at least 2, as each codec spends one symbol on the
 marker, and ``rc``, the one optional key, is a 0/1 flag.
 
-Each constraint is one ``_CONSTRAINTS`` row (parameter order, builder,
-intersection-member flag, optional keys), so adding a constraint means adding
-one row.  The builder alone decides the alphabet: a spec built over any other
-q raises ParameterViolation.
+Each constraint is one ``_CONSTRAINTS`` row (parameter order, member
+builders, optional keys), so adding a constraint means adding one row.  A
+spec's shrink step is its lone member, or the intersection of the members of
+every row it names, so every row composes.  The builders alone decide the
+alphabet: a spec built over any other q raises ParameterViolation.
 """
 
 from __future__ import annotations
@@ -24,21 +24,21 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import CodecSpec, ShrinkStep, build_intersection, build_one_symbol, ceil_log
-from .errors import ParameterViolation, ParseError
+from .errors import ParameterViolation, ParseError, SlackMismatch
 from .global_codes import (
     DNA_COMPLEMENT,
-    build_almost_balanced,
-    build_secondary_structure,
+    almost_balanced_member,
     repeat_free_shrink,
     reverse_complement_shrink,
+    secondary_structure_member,
 )
 from .local import (
     WindowCoder,
-    build_palindrome_free,
     forbidden_window_shrink,
     min_period_coder,
     min_weight_coder,
     no_palindrome_coder,
+    palindrome_free_member,
     weight_window_coder,
 )
 
@@ -84,8 +84,6 @@ def parse_spec(text: str) -> ConstraintSpec:
         for member in members:
             if member.name == "intersect":
                 raise ParseError("intersect members cannot be nested intersections")
-            if not _CONSTRAINTS[member.name].member:
-                raise ParseError(f"{member.name!r} cannot be an intersection member")
         if len({m.n for m in members}) != 1:
             raise ParseError("intersection members must share the same n")
         return ConstraintSpec("intersect", (), members)
@@ -126,21 +124,20 @@ def _symbol_table_from_digits(beta: int, q: int) -> tuple[int, ...]:
     return tuple(int(d) for d in str(beta).zfill(q))
 
 
-def _window(coder: Callable[[ConstraintSpec, int, int], WindowCoder]) -> Callable:
-    """Member builder for a forbidden-window constraint, given its coder factory."""
-    return lambda s, q, slack: forbidden_window_shrink(coder(s, q, slack), s.n, slack)
+def _window(coder: Callable[[ConstraintSpec, int, int], WindowCoder]) -> tuple[Callable]:
+    """The one member builder of a forbidden-window constraint, given its coder factory."""
+    return (lambda s, q, slack: forbidden_window_shrink(coder(s, q, slack), s.n, slack),)
 
 
 @dataclass(frozen=True)
 class _Constraint:
-    """Registry row; ``build(spec, q, slack)`` gives a shrink step if ``member``, else a codec.
+    """Registry row; each of ``members`` is a builder ``(spec, q, slack) -> ShrinkStep``.
 
-    The builder decides the alphabet, so a row states no q.
+    The builders decide the alphabet, so a row states no q.
     """
 
     params: tuple[str, ...]
-    build: Callable
-    member: bool = True
+    members: tuple[Callable[[ConstraintSpec, int, int], ShrinkStep], ...]
     optional: frozenset[str] = frozenset()
 
 
@@ -154,39 +151,54 @@ _CONSTRAINTS = {
     "enp": _Constraint(("n", "l", "rc"), _window(lambda s, q, slack: no_palindrome_coder(
         s.n, s.param("l"), DNA_COMPLEMENT if s.param("rc", 0) else None, q, slack)),
         optional=frozenset({"rc"})),
-    "mpl": _Constraint(("n",), lambda s, q, slack: build_palindrome_free(s.n, q), member=False),
-    "rf": _Constraint(("n", "l"), lambda s, q, slack: repeat_free_shrink(
-        s.n, s.param("l"), q, None, slack)),
-    "srf": _Constraint(("n", "l", "beta"), lambda s, q, slack: repeat_free_shrink(
-        s.n, s.param("l"), q, _symbol_table_from_digits(s.param("beta"), q), slack)),
-    "rss": _Constraint(("n", "l"), lambda s, q, slack: reverse_complement_shrink(
-        s.n, s.param("l"), DNA_COMPLEMENT, slack)),
-    "ss": _Constraint(("n",), lambda s, q, slack: build_secondary_structure(s.n), member=False),
-    "ab": _Constraint(("n",), lambda s, q, slack: build_almost_balanced(s.n), member=False),
+    "mpl": _Constraint(("n",), (
+        lambda s, q, slack: palindrome_free_member(s.n, q, odd=False, slack=slack),
+        lambda s, q, slack: palindrome_free_member(s.n, q, odd=True, slack=slack))),
+    "rf": _Constraint(("n", "l"), (lambda s, q, slack: repeat_free_shrink(
+        s.n, s.param("l"), q, None, slack),)),
+    "srf": _Constraint(("n", "l", "beta"), (lambda s, q, slack: repeat_free_shrink(
+        s.n, s.param("l"), q, _symbol_table_from_digits(s.param("beta"), q), slack),)),
+    "rss": _Constraint(("n", "l"), (lambda s, q, slack: reverse_complement_shrink(
+        s.n, s.param("l"), DNA_COMPLEMENT, slack),)),
+    "ss": _Constraint(("n",), (
+        lambda s, q, slack: secondary_structure_member(s.n, palindromes=False, slack=slack),
+        lambda s, q, slack: secondary_structure_member(s.n, palindromes=True, slack=slack))),
+    "ab": _Constraint(("n",), (
+        lambda s, q, slack: almost_balanced_member(s.n, heavy=False, slack=slack),
+        lambda s, q, slack: almost_balanced_member(s.n, heavy=True, slack=slack))),
 }
 
 
 def build_shrink(spec: ConstraintSpec, q: int, slack: int = 0) -> ShrinkStep:
-    """Build the shrink step for a non-composite constraint spec."""
-    row = _CONSTRAINTS.get(spec.name)
-    if row is None or not row.member:
-        raise ParameterViolation(f"{spec.name!r} does not define a standalone shrink step")
-    return _over_q(spec, q, row.build(spec, q, slack))
+    """The shrink step of a spec: the members of every row it names, in spec order.
+
+    A lone member is built at ``slack``.  m > 1 members are built once each
+    at ceil_log(m, q), the width of the member tag, and intersected; the
+    intersection has slack 0, so any other ``slack`` raises SlackMismatch.
+    """
+    named = spec.members or (spec,)
+    if unknown := [m.name for m in named if m.name not in _CONSTRAINTS]:  # a nested intersect too
+        raise ParameterViolation(f"unknown constraint {unknown[0]!r}")
+    members = [(m, build) for m in named for build in _CONSTRAINTS[m.name].members]
+    if len(members) > 1 and slack != 0:
+        raise SlackMismatch(f"an intersection of {len(members)} members has slack 0, got {slack}")
+    width = slack if len(members) == 1 else ceil_log(len(members), q)
+    steps = [_build_member(member, q, width, build) for member, build in members]
+    return steps[0] if len(steps) == 1 else build_intersection(steps)
 
 
 def build_codec(spec: ConstraintSpec, q: int = 2) -> CodecSpec:
     """Build a full codec from a parsed spec; every parameter bound is checked here."""
-    if spec.name == "intersect":
-        tag = ceil_log(len(spec.members), q)
-        return build_one_symbol(build_intersection([build_shrink(m, q, tag) for m in spec.members]))
-    row = _CONSTRAINTS.get(spec.name)
-    if row is None or row.member:
-        return build_one_symbol(build_shrink(spec, q))
-    return _over_q(spec, q, row.build(spec, q, 0))
+    return build_one_symbol(build_shrink(spec, q))
 
 
-def _over_q(spec: ConstraintSpec, q: int, built: ShrinkStep | CodecSpec) -> ShrinkStep | CodecSpec:
-    """``built``, unless its builder put it over an alphabet other than q."""
+def _build_member(spec: ConstraintSpec, q: int, slack: int, build: Callable) -> ShrinkStep:
+    """``build(spec, q, slack)``, checked to be over q; a refusal from the
+    builder is prefixed with the member's spec text and slack."""
+    try:
+        built = build(spec, q, slack)
+    except (ParameterViolation, SlackMismatch) as err:
+        raise type(err)(f"member {spec.to_text()!r} at slack {slack}: {err}") from None
     if built.q != q:
         raise ParameterViolation(f"constraint {spec.name!r} is over q={built.q}, got q={q}")
     return built

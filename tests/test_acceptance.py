@@ -160,6 +160,28 @@ def test_criterion_4_constraint_capacity(roundtrip_reports):
     assert all_ok
 
 
+# intersections with rows of two members (ab, ss), each output checked by the
+# independent scans of every row it names
+COMPOSITES = [
+    ("intersect:ab:n=16+mw:n=16,l=12,p=2", 2, lambda w: weight_in(w, 4, 12) and min_weight_ok(w, 12, 2)),
+    (
+        "intersect:ss:n=8+mp:n=8,l=7,p=3", 4,
+        lambda w: rc_pair_free(w, 6, require_gap=False) and min_period_ok(w, 7, 3),
+    ),
+]
+
+
+@pytest.mark.parametrize("text, q, scan", COMPOSITES, ids=[text for text, _, _ in COMPOSITES])
+def test_composite_of_multi_member_rows_is_exhaustively_exact(text, q, scan):
+    codec = build_codec(parse_spec(text), q)
+    roundtrip = exhaustive_roundtrip(codec, output_check=scan)
+    graph = check_graph(codec)
+    detail = f"{roundtrip.total_inputs} inputs, avg={roundtrip.avg_iterations}"
+    _report_line(1, text, roundtrip.ok and graph.ok, detail)
+    assert roundtrip.total_inputs == q ** codec.k
+    assert roundtrip.failures == [] and graph.failures == []
+
+
 def _acceptance_shrinks():
     ab_floor, ab_ceiling = almost_balanced_shrink_pair(16)
     mpl_members = [

@@ -676,14 +676,6 @@ def test_every_input_sequence_type_gives_the_same_tuples(text, q):
     assert stepped > 0 or text.startswith("rss")  # rss:n=8 has no room for a pair
 
 
-def _spec_shrink(text, q):
-    spec = parse_spec(text)
-    if spec.name == "intersect":
-        tag = ceil_log(len(spec.members), q)
-        return build_intersection([build_shrink(member, q, tag) for member in spec.members])
-    return build_shrink(spec, q)
-
-
 def _sparse_symbol(rng):
     return rng.randrange(4) if rng.randrange(6) == 0 else 0
 
@@ -692,17 +684,17 @@ def _sparse_symbol(rng):
 # how a payload draws each symbol: an A/T payload is rich in
 # reverse-complement pairs
 VISITED_SHRINKS = {
-    "mw": (lambda: _spec_shrink("mw:n=64,l=13,p=2", 2), lambda rng: int(rng.randrange(6) == 0)),
-    "mp": (lambda: _spec_shrink("mp:n=64,l=10,p=3", 2), lambda rng: int(rng.randrange(6) == 0)),
-    "enp": (lambda: _spec_shrink("enp:n=64,l=14", 2), lambda rng: int(rng.randrange(6) == 0)),
-    "rf": (lambda: _spec_shrink("rf:n=64,l=13", 2), lambda rng: int(rng.randrange(6) == 0)),
+    "mw": (lambda: build_shrink(parse_spec("mw:n=64,l=13,p=2"), 2), lambda rng: int(rng.randrange(6) == 0)),
+    "mp": (lambda: build_shrink(parse_spec("mp:n=64,l=10,p=3"), 2), lambda rng: int(rng.randrange(6) == 0)),
+    "enp": (lambda: build_shrink(parse_spec("enp:n=64,l=14"), 2), lambda rng: int(rng.randrange(6) == 0)),
+    "rf": (lambda: build_shrink(parse_spec("rf:n=64,l=13"), 2), lambda rng: int(rng.randrange(6) == 0)),
     "intersect": (
-        lambda: _spec_shrink("intersect:mw:n=64,l=14,p=2+mp:n=64,l=11,p=3", 2),
+        lambda: build_shrink(parse_spec("intersect:mw:n=64,l=14,p=2+mp:n=64,l=11,p=3"), 2),
         lambda rng: int(rng.randrange(6) == 0),
     ),
     "ab": (lambda: build_intersection(almost_balanced_shrink_pair(64)), lambda rng: int(rng.randrange(6) == 0)),
-    "rss-q4": (lambda: _spec_shrink("rss:n=64,l=7", 4), lambda rng: rng.choice((0, 3))),
-    "mp-q4": (lambda: _spec_shrink("mp:n=64,l=7,p=3", 4), _sparse_symbol),
+    "rss-q4": (lambda: build_shrink(parse_spec("rss:n=64,l=7"), 4), lambda rng: rng.choice((0, 3))),
+    "mp-q4": (lambda: build_shrink(parse_spec("mp:n=64,l=7,p=3"), 4), _sparse_symbol),
 }
 
 

@@ -25,7 +25,7 @@ from parcodec import (
     reverse_complement_shrink,
     weight_window_coder,
 )
-from parcodec.global_codes import _pair_finder, _reverse_complement_keys, _symbol_map_keys
+from parcodec.global_codes import _pair_finder, _Source
 
 from oracles import DNA_COMP, first_forbidden_window_ref, first_pair_ref, has_period, is_palindrome, rc
 
@@ -105,11 +105,11 @@ PER_POSITION_Q4 = ((1, 2, 3, 0), (1, 2, 0, 3), (3, 3, 0, 1))
 PAIR_CASES = {
     "rf-l3": (2, 14, 3, 1, None, lambda w: w),
     "rf-l5": (2, 14, 5, 1, None, lambda w: w),
-    "srf-one-table": (2, 14, 5, 1, _symbol_map_keys((FLIP,) * 5), mapped((FLIP,) * 5)),
-    "srf-per-position": (2, 14, 5, 1, _symbol_map_keys(PER_POSITION), mapped(PER_POSITION)),
-    "srf-per-position-q4": (4, 7, 3, 1, _symbol_map_keys(PER_POSITION_Q4), mapped(PER_POSITION_Q4)),
-    "rss-l2": (4, 7, 2, 2, _reverse_complement_keys(DNA_COMPLEMENT), rc),
-    "rss-l3": (4, 7, 3, 3, _reverse_complement_keys(DNA_COMPLEMENT), rc),
+    "srf-one-table": (2, 14, 5, 1, _Source((FLIP,) * 5), mapped((FLIP,) * 5)),
+    "srf-per-position": (2, 14, 5, 1, _Source(PER_POSITION), mapped(PER_POSITION)),
+    "srf-per-position-q4": (4, 7, 3, 1, _Source(PER_POSITION_Q4), mapped(PER_POSITION_Q4)),
+    "rss-l2": (4, 7, 2, 2, _Source((DNA_COMPLEMENT,), reverse=True), rc),
+    "rss-l3": (4, 7, 3, 3, _Source((DNA_COMPLEMENT,), reverse=True), rc),
 }
 
 

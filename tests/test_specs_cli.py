@@ -4,13 +4,18 @@ import io
 import os
 import sys
 import tracemalloc
+from itertools import product
 
 import pytest
 
 from parcodec import (
     ParameterViolation,
     ParseError,
+    SlackMismatch,
+    build_almost_balanced,
     build_codec,
+    build_palindrome_free,
+    build_secondary_structure,
     build_shrink,
     decode,
     encode,
@@ -18,7 +23,7 @@ from parcodec import (
     sample_roundtrip,
 )
 from parcodec.cli import main
-from parcodec.specs import _CONSTRAINTS
+from parcodec.specs import _CONSTRAINTS, ConstraintSpec
 
 
 # --- grammar -------------------------------------------------------------------
@@ -46,6 +51,7 @@ def test_parse_simple_spec():
         "ss:n=8",
         "ab:n=16",
         "intersect:mw:n=16,l=10,p=2+mp:n=16,l=9,p=3",
+        "intersect:ab:n=16+mw:n=16,l=10,p=2",  # ab, a row of two members, as a member
     ],
 )
 def test_grammar_roundtrip(text):
@@ -64,7 +70,6 @@ def test_grammar_roundtrip(text):
         "mw:n=16,l=9,p=two",
         "mw:n=16,n=16,l=9,p=2",  # duplicate
         "intersect:mw:n=16,l=10,p=2",  # single member
-        "intersect:ab:n=16+mw:n=16,l=10,p=2",  # composite member
         "intersect:mw:n=16,l=10,p=2+mp:n=8,l=9,p=3",  # mismatched n
         "mw:n=0,l=9,p=2",  # no room for the marker
         "ab:n=1",
@@ -125,10 +130,34 @@ def test_build_alphabet_table(text, alphabets, q):
             build_codec(spec, q)
 
 
-@pytest.mark.parametrize("text, q", [("mpl:n=16", 2), ("ss:n=8", 4), ("ab:n=16", 2)])
-def test_build_shrink_rejects_non_members(text, q):
-    with pytest.raises(ParameterViolation):
-        build_shrink(parse_spec(text), q)
+# each row with two members, and the public builder that composes the same two
+MULTI_MEMBER_ROWS = [
+    ("mpl:n=16", 2, lambda: build_palindrome_free(16, 2)),
+    ("ss:n=8", 4, lambda: build_secondary_structure(8)),
+    ("ab:n=16", 2, lambda: build_almost_balanced(16)),
+]
+
+
+@pytest.mark.parametrize("text, q, public", MULTI_MEMBER_ROWS, ids=[f"{t}-{q}" for t, q, _ in MULTI_MEMBER_ROWS])
+def test_build_shrink_of_a_multi_member_row(text, q, public):
+    spec = parse_spec(text)
+    codecs = [build_codec(spec, q), public()]
+    for word in map(bytes, product(range(q), repeat=spec.n)):
+        satisfied = {codec.satisfies(word) for codec in codecs}
+        assert len(satisfied) == 1
+        if not satisfied.pop():
+            assert len({codec.step(word) for codec in codecs}) == 1
+    with pytest.raises(SlackMismatch):
+        build_shrink(spec, q, slack=1)
+
+
+@pytest.mark.parametrize("spec", [
+    ConstraintSpec("nope", (("n", 8),)),
+    ConstraintSpec("intersect", (), (ConstraintSpec("intersect", (), (parse_spec("mw:n=16,l=12,p=2"),)),)),
+], ids=["unknown", "nested"])
+def test_build_refuses_a_hand_built_spec_without_a_row(spec):
+    with pytest.raises(ParameterViolation, match=r"unknown constraint '(nope|intersect)'"):
+        build_codec(spec)
 
 
 def test_srf_beta_table():
@@ -300,6 +329,21 @@ def test_cli_spec_error_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        # the window too short is mpl's own (12 at slack 2), not mw's l=12
+        ("intersect:mpl:n=16+mw:n=16,l=12,p=2", "member 'mpl:n=16' at slack 2: window length 12 is too short"),
+        ("intersect:ab:n=16+mw:n=16,l=10,p=2", "member 'mw:n=16,l=10,p=2' at slack 2: window length 10 is too short"),
+    ],
+)
+def test_cli_composite_refusal_names_the_member(capsys, text, refusal):
+    rc = run_cli(["encode", "--spec", text, "--input", "-"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert refusal in captured.err
 
 
 @pytest.mark.parametrize("name", sorted(_CONSTRAINTS))
