@@ -4,15 +4,10 @@ Words are ``bytes``, one byte per symbol.  One window-pair shrink serves
 every pair constraint.  It finds the first pair
 (i, j) with transform(window at i) == window at j and j >= i + min_gap, cuts
 window j out in the cut-window layout of :func:`core.cut_window_shrink` and
-appends both indices.  The pair finder (:func:`_pair_finder`) reads the word
-once as one integer, symbol t in digit t of D bytes with q**ell <= 2**(8*D),
-so q <= 256.  One multiply puts the base-q value of every window in its own
-digit, with no carry, and one ``struct`` unpack reads all of them as machine
-integers (as D-byte strings once q**ell > 2**64).  The transformed windows
-come the same way: one multiply per distinct symbol table, of the translated
-word, and the reverse complement multiplies the complemented word by the
-reversed weights.  One set test answers "no pair"; only then is the minimal
-(i, j) looked up.  The inverse reads j, then i,
+appends both indices.  The pair finder (:func:`_pair_finder`) keys every
+window and every transformed window with one multiply each
+(:func:`words.window_keys`), so q <= 256.  One set test answers "no pair";
+only then is the minimal (i, j) looked up.  The inverse reads j, then i,
 through :func:`core.decode_field`, so it accepts exactly
 i + min_gap <= j <= n - ell.  The layout's :func:`core.window_room` refuses
 a window too short for both indices (ell < 2*ceil_log(n) + 1 + slack);
@@ -41,8 +36,7 @@ from functools import lru_cache
 from itertools import cycle
 from math import isqrt
 from operator import getitem, index
-from struct import Struct
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     CodecSpec,
@@ -58,6 +52,7 @@ from .errors import ParameterViolation
 from .local import forbidden_window_shrink, no_palindrome_coder
 from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
 from .words import Word, check_byte_alphabet, check_complement, check_symbol_map, symbol_translation
+from .words import spread_digits, window_keys
 
 # DNA alphabet is A=0, C=1, G=2, T=3; complement swaps A<->T and C<->G.
 DNA_COMPLEMENT: tuple[int, ...] = (3, 2, 1, 0)
@@ -109,9 +104,9 @@ class _Source:
 
     def terms(self, q: int, ell: int, digit_bits: int) -> list[tuple[bytes, int]]:
         """(translation, multiplier) pairs, one per distinct table: the sum of
-        ``digits(word.translate(translation)) * multiplier`` has, in digit
-        i + ell - 1, the base-q value of the image of window i.  The symbol at
-        shift s below that digit is image symbol u, of weight q**(ell - 1 - u).
+        ``spread_digits(word.translate(translation), width) * multiplier`` keys
+        the image of window i in digit i + ell - 1, where image symbol u, at
+        shift s below that digit, has weight q**(ell - 1 - u).
         """
         multipliers: dict[Word, int] = {}
         for s in range(ell):
@@ -121,51 +116,21 @@ class _Source:
         return [(symbol_translation(table), m) for table, m in multipliers.items()]
 
 
-def _key_struct(ell: int, width: int, length: int) -> Struct:
-    """Reads digits ell - 1 to length - 1 of ``width`` little-endian bytes each:
-    as machine integers for a width of 1, 2, 4 or 8 bytes, else as strings."""
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)
-    keys = f"{length - ell + 1}{code}" if code else f"{width}s" * (length - ell + 1)
-    return Struct(f"<{(ell - 1) * width}x{keys}")
-
-
 def _pair_finder(q: int, ell: int, min_gap: int, source: _Source | None):
     """Finder of the minimal (i, j), i ordered first, with source(window at i)
     == window at j and j >= i + min_gap; None when no such pair exists.  A
     None ``source`` is the identity.
-
-    Symbol t of the word goes in digit t of one integer, each digit
-    ``width`` bytes with q**ell <= 2**(8*width).  One multiply by
-    sum(q**s << 8*width*s) then leaves the base-q value of window i in digit
-    i + ell - 1, with no carry, and the transformed windows come the same
-    way from :meth:`_Source.terms`.  A width of 1, 2, 4 or 8 bytes reads every
-    key as a machine integer with one ``struct`` unpack; a wider one
-    (q**ell > 2**64) as a ``width``-byte string.
     """
-    bits = (q**ell - 1).bit_length()
-    width = next((w for w in (1, 2, 4, 8) if 8 * w >= bits), (bits + 7) // 8)
-    ones = sum(q**s << 8 * width * s for s in range(ell))
+    width, ones, reader = window_keys(q, ell)
     terms = None if source is None else source.terms(q, ell, 8 * width)
-    unpackers: dict[int, Callable[[bytes], tuple]] = {}  # by word length
-
-    def digits(symbols: bytes) -> int:
-        """The word as one integer, symbol t in digit t."""
-        if width > 1:
-            spread = bytearray(len(symbols) * width)
-            spread[::width] = symbols
-            symbols = spread
-        return int.from_bytes(symbols, "little")
 
     def find(word: bytes) -> tuple[int, int] | None:
         length = len(word)
         count = length - ell + 1
         if count < 2:
             return None
-        size = (length + ell - 1) * width
-        unpack = unpackers.get(length)
-        if unpack is None:
-            unpack = unpackers[length] = _key_struct(ell, width, length).unpack_from
-        keys = unpack((digits(word) * ones).to_bytes(size, "little"))
+        read, size = reader(length)
+        keys = read((spread_digits(word, width) * ones).to_bytes(size, "little"))
         if terms is None:
             if len(set(keys)) == count:
                 return None
@@ -173,8 +138,8 @@ def _pair_finder(q: int, ell: int, min_gap: int, source: _Source | None):
         else:
             product = 0
             for translation, multiplier in terms:
-                product += digits(word.translate(translation)) * multiplier
-            sources = unpack(product.to_bytes(size, "little"))
+                product += spread_digits(word.translate(translation), width) * multiplier
+            sources = read(product.to_bytes(size, "little"))
             if set(keys).isdisjoint(sources):
                 return None
         last = dict(zip(keys, range(count)))

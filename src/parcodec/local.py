@@ -4,13 +4,11 @@ A :class:`WindowCoder` describes one family of forbidden windows: a
 leftmost-witness finder over whole words plus an injective compressor
 ``pack`` that squeezes a forbidden window into ell' < ell symbols; the
 window predicate ``is_forbidden`` is that finder applied to one window.
-Words are ``bytes``, one byte per symbol.  The mw, lab, mp and enp finders
-read the word once as one integer, symbol t in digit t, and test every
-window at once with a few big-integer operations
-that run in C: one multiply gives every window weight, one XOR per shift d
-marks where the word has period d, and one XOR per mirrored pair marks the
-palindromes.  The leftmost flagged digit, found with ``bytes.find``, is the
-witness.
+Words are ``bytes``, one byte per symbol.  Every built-in finder tests all
+windows at once with a few big-integer operations that run in C: one multiply
+gives every window weight or key (:func:`words.window_keys`), one XOR per
+shift d marks period d, one XOR per mirrored pair marks the palindromes, and
+the witness is the leftmost flagged window.
 :func:`forbidden_window_shrink` lifts any such coder into a shrink step: the
 first forbidden window is cut out and re-encoded at the tail as
 (window index, packed window).
@@ -47,7 +45,8 @@ from .core import (
 )
 from .errors import NotACodeword, ParameterViolation
 from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
-from .words import check_byte_alphabet, check_complement, check_symbols, symbol_translation
+from .words import check_byte_alphabet, check_complement, check_symbols, spread_digits, symbol_translation
+from .words import window_keys
 
 
 @dataclass(frozen=True)
@@ -56,11 +55,11 @@ class WindowCoder:
 
     ``first_violation(word)`` is the family's one definition: the smallest
     start of a forbidden length-``window_len`` window in a word of any
-    length, or None.  The built-in finders build no Python object per window
-    or per symbol: a constant number of whole-word integer operations for
-    min_weight_coder and weight_window_coder, p - 1 for min_period_coder and
-    ceil(window_len / 2) for no_palindrome_coder, each linear in the word's
-    length.  listed_window_coder does one set lookup per window.
+    length, or None.  The built-in finders run no Python loop per window or
+    per symbol: a constant number of whole-word integer operations for
+    min_weight_coder, weight_window_coder and listed_window_coder, p - 1 for
+    min_period_coder and ceil(window_len / 2) for no_palindrome_coder, each
+    linear in the word's length.
     """
 
     q: int
@@ -83,37 +82,29 @@ def first_forbidden_window(word: bytes, coder: WindowCoder) -> int | None:
     return coder.first_violation(word)
 
 
-def _weight_finder(n: int, ell: int, lo: int, hi: int) -> Callable[[bytes], int | None]:
+def _weight_finder(ell: int, lo: int, hi: int) -> Callable[[bytes], int | None]:
     """Finder of the leftmost binary length-ell window with weight outside [lo, hi].
 
-    The word is read as one integer x with one ``width``-byte digit per
-    symbol, so digit i + ell - 1 of ``x * ones`` (ell unit digits) is the
-    weight of window i.  A digit keeps its top bit free (ell < 2**(8*width-1)),
-    so adding 2**(8*width-1) - lo to every digit sets that bit exactly where
-    the weight is at least lo, and adding 2**(8*width-1) - hi - 1 sets it
-    exactly where the weight exceeds hi; no carry crosses a digit.  The
-    forbidden flags are those top bits, read as every width-th byte.
+    The word's spread (:func:`words.spread_digits`) times ell unit digits has
+    window i's weight in digit i + ell - 1, its top bit free (ell <
+    2**(8*width-1)).  Adding 2**(8*width-1) - lo to every digit sets that bit
+    exactly where the weight is at least lo, and 2**(8*width-1) - hi - 1
+    exactly where it exceeds hi, with no carry; the flags are those top bits.
     """
     width = (ell.bit_length() + 8) // 8
-    unit = b"\x01".ljust(width, b"\x00")
-    ones = int.from_bytes(unit * ell, "little")
+    ones = spread_digits(b"\x01" * ell, width)
+    masks: dict[int, tuple[int, int, int]] = {}  # by word length, built on first use
 
-    def masks(length: int) -> tuple[int, int, int]:
+    def digit_masks(length: int) -> tuple[int, int, int]:
         # (top bit of each digit, the >= lo bias, the > hi bias) for `length` digits
-        digit_ones = int.from_bytes(unit * length, "little")
+        digit_ones = spread_digits(b"\x01" * length, width)
         top = digit_ones << (8 * width - 1)
         return top, top - lo * digit_ones, top - (hi + 1) * digit_ones
 
-    own = masks(n)
-
     def first_violation(word: bytes) -> int | None:
         length = len(word)
-        top, at_least_lo, above_hi = own if length == n else masks(length)
-        if width > 1:
-            digits = bytearray(length * width)
-            digits[::width] = word
-            word = digits
-        sums = int.from_bytes(word, "little") * ones
+        top, at_least_lo, above_hi = masks.get(length) or masks.setdefault(length, digit_masks(length))
+        sums = spread_digits(word, width) * ones
         flags = (((sums + at_least_lo) ^ top) | (sums + above_hi)) & top
         top_bytes = flags.to_bytes(length * width, "little")[width - 1 :: width]
         end = top_bytes.find(0x80, ell - 1, length)  # the window's last symbol
@@ -174,7 +165,7 @@ def min_weight_coder(n: int, ell: int, p: int, slack: int = 0) -> WindowCoder:
                 window[pos] = 1
         return bytes(window)
 
-    return WindowCoder(2, ell, packed, _weight_finder(n, ell, p, ell), pack, unpack)
+    return WindowCoder(2, ell, packed, _weight_finder(ell, p, ell), pack, unpack)
 
 
 def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) -> WindowCoder:
@@ -200,7 +191,7 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
     def unpack(packed_word: bytes) -> bytes:
         return unrank_by_weight(decode_field(packed_word, 2, total, "window rank"), ell, weights)
 
-    return WindowCoder(2, ell, packed, _weight_finder(n, ell, wmin, wmax), pack, unpack)
+    return WindowCoder(2, ell, packed, _weight_finder(ell, wmin, wmax), pack, unpack)
 
 
 def minimal_period(window: Sequence[int]) -> int:
@@ -312,15 +303,20 @@ def listed_window_coder(
 
     The rank takes all the room the window index leaves for word length n.
     """
+    check_byte_alphabet(q, "listed_window_coder")
     table = sorted({check_symbols(w, q, ell, what="forbidden window") for w in windows})
     packed = window_room(ell, slack, lambda e: ceil_log(n, q))
     if len(table) > q ** packed:
         raise ParameterViolation(f"{len(table)} forbidden windows exceed capacity q**{packed} = {q ** packed}")
 
-    listed = frozenset(table)
+    width, weights, reader = window_keys(q, ell)
+    read, size = reader(ell)
+    listed = frozenset(read((spread_digits(w, width) * weights).to_bytes(size, "little"))[0] for w in table)
 
     def first_violation(word: bytes) -> int | None:
-        return next((i for i in range(len(word) - ell + 1) if word[i : i + ell] in listed), None)
+        read, size = reader(len(word))
+        found = read((spread_digits(word, width) * weights).to_bytes(size, "little"))
+        return None if listed.isdisjoint(found) else found.index(next(filter(listed.__contains__, found)))
 
     def pack(window: bytes) -> bytes:
         return encode_index(bisect_left(table, window), packed, q)

@@ -16,13 +16,16 @@ text to and from the engine form with one ``translate`` each.  Only input
 the fast test rejects reaches a per-symbol Python loop, which names the
 first bad symbol or character.  Symbol maps (substitution tables and
 complements) are validated here too, and turned into ``translate`` tables.
+The window finders' one digit layout, :func:`window_keys`, lives here too.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from operator import index
-from typing import Iterator, Sequence
+from struct import Struct
+from typing import Callable, Iterator, Sequence
 
 from .errors import DimensionMismatch, ParameterViolation, ParseError
 
@@ -129,6 +132,41 @@ def check_complement(comp: Sequence[int], q: int, what: str) -> Word:
 def symbol_translation(table: Sequence[int]) -> bytes:
     """A ``bytes.translate`` table applying a symbol map on [0, len(table))."""
     return bytes(table) + bytes(256 - len(table))
+
+
+def spread_digits(word: bytes, width: int) -> int:
+    """The word as one integer, symbol t in digit t of ``width`` little-endian bytes.
+
+    Times sum(c_s << 8*width*s for s < ell), digit i + ell - 1 holds window i's
+    sum(c_s * word[i + ell - 1 - s]), with no carry while that fits a digit.
+    """
+    if width > 1:
+        digits = bytearray(len(word) * width)
+        digits[::width] = word
+        word = digits
+    return int.from_bytes(word, "little")
+
+
+def window_keys(q: int, ell: int) -> tuple[int, int, Callable[[int], tuple]]:
+    """(width, weights, reader) keying every length-ell window by its base-q value.
+
+    A digit is the fewest of 1, 2, 4 or 8 bytes, or more past 2**64, holding
+    q**ell values.  ``read, size = reader(length)``, built on first use, reads
+    windows 0 to length - ell from ``spread_digits(word, width) * weights``, or
+    any product so laid out, as ``read(product.to_bytes(size, "little"))``:
+    machine integers, or ``width``-byte strings past 8 bytes.
+    """
+    bits = (q**ell - 1).bit_length()
+    width = next((w for w in (1, 2, 4, 8) if 8 * w >= bits), (bits + 7) // 8)
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)
+
+    @lru_cache(maxsize=None)
+    def reader(length: int) -> tuple[Callable[[bytes], tuple], int]:
+        count = max(length - ell + 1, 0)
+        keys = f"{count}{code}" if code else f"{width}s" * count
+        return Struct(f"<{(ell - 1) * width}x{keys}").unpack_from, (length + ell - 1) * width
+
+    return width, sum(q**s << 8 * width * s for s in range(ell)), reader
 
 
 def all_words(q: int, n: int) -> Iterator[Word]:

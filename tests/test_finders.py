@@ -150,8 +150,19 @@ def seeded_words(n, q, seed, per_kind):
         yield tuple(word)
 
 
+def one_hot_windows(ell):
+    """The binary ell-windows with exactly one 1."""
+    return [tuple(int(t == u) for t in range(ell)) for u in range(ell)]
+
+
+def weight_below_2(w):
+    return sum(w) < 2
+
+
 SEEDED_WINDOW_CASES = {
-    "mw-n256": (2, lambda: min_weight_coder(256, 17, 2), lambda w: sum(w) < 2),
+    "mw-n256": (2, lambda: min_weight_coder(256, 17, 2), weight_below_2),
+    # mw-n256's family as a list: the all-zero window and the one-hot ones
+    "listed-n256": (2, lambda: listed_window_coder([(0,) * 17] + one_hot_windows(17), 256, 17), weight_below_2),
     "lab-n256": (2, lambda: weight_window_coder(256, 16, 2, 14), lambda w: not 2 <= sum(w) <= 14),
     "mp-n256": (2, lambda: min_period_coder(256, 12, 3), has_period_below(3)),
     "mp4-n256": (4, lambda: min_period_coder(256, 8, 3, q=4), has_period_below(3)),
@@ -260,6 +271,12 @@ WIDE_WEIGHT_CASES = {
     "lab-l255": (400, lambda: weight_window_coder(400, 255, 90, 165), lambda w: not 90 <= sum(w) <= 165),
     "lab-l260": (800, lambda: weight_window_coder(800, 260, 100, 160), lambda w: not 100 <= sum(w) <= 160),
     "lab-l300": (700, lambda: weight_window_coder(700, 300, 0, 200), lambda w: sum(w) > 200),
+    # q**ell > 2**64, so the listed finder reads its keys as 9-byte strings
+    "listed-l65": (
+        300,
+        lambda: listed_window_coder([(0,) * 65, (1,) * 65] + one_hot_windows(65), 300, 65),
+        lambda w: sum(w) < 2 or sum(w) == 65,
+    ),
 }
 
 
@@ -361,6 +378,7 @@ def test_pair_builders_reject_alphabets_beyond_bytes(build):
 @pytest.mark.parametrize("build", [
     lambda: min_period_coder(16, 8, 3, q=257),
     lambda: no_palindrome_coder(16, 8, q=257),
+    lambda: listed_window_coder([(0,) * 9], 16, 9, q=257),
 ])
 def test_window_builders_reject_alphabets_beyond_bytes(build):
     with pytest.raises(ParameterViolation, match="q <= 256"):

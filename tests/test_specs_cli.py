@@ -361,6 +361,18 @@ def test_cli_word_length_zero_is_a_usage_error(tmp_path, capsys, name):
     assert "word length n must be at least 2" in captured.err
 
 
+def test_cli_huge_word_length_builds_nothing_of_that_length(tmp_path, capsys):
+    # a finder's per-length tables are built on first scan, so this codec builds at once
+    spec = "mw:n=10000000000000,l=60,p=2"
+    src = tmp_path / "in.txt"
+    src.write_text("")
+    assert run_cli(["encode", "--spec", spec, "--input", str(src)]) == 0
+    assert capsys.readouterr() == ("", "")
+    src.write_text("0101\n")
+    assert run_cli(["encode", "--spec", spec, "--input", str(src)]) == 1
+    assert capsys.readouterr().err == "error: line 1: payload has length 4, expected 9999999999999\n"
+
+
 def test_cli_format_q_mismatch(capsys):
     rc = run_cli(["encode", "--spec", "rss:n=8,l=5", "--q", "4", "--input", "-"])
     assert rc == 2  # bits format with q=4
