@@ -121,15 +121,15 @@ def _pair_finder(q: int, ell: int, min_gap: int, source: _Source | None):
     == window at j and j >= i + min_gap; None when no such pair exists.  A
     None ``source`` is the identity.
     """
-    width, ones, reader = window_keys(q, ell)
+    width, ones, readers = window_keys(q, ell)
     terms = None if source is None else source.terms(q, ell, 8 * width)
 
     def find(word: bytes) -> tuple[int, int] | None:
         length = len(word)
         count = length - ell + 1
-        if count < 2:
+        if count <= min_gap:  # no j >= i + min_gap below count
             return None
-        read, size = reader(length)
+        read, size = readers[length]
         keys = read((spread_digits(word, width) * ones).to_bytes(size, "little"))
         if terms is None:
             if len(set(keys)) == count:
@@ -219,7 +219,8 @@ def reverse_complement_shrink(
 
     Reverse complement is not symbolwise (it reverses), so only pairs with
     j >= i + ell are covered here; :func:`build_secondary_structure` adds the
-    overlapping case.  Any self-inverse symbol complement is accepted.
+    overlapping case.  Any self-inverse symbol complement is accepted.  With
+    n - ell < ell no such pair fits, so the step is empty and scans nothing.
     """
     q = len(comp)
     comp = check_complement(comp, q, "complement table")
@@ -232,7 +233,9 @@ def secondary_structure_member(
 ) -> ShrinkStep:
     """One member of :func:`build_secondary_structure`: the non-overlapping
     reverse-complement pair shrink, or, if ``palindromes``, the
-    reverse-complement-palindrome window shrink."""
+    reverse-complement-palindrome window shrink.  The pair member is empty
+    when n - ell < ell (so at n = 8, where ell = 6): no pair fits, and its
+    finder answers before keying any window."""
     comp = tuple(comp)
     q = len(comp)
     ell = 2 * ceil_log(n, q) + 2

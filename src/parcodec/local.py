@@ -7,8 +7,9 @@ window predicate ``is_forbidden`` is that finder applied to one window.
 Words are ``bytes``, one byte per symbol.  Every built-in finder tests all
 windows at once with a few big-integer operations that run in C: one multiply
 gives every window weight or key (:func:`words.window_keys`), one XOR per
-shift d marks period d, one XOR per mirrored pair marks the palindromes, and
-the witness is the leftmost flagged window.
+shift d marks period d, one XOR per block of k mirrored pairs, keyed one
+block to a byte, marks the palindromes, and the witness is the leftmost
+flagged window.
 :func:`forbidden_window_shrink` lifts any such coder into a shrink step: the
 first forbidden window is cut out and re-encoded at the tail as
 (window index, packed window).
@@ -46,7 +47,7 @@ from .core import (
 from .errors import NotACodeword, ParameterViolation
 from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
 from .words import check_byte_alphabet, check_complement, check_symbols, spread_digits, symbol_translation
-from .words import window_keys
+from .words import LengthTable, window_keys
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,9 @@ class WindowCoder:
     length, or None.  The built-in finders run no Python loop per window or
     per symbol: a constant number of whole-word integer operations for
     min_weight_coder, weight_window_coder and listed_window_coder, p - 1 for
-    min_period_coder and ceil(window_len / 2) for no_palindrome_coder, each
+    min_period_coder, and for no_palindrome_coder two multiplies plus one
+    XOR per k-symbol block of the window's first half (k = 8 for q = 2, 4
+    for q = 4): 2 for the mpl members at n = 256 and 1 at n = 16.  Each is
     linear in the word's length.
     """
 
@@ -93,7 +96,6 @@ def _weight_finder(ell: int, lo: int, hi: int) -> Callable[[bytes], int | None]:
     """
     width = (ell.bit_length() + 8) // 8
     ones = spread_digits(b"\x01" * ell, width)
-    masks: dict[int, tuple[int, int, int]] = {}  # by word length, built on first use
 
     def digit_masks(length: int) -> tuple[int, int, int]:
         # (top bit of each digit, the >= lo bias, the > hi bias) for `length` digits
@@ -101,9 +103,11 @@ def _weight_finder(ell: int, lo: int, hi: int) -> Callable[[bytes], int | None]:
         top = digit_ones << (8 * width - 1)
         return top, top - lo * digit_ones, top - (hi + 1) * digit_ones
 
+    masks = LengthTable(digit_masks)
+
     def first_violation(word: bytes) -> int | None:
         length = len(word)
-        top, at_least_lo, above_hi = masks.get(length) or masks.setdefault(length, digit_masks(length))
+        top, at_least_lo, above_hi = masks[length]
         sums = spread_digits(word, width) * ones
         flags = (((sums + at_least_lo) ^ top) | (sums + above_hi)) & top
         top_bytes = flags.to_bytes(length * width, "little")[width - 1 :: width]
@@ -267,18 +271,30 @@ def no_palindrome_coder(
 
     mirror = symbol_translation(comp)
     complement = None if comp == tuple(range(q)) else mirror
-    pairs = [(8 * t, 8 * (ell - 1 - t)) for t in range(packed)]
+    # window i is a palindrome iff word[i + t] == y[i + ell - 1 - t] for t < half,
+    # y the complemented word; an odd window's middle symbol always passes the identity
+    half = ell // 2 if complement is None else packed
+    # compare blocks of k symbols, the most whose base-q key fits a byte, at starts
+    # 0, k, 2k, ... below half; the conditions at t and ell - 1 - t are one, so a
+    # block may reach past half, and it stays inside the window
+    k = min(ell, next(b for b in range(8, 0, -1) if q**b <= 256))
+    # byte p of x * forward keys x[p - k + 1 : p + 1], x[p] heaviest; byte p of
+    # y * backward keys the same block with y[p] lightest: no carry, each below q**k
+    forward = sum(q ** (k - 1 - s) << 8 * s for s in range(k))
+    backward = sum(q**s << 8 * s for s in range(k))
+    shifts = [(8 * (b + k - 1), 8 * (ell - 1 - b)) for b in range(0, half, k)]
 
     def first_violation(word: bytes) -> int | None:
-        # byte i of (x >> 8t) ^ (y >> 8(ell-1-t)), y the complemented word, is
-        # zero iff window i passes the mirrored pair (t, ell-1-t)
+        # byte i of (x * forward >> 8(b+k-1)) ^ (y * backward >> 8(ell-1-b)) is
+        # zero iff window i passes the mirrored block at b
         if len(word) < ell:  # and so no negative end, which find() counts from the back
             return None
         x = int.from_bytes(word, "little")
         y = x if complement is None else int.from_bytes(word.translate(complement), "little")
+        ahead, behind = x * forward, y * backward
         mismatch = 0
-        for ahead, behind in pairs:
-            mismatch |= (x >> ahead) ^ (y >> behind)
+        for to_ahead, to_behind in shifts:
+            mismatch |= (ahead >> to_ahead) ^ (behind >> to_behind)
         i = mismatch.to_bytes(len(word), "little").find(0, 0, len(word) - ell + 1)
         return i if i >= 0 else None
 
@@ -309,12 +325,12 @@ def listed_window_coder(
     if len(table) > q ** packed:
         raise ParameterViolation(f"{len(table)} forbidden windows exceed capacity q**{packed} = {q ** packed}")
 
-    width, weights, reader = window_keys(q, ell)
-    read, size = reader(ell)
+    width, weights, readers = window_keys(q, ell)
+    read, size = readers[ell]
     listed = frozenset(read((spread_digits(w, width) * weights).to_bytes(size, "little"))[0] for w in table)
 
     def first_violation(word: bytes) -> int | None:
-        read, size = reader(len(word))
+        read, size = readers[len(word)]
         found = read((spread_digits(word, width) * weights).to_bytes(size, "little"))
         return None if listed.isdisjoint(found) else found.index(next(filter(listed.__contains__, found)))
 

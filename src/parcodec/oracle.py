@@ -19,6 +19,7 @@ witnesses are tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core import CodecSpec, ShrinkStep, decode, encode
@@ -191,7 +192,7 @@ class StateGraph:
 
 def build_state_graph(codec: CodecSpec, *, bound: int = DEFAULT_STATE_BOUND) -> StateGraph:
     _space(codec.q, codec.n, "n", bound)
-    edges = {node: codec.step(node) for node in _engine_words(codec.q, codec.n) if not codec.satisfies(node)}
+    edges = {node: codec.step(node) for node in filterfalse(codec.satisfies, _engine_words(codec.q, codec.n))}
     return StateGraph(q=codec.q, n=codec.n, edges=edges, is_start=codec.is_start)
 
 
@@ -264,7 +265,7 @@ def count_constraint(
 ) -> int:
     """Exact |C(n)| by enumeration of the engine words."""
     _space(q, n, "n", bound)
-    return sum(1 for word in _engine_words(q, n) if satisfies(word))
+    return sum(map(satisfies, _engine_words(q, n)))
 
 
 def check_shrink_injective(shrink: ShrinkStep, *, bound: int = DEFAULT_STATE_BOUND) -> VerifyReport:

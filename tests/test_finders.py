@@ -26,6 +26,7 @@ from parcodec import (
     weight_window_coder,
 )
 from parcodec.global_codes import _pair_finder, _Source
+from parcodec.words import LengthTable
 
 from oracles import DNA_COMP, first_forbidden_window_ref, first_pair_ref, has_period, is_palindrome, rc
 
@@ -119,6 +120,29 @@ def test_pair_finder_exhaustive(name):
     find = _pair_finder(q, ell, min_gap, keys)
     for word in words_up_to(q, max_len):
         assert find(bytes(word)) == first_pair_ref(word, ell, transform, min_gap), word
+
+
+# (q, ell, min_gap, source, reference transform), each source at its builder's gap
+PAIR_BOUNDARY_CASES = {
+    "rf": (2, 5, 1, None, lambda w: w),
+    "srf": (2, 5, 1, _Source((FLIP,) * 5), mapped((FLIP,) * 5)),
+    "rss": (4, 3, 3, _Source((DNA_COMPLEMENT,), reverse=True), rc),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_BOUNDARY_CASES))
+def test_pair_finder_at_the_window_count_boundary(name):
+    # with count = min_gap windows no j >= i + min_gap exists; one window
+    # more admits exactly the pair (0, min_gap)
+    q, ell, min_gap, source, transform = PAIR_BOUNDARY_CASES[name]
+    find = _pair_finder(q, ell, min_gap, source)
+    for count, want in ((min_gap, {None}), (min_gap + 1, {None, (0, min_gap)})):
+        found = set()
+        for word in product(range(q), repeat=ell - 1 + count):
+            got = find(bytes(word))
+            assert got == first_pair_ref(word, ell, transform, min_gap), word
+            found.add(got)
+        assert found == want, count
 
 
 # --- seeded words at n = 256 and n = 1024 --------------------------------------
@@ -245,6 +269,46 @@ def test_palindrome_finder_planted(name):
         hits += want is not None
         assert first_forbidden_window(bytes(word), coder) == want, word
     assert hits >= 12
+
+
+# (q, k): k symbols to a block, the most whose base-q key fits one byte
+PALINDROME_BLOCK_CASES = [(2, 8), (3, 5), (4, 4), (16, 2), (17, 1)]
+
+
+@pytest.mark.parametrize("comp_kind", ["identity", "involution"])
+@pytest.mark.parametrize("q, k", PALINDROME_BLOCK_CASES)
+def test_palindrome_block_layout_exhaustive(q, k, comp_kind):
+    """Every window length up to 2k + 2 that the builder admits at n = 1: one
+    block (wider than the window's half, too), several blocks, and a last
+    block that reaches past the half.
+    Checked on all words up to a small length, and on every one-symbol change
+    of words with a palindrome planted at each of three offsets."""
+    assert q**k <= 256 < q ** (k + 1)
+    # the involution s -> q - 1 - s has no fixed point for even q and one for odd q
+    comp = tuple(range(q)) if comp_kind == "identity" else tuple(range(q - 1, -1, -1))
+    short = max(length for length in range(1, 12) if q**length <= 1024)
+    centres = [s for s in range(q) if comp[s] == s] or [0]
+    rng = random.Random(q * 10 + len(comp_kind))
+    built = []
+    for ell in range(1, 2 * k + 3):
+        try:
+            coder = no_palindrome_coder(1, ell, comp=comp, q=q)
+        except ParameterViolation:
+            continue
+        built.append(ell)
+        planted = []
+        for offset in (0, 1, 2):
+            half = [rng.randrange(q) for _ in range(ell // 2)]
+            middle = [rng.choice(centres)] if ell % 2 else []
+            word = [rng.randrange(q) for _ in range(ell + 2)]
+            word[offset : offset + ell] = half + middle + [comp[s] for s in reversed(half)]
+            planted.append(tuple(word))
+            for t, s in enumerate(word):
+                planted += [tuple(word[:t] + [v] + word[t + 1 :]) for v in range(q) if v != s]
+        for word in (*words_up_to(q, min(short, ell + 2)), *planted):
+            want = first_forbidden_window_ref(word, ell, lambda w: is_palindrome(w, comp))
+            assert first_forbidden_window(bytes(word), coder) == want, (ell, word)
+    assert built == list(range(2, 2 * k + 3))
 
 
 def spliced_density_words(n, ell, seed, count):
@@ -383,3 +447,22 @@ def test_pair_builders_reject_alphabets_beyond_bytes(build):
 def test_window_builders_reject_alphabets_beyond_bytes(build):
     with pytest.raises(ParameterViolation, match="q <= 256"):
         build()
+
+
+def test_per_length_tables_stay_bounded():
+    finders = [
+        min_weight_coder(16, 9, 2).first_violation,
+        listed_window_coder(LISTED, 4, 5).first_violation,
+        _pair_finder(2, 5, 1, None),
+        _pair_finder(4, 3, 3, _Source((DNA_COMPLEMENT,), reverse=True)),
+    ]
+    for length in range(3000):
+        word = (b"\x00\x01\x01\x00\x01" * 600)[:length]
+        for find in finders:
+            find(word)
+    tables = [
+        cell.cell_contents for find in finders for cell in find.__closure__
+        if isinstance(cell.cell_contents, LengthTable)
+    ]
+    assert len(tables) == len(finders)
+    assert all(1 <= len(table) <= 8 for table in tables)
