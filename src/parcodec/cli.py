@@ -5,13 +5,17 @@ in a text format (``bits`` for q=2, ``dna`` for q=4); lines starting with
 ``#`` and blank lines are ignored.  The codec is fully determined by the
 ``--spec``/``--q`` flags, so streams carry no header.
 
-Each word line goes text -> ``translate`` -> engine -> ``translate`` -> text:
-the line's bytes are the engine word, and the encode loop and decode walk
-are the library's own (:func:`core.encode_loop`, :func:`core.decode_walk`).
-A line is read at most its word length plus ``LINE_ROOM`` characters at a
-time, so memory per line stays bounded: a data line whose text runs past
-that is refused, and the excess of a long ``#`` line is read and dropped in
-chunks.
+Each data line is translated once each way, through
+:data:`words.TEXT_TO_SYMBOL` and :data:`words.SYMBOL_TO_TEXT`, around the
+library's encode loop or decode walk (:func:`core.encode_loop`,
+:func:`core.decode_walk`).  The format fixes q and its alphabet is [0, q), so
+a line is a valid word once its length and the absence of
+:data:`words.NOT_A_SYMBOL` are tested; only a line that fails is read again,
+by :func:`words.text_symbols` and :func:`words.check_symbols`, to name its
+fault (a bad character first).  A line is read at most its word length plus
+``LINE_ROOM`` characters at a time, so memory per line stays bounded: a data
+line whose text runs past that is refused, and the excess of a long ``#``
+line is read and dropped in chunks.
 
 Output (``--output``, and ``graph``'s ``--dot``) reaches its target, a file
 or standard output, only when the command succeeds: a failed run leaves the
@@ -50,7 +54,7 @@ from .oracle import (
     sample_roundtrip,
 )
 from .specs import build_codec, parse_spec
-from .words import FORMAT_Q, check_symbols, symbols_text, text_symbols
+from .words import FORMAT_Q, NOT_A_SYMBOL, SYMBOL_TO_TEXT, TEXT_TO_SYMBOL, check_symbols, text_symbols
 
 LINE_ROOM = 256  # characters a line may hold beyond its word: whitespace and the newline
 CHUNK = 1 << 16  # characters read at a time from the excess of a long line
@@ -178,17 +182,20 @@ def _build(args):
     return build_codec(spec, args.q)
 
 
-def _transform_stream(args, what: str, apply_word):
-    """Write apply_word(codec, word) per input line, ``word`` the line's
-    engine word of k symbols (``what`` is "payload") or n; a failure is
-    reported with its line."""
+def _transform_stream(args, what: str, answer, answer_format: str):
+    """Write answer(codec, word) per input line as text in ``answer_format``,
+    ``word`` the line's engine word of k symbols (``what`` is "payload") or
+    n; a failure is reported with its line."""
     with _output(args.output) as out, _open_input(args.input) as stream:
         codec = _build(args)
         width = codec.k if what == "payload" else codec.n
+        symbols, text = TEXT_TO_SYMBOL[args.format], SYMBOL_TO_TEXT[answer_format]
         for lineno, line in _data_lines(stream, width, what):
+            word = line.encode("ascii").translate(symbols)  # _data_lines refused non-ASCII
             try:
-                word = check_symbols(text_symbols(line, args.format), codec.q, width, what)
-                out.write(apply_word(codec, word) + b"\n")
+                if len(word) != width or NOT_A_SYMBOL in word:
+                    check_symbols(text_symbols(line, args.format), codec.q, width, what)
+                out.write(answer(codec, word).translate(text) + b"\n")
             except (ParseError, DimensionMismatch) as exc:
                 raise _LineError(lineno, str(exc)) from exc
             except NotACodeword as exc:
@@ -197,19 +204,16 @@ def _transform_stream(args, what: str, apply_word):
 
 
 def _cmd_encode(args) -> int:
-    return _transform_stream(
-        args, "payload", lambda codec, word: symbols_text(encode_loop(codec, word)[0], args.format)
-    )
+    return _transform_stream(args, "payload", lambda codec, word: encode_loop(codec, word)[0], args.format)
 
 
 def _cmd_decode(args) -> int:
-    return _transform_stream(
-        args, "codeword", lambda codec, word: symbols_text(decode_walk(codec, word), args.format)
-    )
+    return _transform_stream(args, "codeword", decode_walk, args.format)
 
 
 def _cmd_check(args) -> int:
-    return _transform_stream(args, "word", lambda codec, word: b"1" if codec.satisfies(word) else b"0")
+    # a verdict is one bit, 1 for a member, written as bits whatever the input format
+    return _transform_stream(args, "word", lambda codec, word: bytes((codec.satisfies(word),)), "bits")
 
 
 def _cmd_stats(args) -> int:

@@ -11,13 +11,14 @@ rather than per value.
 The boundary functions test and convert a whole word with C-level ``bytes``
 operations (``bytearray()``, ``translate``, ``decode``):
 :func:`check_symbols` gives the engine form and :func:`check_word` the
-tuple, and :func:`text_symbols` and :func:`symbols_text` carry the CLI's
-text to and from the engine form with one ``translate`` each.  Only input
-the fast test rejects reaches a per-symbol Python loop, which names the
-first bad symbol or character.  Symbol maps (substitution tables and
-complements) are validated here too, and turned into ``translate`` tables.
-The window finders' one digit layout, :func:`window_keys`, lives here too,
-with :class:`LengthTable`, the bounded per-length table they keep.
+tuple.  Only input the fast test rejects reaches a per-symbol Python loop,
+which names the first bad symbol or character.  The CLI reads a text line
+through :data:`TEXT_TO_SYMBOL` and writes one through :data:`SYMBOL_TO_TEXT`;
+only a line it refuses reaches :func:`text_symbols` and :func:`check_symbols`.
+Symbol maps (substitution tables and complements) are validated here too,
+and turned into ``translate`` tables.  The window finders' one digit layout,
+:func:`window_keys`, lives here too, with :class:`LengthTable`, the bounded
+per-length table they keep.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ FORMAT_Q = {"bits": 2, "dna": 4}
 _BYTE_VALUES = bytes(range(256))
 # the symbols [0, q) of each alphabet that fits a byte: translate(None, ...) deletes them
 _SYMBOLS = {q: _BYTE_VALUES[:q] for q in range(1, 257)}
-_NOT_A_SYMBOL = 0xFF  # text byte outside the format's alphabet; every format has q < 255
-_TEXT_TO_SYMBOL = {
-    fmt: bytes(alphabet.index(chr(b)) if chr(b) in alphabet else _NOT_A_SYMBOL for b in range(256))
+NOT_A_SYMBOL = 0xFF  # text byte outside the format's alphabet; every format has q < 255
+TEXT_TO_SYMBOL = {
+    fmt: bytes(alphabet.index(chr(b)) if chr(b) in alphabet else NOT_A_SYMBOL for b in range(256))
     for fmt, alphabet in FORMAT_ALPHABETS.items()
 }
 # Symbols outside the alphabet map to a non-ASCII byte, so decode("ascii") rejects them.
-_SYMBOL_TO_TEXT = {
+SYMBOL_TO_TEXT = {
     fmt: alphabet.encode("ascii") + b"\x80" * (256 - len(alphabet))
     for fmt, alphabet in FORMAT_ALPHABETS.items()
 }
@@ -190,16 +191,11 @@ def all_words(q: int, n: int) -> Iterator[Word]:
 
 
 def word_to_text(word: Sequence[int], fmt: str) -> str:
-    table = _SYMBOL_TO_TEXT[fmt]
+    table = SYMBOL_TO_TEXT[fmt]
     try:
         return bytearray(tuple(word)).translate(table).decode("ascii")
     except (TypeError, ValueError):  # UnicodeDecodeError is a ValueError
         raise DimensionMismatch(f"word {word} not representable in format {fmt!r}") from None
-
-
-def symbols_text(word: bytes, fmt: str) -> bytes:
-    """An engine word as its ASCII text in format ``fmt``; every symbol must be in the format's alphabet."""
-    return word.translate(_SYMBOL_TO_TEXT[fmt])
 
 
 def text_to_word(text: str, fmt: str) -> Word:
@@ -209,8 +205,8 @@ def text_to_word(text: str, fmt: str) -> Word:
 def text_symbols(text: str, fmt: str) -> bytes:
     """The engine word a line of text in format ``fmt`` spells; ParseError names a bad character."""
     if text.isascii():
-        raw = text.encode("ascii").translate(_TEXT_TO_SYMBOL[fmt])
-        if _NOT_A_SYMBOL not in raw:
+        raw = text.encode("ascii").translate(TEXT_TO_SYMBOL[fmt])
+        if NOT_A_SYMBOL not in raw:
             return raw
     bad = next(ch for ch in text if ch not in FORMAT_ALPHABETS[fmt])
     raise ParseError(f"character {bad!r} is not valid in format {fmt!r}")

@@ -2,6 +2,7 @@
 
 import io
 import os
+import random
 import sys
 import tracemalloc
 from itertools import product
@@ -24,6 +25,7 @@ from parcodec import (
 )
 from parcodec.cli import main
 from parcodec.specs import _CONSTRAINTS, ConstraintSpec
+from parcodec.words import word_to_text
 
 
 # --- grammar -------------------------------------------------------------------
@@ -302,6 +304,18 @@ def test_cli_dna_format(tmp_path, capsys):
     assert set(out) <= set("ACGT")
 
 
+def _good_lines(fmt: str) -> tuple[list[str], dict[str, tuple[str, str]]]:
+    """The options of a 16-symbol code in ``fmt`` and, per command, a line it
+    accepts and what that line holds."""
+    spec, q = {"bits": ("mw:n=16,l=9,p=2", 2), "dna": ("ss:n=16", 4)}[fmt]
+    codec = build_codec(parse_spec(spec), q)
+    payload = (1,) * codec.k
+    codeword = word_to_text(encode(codec, payload)[0], fmt)
+    options = ["--spec", spec, "--q", str(q), "--format", fmt]
+    return options, {"encode": (word_to_text(payload, fmt), "payload"),
+                     "decode": (codeword, "codeword"), "check": (codeword, "word")}
+
+
 def test_cli_reports_first_bad_line(tmp_path, capsys):
     # line 1 is good for each command, line 2 too short
     for command, first, what in [
@@ -313,15 +327,46 @@ def test_cli_reports_first_bad_line(tmp_path, capsys):
         captured = capsys.readouterr()
         assert rc == 1, command
         assert f"line 2: {what} has length 4, expected {len(first)}" in captured.err
+    # line 2 one symbol short or one long, in both formats: the whole message, and no output
+    for fmt in ("bits", "dna"):
+        options, good = _good_lines(fmt)
+        for command, (first, what) in good.items():
+            for line in (first[:-1], first + first[0]):
+                src.write_text(f"{first}\n{line}\n{first}\n")
+                rc = run_cli([command, *options, "--input", str(src)])
+                message = f"error: line 2: {what} has length {len(line)}, expected {len(first)}\n"
+                assert (rc, *capsys.readouterr()) == (1, "", message), (fmt, command, line)
 
 
-def test_cli_bad_symbol_is_line_error(tmp_path, capsys):
+def test_cli_bad_symbol_is_line_error(tmp_path, capsys, monkeypatch):
     src = tmp_path / "in.txt"
     src.write_text("00000000200000\n")
     rc = run_cli(["encode", "--spec", "mw:n=16,l=9,p=2", "--input", str(src)])
     captured = capsys.readouterr()
     assert rc == 1  # bad data on line 1, not a usage error
     assert "line 1" in captured.err
+    # line 2 of each command in both formats, read from a file and from stdin: a bad
+    # character is named even in a line of the wrong length, and non-ASCII text is
+    # refused by its line, never with a traceback
+    for fmt, bad in (("bits", "2"), ("dna", "N")):
+        options, good = _good_lines(fmt)
+        for command, (first, _) in good.items():
+            width = len(first)
+            for line, fault in [
+                (first[:3] + bad + first[4:], f"character {bad!r} is not valid in format {fmt!r}"),
+                (("acgt" * width)[:width], f"character 'a' is not valid in format {fmt!r}"),
+                (first[:5] + " " + first[5:], f"character ' ' is not valid in format {fmt!r}"),
+                (first[:5] + "\t" + first[5:], f"character '\\t' is not valid in format {fmt!r}"),
+                (bad + first[2:], f"character {bad!r} is not valid in format {fmt!r}"),
+                (first[:4] + "\u00e9" + first[5:], "input is not ASCII text"),
+            ]:
+                text = f"{first}\n{line}\n{first}\n"
+                src.write_bytes(text.encode("utf-8"))
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                for source in (str(src), "-"):
+                    rc = run_cli([command, *options, "--input", source])
+                    expected = (1, "", f"error: line 2: {fault}\n")
+                    assert (rc, *capsys.readouterr()) == expected, (fmt, command, line, source)
 
 
 def test_cli_spec_error_is_usage_error(capsys):
@@ -603,6 +648,32 @@ def test_cli_overwrites_a_longer_target_to_exactly_the_new_output(tmp_path, caps
     src.write_text("111111111111111\n")
     assert run_cli(argv) == 0
     assert out.read_bytes() == b"1111111111111111\n"
+
+
+@pytest.mark.parametrize("text, q", [("mw:n=64,l=13,p=2", 2), ("ss:n=64", 4)])
+def test_cli_reads_crlf_blanks_and_comments_as_the_library_does(tmp_path, text, q):
+    fmt = "bits" if q == 2 else "dna"
+    codec = build_codec(parse_spec(text), q)
+    rng = random.Random(8)
+    # half the payloads mostly 0, so that some words take steps
+    payloads = [
+        tuple(rng.randrange(q) if i % 2 or rng.randrange(5) == 0 else 0 for _ in range(codec.k))
+        for i in range(40)
+    ]
+    words = [encode(codec, p) for p in payloads]
+    assert any(stats.iterations for _, stats in words)
+    pads = ("", " ", "  \t", "\t")
+    lines = []
+    for i, payload in enumerate(payloads):
+        lines += [f"# payload {i}"] * (i % 3 == 0) + [" \t"] * (i % 4 == 1) + [""] * (i % 5 == 2)
+        lines.append(f"{pads[i % 4]}{word_to_text(payload, fmt)}{pads[(i + 1) % 4]}")
+    src, mid, dst = tmp_path / "in.txt", tmp_path / "mid.txt", tmp_path / "out.txt"
+    src.write_bytes("\r\n".join(lines).encode("ascii"))  # CRLF endings, none after the last line
+    common = ["--spec", text, "--q", str(q), "--format", fmt]
+    assert run_cli(["encode", *common, "--input", str(src), "--output", str(mid)]) == 0
+    assert mid.read_bytes() == "".join(word_to_text(w, fmt) + "\n" for w, _ in words).encode("ascii")
+    assert run_cli(["decode", *common, "--input", str(mid), "--output", str(dst)]) == 0
+    assert dst.read_bytes() == "".join(word_to_text(p, fmt) + "\n" for p in payloads).encode("ascii")
 
 
 LONG = 2_000_000  # characters in one long input line

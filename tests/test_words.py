@@ -7,7 +7,7 @@ from operator import index
 import pytest
 
 from parcodec import DimensionMismatch, ParseError
-from parcodec.words import FORMAT_ALPHABETS, check_word, text_to_word, word_to_text
+from parcodec.words import FORMAT_ALPHABETS, FORMAT_Q, check_word, text_symbols, text_to_word, word_to_text
 
 
 def reference_first_bad_position(word, q):
@@ -87,6 +87,15 @@ def test_check_word_nonpositive_q_accepts_no_symbol():
         with pytest.raises(DimensionMismatch, match="symbol 0 outside"):
             check_word((0,), q)
         assert check_word((), q) == ()
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMAT_ALPHABETS))
+def test_format_alphabet_is_exactly_the_symbols_below_q(fmt):
+    # the CLI accepts a line by its length and its translation alone, with no symbol range scan
+    alphabet, q = FORMAT_ALPHABETS[fmt], FORMAT_Q[fmt]
+    assert FORMAT_Q.keys() == FORMAT_ALPHABETS.keys()
+    assert len(alphabet) == q
+    assert text_symbols(alphabet, fmt) == bytes(range(q))
 
 
 @pytest.mark.parametrize("fmt", ["bits", "dna"])
