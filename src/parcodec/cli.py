@@ -138,7 +138,7 @@ def _data_lines(stream, width: int, what: str):
     rest of a longer line is read in ``CHUNK``-character pieces and dropped:
     a ``#`` or blank line is skipped, and a data line is refused.
     """
-    limit = width + LINE_ROOM
+    limit = min(width + LINE_ROOM, sys.maxsize)  # readline takes no larger size
     for lineno in count(1):
         raw = stream.readline(limit)
         if not raw:

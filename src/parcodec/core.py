@@ -14,10 +14,10 @@ Three generic builders are provided:
 * :func:`build_intersection` combines m shrink maps (one per constraint)
   into a single shrink map for the intersection of the constraints.
 * :func:`cut_window_shrink` is the layout every window and window-pair
-  shrink shares: cut one window, which must fit the word, out and append
-  the fields that restore it.  :func:`window_room` is its one admissibility
-  rule: the tail, the step marker and the slack must fit in the ell symbols
-  that the cut frees.
+  shrink shares: cut one window out and append the fields that restore it.
+  Its two admissibility rules are :func:`window_fits`, the window must fit
+  the word, and :func:`window_room`, the tail, the step marker and the slack
+  must fit in the ell symbols that the cut frees.
 
 Every fixed-width field a reverse step reads back goes through
 :func:`decode_field`, which names the field when its value is out of range.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count
 from typing import Callable, Sequence
 
 from .errors import (
@@ -309,10 +308,9 @@ def cut_window_shrink(
     symbols and the tail, giving the start and the window to reinsert; it
     raises NotACodeword on inconsistent fields.
     """
-    if ell > n:
-        raise ParameterViolation(f"window length {ell} exceeds word length {n}")
+    window_fits(n, ell)
     content_len = n - ell + tail_len
-    pad = bytes(window_room(ell, slack, lambda e: tail_len))
+    pad = bytes(window_room(n, ell, slack, lambda e: tail_len))
 
     def cut_window(word: bytes, witness: object) -> bytes:
         start, tail = cut(word, witness)
@@ -328,19 +326,31 @@ def cut_window_shrink(
     return ShrinkStep(q=q, n=n, slack=slack, first_violation=find, cut=cut_window, unshrink=unshrink)
 
 
-def window_room(ell: int, slack: int, tail: Callable[[int], int]) -> int:
+def window_fits(n: int, ell: int) -> None:
+    """Raise ParameterViolation unless an ell-window fits in an n-word."""
+    if ell > n:
+        raise ParameterViolation(f"window length {ell} exceeds word length {n}")
+
+
+def window_room(n: int, ell: int, slack: int, tail: Callable[[int], int]) -> int:
     """Zero padding left after cutting an ell-window and appending its tail.
 
-    ``tail(e)`` is the tail width at window length e.  The cut frees ell
-    symbols, which must hold the tail, the step marker and the slack; if they
-    do not, ParameterViolation names the smallest window length that fits.
+    ``tail(e)`` is the tail width at window length e, never falling as e
+    grows.  The cut frees ell symbols, which must hold the tail, the step
+    marker and the slack; if they do not, ParameterViolation names the
+    smallest window length up to n that fits, or says that none does.
     """
     room = ell - 1 - slack - tail(ell)
     if room < 0:
-        fits = next(e for e in count(ell + 1) if e - 1 - slack >= tail(e))
+        e = ell + 1  # e fits iff e >= need = 1 + slack + tail(e); none from e up to need - 1 does
+        while e <= n and (need := 1 + slack + tail(e)) > e:
+            e = need
+        fits = (
+            f"smallest admissible window length is {e}" if e <= n else f"no window length up to n = {n} fits"
+        )
         raise ParameterViolation(
             f"window length {ell} is too short for its tail ({tail(ell)} symbols), the step "
-            f"marker and slack {slack}; smallest admissible window length is {fits}"
+            f"marker and slack {slack}; {fits}"
         )
     return room
 

@@ -9,12 +9,12 @@ window and every transformed window with one multiply each
 (:func:`words.window_keys`), so q <= 256.  One set test answers "no pair";
 only then is the minimal (i, j) looked up.  The inverse reads j, then i,
 through :func:`core.decode_field`, so it accepts exactly
-i + min_gap <= j <= n - ell.  The layout's :func:`core.window_room` refuses
-a window too short for both indices (ell < 2*ceil_log(n) + 1 + slack);
-symbol tables and complements are checked by
-:func:`words.check_symbol_map` and :func:`words.check_complement`.  The
-public builders only choose the transform, the minimum gap and how an
-overlapping window is regrown:
+i + min_gap <= j <= n - ell.  :func:`core.window_fits` refuses a window
+longer than the word before any window is keyed, :func:`core.window_room`
+one too short for both indices (ell < 2*ceil_log(n) + 1 + slack); symbol
+tables and complements are checked by :func:`words.check_symbol_map` and
+:func:`words.check_complement`.  The public builders only choose the
+transform, the minimum gap and how an overlapping window is regrown:
 
 * :func:`repeat_free_shrink` (CLI: rf/srf) - no length-ell window may recur,
   optionally after a per-position symbol substitution (gap 1; overlapping
@@ -47,6 +47,7 @@ from .core import (
     cut_window_shrink,
     decode_field,
     encode_index,
+    window_fits,
 )
 from .errors import ParameterViolation
 from .local import forbidden_window_shrink, no_palindrome_coder
@@ -65,13 +66,13 @@ def reverse_complement(word: Word, comp: Sequence[int] = DNA_COMPLEMENT) -> Word
 def _normalize_symbol_map(
     symbol_map: Sequence[Sequence[int]] | Sequence[int] | None, ell: int, q: int
 ) -> tuple[tuple[int, ...], ...] | None:
-    """Expand a symbol map to one table per window position; None means identity."""
+    """A symbol map's tables: one per window position, or a flat map as one; None means identity."""
     if symbol_map is None:
         return None
     tables = list(symbol_map)
     if tables and _is_index(tables[0]):
-        tables = [tuple(symbol_map)] * ell  # one table applied at every position
-    if len(tables) != ell:
+        tables = [symbol_map]
+    elif len(tables) != ell:
         raise ParameterViolation(f"need one symbol table per window position ({ell}), got {len(tables)}")
     return tuple(check_symbol_map(table, q, "symbol table") for table in tables)
 
@@ -86,9 +87,9 @@ def _is_index(value: object) -> bool:
 
 class _Source:
     """The transform a pair's source window goes through before it must equal
-    the window at j: symbol u of the image is ``tables[u]`` applied to symbol
-    u of the window, or to symbol ell - 1 - u when ``reverse``.  A single
-    table serves every position.
+    the window at j: symbol u of the image is ``tables[u % len(tables)]``
+    applied to symbol u of the window, or to symbol ell - 1 - u when
+    ``reverse``, so a single table serves every position.
     """
 
     def __init__(self, tables: tuple[Word, ...], reverse: bool = False):
@@ -121,7 +122,7 @@ def _pair_finder(q: int, ell: int, min_gap: int, source: _Source | None):
     == window at j and j >= i + min_gap; None when no such pair exists.  A
     None ``source`` is the identity.
     """
-    width, ones, readers = window_keys(q, ell)
+    width, ones, reader = window_keys(q, ell)
     terms = None if source is None else source.terms(q, ell, 8 * width)
 
     def find(word: bytes) -> tuple[int, int] | None:
@@ -129,7 +130,7 @@ def _pair_finder(q: int, ell: int, min_gap: int, source: _Source | None):
         count = length - ell + 1
         if count <= min_gap:  # no j >= i + min_gap below count
             return None
-        read, size = readers[length]
+        read, size = reader(length)
         keys = read((spread_digits(word, width) * ones).to_bytes(size, "little"))
         if terms is None:
             if len(set(keys)) == count:
@@ -161,6 +162,7 @@ def _window_pair_shrink(
     that did not overlap its match is ``source`` of the window at i, an
     overlapping one (possible only when min_gap < ell) regrow(rest, i, j).
     """
+    window_fits(n, ell)  # before the finder keys any window
     index_width = ceil_log(n, q)
 
     def cut(word: bytes, pair: tuple[int, int]) -> tuple[int, bytes]:
@@ -206,7 +208,7 @@ def repeat_free_shrink(
         grown = bytearray()
         for t in range(ell):
             src = rest[i + t] if i + t < j else grown[i + t - j]
-            grown.append(src if tables is None else tables[t][src])
+            grown.append(src if tables is None else tables[t % len(tables)][src])
         return bytes(grown)
 
     return _window_pair_shrink(n, ell, q, slack, 1, regrow, source)

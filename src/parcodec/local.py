@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .core import (
@@ -47,7 +48,7 @@ from .core import (
 from .errors import NotACodeword, ParameterViolation
 from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
 from .words import check_byte_alphabet, check_complement, check_symbols, spread_digits, symbol_translation
-from .words import LengthTable, window_keys
+from .words import window_keys
 
 
 @dataclass(frozen=True)
@@ -97,17 +98,16 @@ def _weight_finder(ell: int, lo: int, hi: int) -> Callable[[bytes], int | None]:
     width = (ell.bit_length() + 8) // 8
     ones = spread_digits(b"\x01" * ell, width)
 
-    def digit_masks(length: int) -> tuple[int, int, int]:
+    @lru_cache(maxsize=8)
+    def masks(length: int) -> tuple[int, int, int]:
         # (top bit of each digit, the >= lo bias, the > hi bias) for `length` digits
         digit_ones = spread_digits(b"\x01" * length, width)
         top = digit_ones << (8 * width - 1)
         return top, top - lo * digit_ones, top - (hi + 1) * digit_ones
 
-    masks = LengthTable(digit_masks)
-
     def first_violation(word: bytes) -> int | None:
         length = len(word)
-        top, at_least_lo, above_hi = masks[length]
+        top, at_least_lo, above_hi = masks(length)
         sums = spread_digits(word, width) * ones
         flags = (((sums + at_least_lo) ^ top) | (sums + above_hi)) & top
         top_bytes = flags.to_bytes(length * width, "little")[width - 1 :: width]
@@ -153,7 +153,7 @@ def min_weight_coder(n: int, ell: int, p: int, slack: int = 0) -> WindowCoder:
         raise ParameterViolation(f"minimal weight p must be >= 1, got {p}")
     field = ceil_log(ell + 1, 2)
     packed = (p - 1) * field
-    window_room(ell, slack, lambda e: ceil_log(n, 2) + (p - 1) * ceil_log(e + 1, 2))
+    window_room(n, ell, slack, lambda e: ceil_log(n, 2) + (p - 1) * ceil_log(e + 1, 2))
 
     dummy = encode_index(ell, field, 2)
 
@@ -181,7 +181,7 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
     """
     if not 0 <= wmin <= wmax <= ell:
         raise ParameterViolation(f"need 0 <= wmin <= wmax <= ell, got [{wmin}, {wmax}], ell={ell}")
-    packed = window_room(ell, slack, lambda e: ceil_log(n, 2))
+    packed = window_room(n, ell, slack, lambda e: ceil_log(n, 2))
     weights = tuple(range(0, wmin)) + tuple(range(wmax + 1, ell + 1))
     total = count_by_weight(ell, weights)
     if total > 1 << packed:
@@ -224,7 +224,7 @@ def min_period_coder(n: int, ell: int, p: int, slack: int = 0, q: int = 2) -> Wi
     if not 1 <= p <= ell:
         raise ParameterViolation(f"need 1 <= p <= ell, got p={p}, ell={ell}")
     check_byte_alphabet(q, "min_period_coder")
-    window_room(ell, slack, lambda e: ceil_log(n, q) + p)
+    window_room(n, ell, slack, lambda e: ceil_log(n, q) + p)
 
     # a window has period d iff word[t] == word[t + d] along its first
     # ell - d positions, that is, iff byte t of x ^ (x >> 8*d) is zero there
@@ -266,7 +266,7 @@ def no_palindrome_coder(
     """
     comp = tuple(range(q)) if comp is None else check_complement(comp, q, "comp")
     check_byte_alphabet(q, "no_palindrome_coder")
-    window_room(ell, slack, lambda e: ceil_log(n, q) + (e + 1) // 2)
+    window_room(n, ell, slack, lambda e: ceil_log(n, q) + (e + 1) // 2)
     packed = (ell + 1) // 2
 
     mirror = symbol_translation(comp)
@@ -321,16 +321,16 @@ def listed_window_coder(
     """
     check_byte_alphabet(q, "listed_window_coder")
     table = sorted({check_symbols(w, q, ell, what="forbidden window") for w in windows})
-    packed = window_room(ell, slack, lambda e: ceil_log(n, q))
+    packed = window_room(n, ell, slack, lambda e: ceil_log(n, q))
     if len(table) > q ** packed:
         raise ParameterViolation(f"{len(table)} forbidden windows exceed capacity q**{packed} = {q ** packed}")
 
-    width, weights, readers = window_keys(q, ell)
-    read, size = readers[ell]
+    width, weights, reader = window_keys(q, ell)
+    read, size = reader(ell)
     listed = frozenset(read((spread_digits(w, width) * weights).to_bytes(size, "little"))[0] for w in table)
 
     def first_violation(word: bytes) -> int | None:
-        read, size = readers[len(word)]
+        read, size = reader(len(word))
         found = read((spread_digits(word, width) * weights).to_bytes(size, "little"))
         return None if listed.isdisjoint(found) else found.index(next(filter(listed.__contains__, found)))
 

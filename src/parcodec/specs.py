@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import CodecSpec, ShrinkStep, build_intersection, build_one_symbol, ceil_log
+from .core import CodecSpec, ShrinkStep, build_intersection, build_one_symbol, ceil_log, window_fits
 from .errors import ParameterViolation, ParseError, SlackMismatch
 from .global_codes import (
     DNA_COMPLEMENT,
@@ -196,6 +196,7 @@ def _build_member(spec: ConstraintSpec, q: int, slack: int, build: Callable) -> 
     """``build(spec, q, slack)``, checked to be over q; a refusal from the
     builder is prefixed with the member's spec text and slack."""
     try:
+        window_fits(spec.n, spec.param("l", 0))  # before a builder sizes tables by l
         built = build(spec, q, slack)
     except (ParameterViolation, SlackMismatch) as err:
         raise type(err)(f"member {spec.to_text()!r} at slack {slack}: {err}") from None

@@ -17,12 +17,12 @@ through :data:`TEXT_TO_SYMBOL` and writes one through :data:`SYMBOL_TO_TEXT`;
 only a line it refuses reaches :func:`text_symbols` and :func:`check_symbols`.
 Symbol maps (substitution tables and complements) are validated here too,
 and turned into ``translate`` tables.  The window finders' one digit layout,
-:func:`window_keys`, lives here too, with :class:`LengthTable`, the bounded
-per-length table they keep.
+:func:`window_keys`, lives here too, with its per-length key reader.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from operator import index
 from struct import Struct
@@ -148,41 +148,26 @@ def spread_digits(word: bytes, width: int) -> int:
     return int.from_bytes(word, "little")
 
 
-class LengthTable(dict):
-    """``table[length]`` is ``build(length)``, built the first time a word of
-    that length is scanned.  A miss that finds 8 lengths kept clears them
-    first, so the table stays bounded and a hit is one dict lookup."""
-
-    def __init__(self, build: Callable[[int], object]):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, length: int):
-        if len(self) >= 8:
-            self.clear()
-        entry = self[length] = self.build(length)
-        return entry
-
-
-def window_keys(q: int, ell: int) -> tuple[int, int, LengthTable]:
-    """(width, weights, readers) keying every length-ell window by its base-q value.
+def window_keys(q: int, ell: int) -> tuple[int, int, Callable[[int], tuple]]:
+    """(width, weights, reader) keying every length-ell window by its base-q value.
 
     A digit is the fewest of 1, 2, 4 or 8 bytes, or more past 2**64, holding
-    q**ell values.  ``read, size = readers[length]`` reads windows 0 to
+    q**ell values.  ``read, size = reader(length)`` reads windows 0 to
     length - ell from ``spread_digits(word, width) * weights``, or any product
     so laid out, as ``read(product.to_bytes(size, "little"))``: machine
-    integers, or ``width``-byte strings past 8 bytes.
+    integers, or ``width``-byte strings past 8 bytes; ``reader`` keeps 8 lengths.
     """
     bits = (q**ell - 1).bit_length()
     width = next((w for w in (1, 2, 4, 8) if 8 * w >= bits), (bits + 7) // 8)
     code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)
 
+    @lru_cache(maxsize=8)
     def reader(length: int) -> tuple[Callable[[bytes], tuple], int]:
         count = max(length - ell + 1, 0)
         keys = f"{count}{code}" if code else f"{width}s" * count
         return Struct(f"<{(ell - 1) * width}x{keys}").unpack_from, (length + ell - 1) * width
 
-    return width, sum(q**s << 8 * width * s for s in range(ell)), LengthTable(reader)
+    return width, sum(q**s << 8 * width * s for s in range(ell)), reader
 
 
 def all_words(q: int, n: int) -> Iterator[Word]:

@@ -26,7 +26,6 @@ from parcodec import (
     weight_window_coder,
 )
 from parcodec.global_codes import _pair_finder, _Source
-from parcodec.words import LengthTable
 
 from oracles import DNA_COMP, first_forbidden_window_ref, first_pair_ref, has_period, is_palindrome, rc
 
@@ -460,9 +459,9 @@ def test_per_length_tables_stay_bounded():
         word = (b"\x00\x01\x01\x00\x01" * 600)[:length]
         for find in finders:
             find(word)
-    tables = [
+    caches = [
         cell.cell_contents for find in finders for cell in find.__closure__
-        if isinstance(cell.cell_contents, LengthTable)
+        if hasattr(cell.cell_contents, "cache_info")
     ]
-    assert len(tables) == len(finders)
-    assert all(1 <= len(table) <= 8 for table in tables)
+    assert len(caches) == len(finders)
+    assert all(1 <= cache.cache_info().currsize <= 8 for cache in caches)

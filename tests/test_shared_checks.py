@@ -2,11 +2,12 @@
 
 Every decoded tail field goes through ``core.decode_field``, every symbol
 table and complement through ``words.check_symbol_map``/``check_complement``,
-the window-fits-word rule through ``core.cut_window_shrink`` and the room a
-cut window leaves for its tail through ``core.window_room``.  The field
-tests start from a real shrink image, set one field to its limit (rejected,
-with the field named) and to its limit - 1 (decoded), so an off-by-one in a
-limit fails here; the room tests do the same with the window length.
+the window-fits-word rule through ``core.window_fits`` and the room a cut
+window leaves for its tail through ``core.window_room``.  The field tests
+start from a real shrink image, set one field to its limit (rejected, with
+the field named) and to its limit - 1 (decoded), so an off-by-one in a limit
+fails here; the room tests do the same with the window length, and check
+that a refusal names the smallest longer window that builds.
 """
 
 import numpy as np
@@ -122,15 +123,19 @@ def test_complement_that_is_not_self_inverse_is_a_parameter_violation(build):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, ell, n",
     [
-        lambda: forbidden_window_shrink(min_weight_coder(N, 20, 2), N),
-        lambda: repeat_free_shrink(N, 20),
+        (lambda: forbidden_window_shrink(min_weight_coder(N, 20, 2), N), 20, N),
+        (lambda: repeat_free_shrink(N, 20), 20, N),
+        # refused before any window is keyed, so at once however long the window
+        (lambda: repeat_free_shrink(20, 10**6), 10**6, 20),
+        (lambda: reverse_complement_shrink(20, 10**6), 10**6, 20),
+        (lambda: repeat_free_shrink(4, 10**6, symbol_map=(1, 0)), 10**6, 4),
     ],
-    ids=["window", "pair"],
+    ids=["window", "pair", "rf-huge", "rss-huge", "srf-flat-huge"],
 )
-def test_window_longer_than_the_word_is_a_parameter_violation(build):
-    with pytest.raises(ParameterViolation, match=r"^window length 20 exceeds word length 16$"):
+def test_window_longer_than_the_word_is_a_parameter_violation(build, ell, n):
+    with pytest.raises(ParameterViolation, match=rf"^window length {ell} exceeds word length {n}$"):
         build()
 
 
@@ -162,10 +167,10 @@ def test_flat_numpy_symbol_map_is_one_table_for_every_position():
         assert restored == word and all(type(s) is int for s in restored)
 
 
-def _hand_built(ell, slack):
+def _hand_built(ell, slack, n=N):
     # a coder of the bare WindowCoder interface whose packed window is 3 symbols
     coder = WindowCoder(2, ell, 3, lambda word: None, lambda window: window[:3], lambda packed: packed)
-    return forbidden_window_shrink(coder, N, slack=slack)
+    return forbidden_window_shrink(coder, n, slack=slack)
 
 
 # (id, build(ell), smallest admissible ell).  With N = 16 the window index
@@ -201,3 +206,62 @@ def test_smallest_admissible_window_builds_and_the_next_shorter_is_refused(build
         ParameterViolation, match=rf"^window length {smallest - 1} .*smallest admissible window length is {smallest}$"
     ):
         build(smallest - 1)
+
+
+@pytest.mark.parametrize(
+    "build, ell, tail, n",
+    [
+        # 6 index bits and 999,999 one-position bits at ell = 1, more with every doubling
+        (lambda: min_weight_coder(64, 1, 10**6), 1, 6 + 999_999, 64),
+        # 3 + ceil(ell / 2) and the marker need ell >= 8 > 7
+        (lambda: no_palindrome_coder(7, 5), 5, 3 + 3, 7),
+        # two 3-bit indices and the marker need ell >= 7 > 6
+        (lambda: repeat_free_shrink(6, 5), 5, 2 * 3, 6),
+    ],
+    ids=["mw-n64-p1e6", "enp-n7", "rf-n6"],
+)
+def test_no_window_length_up_to_the_word_length_fits(build, ell, tail, n):
+    refusal = rf"^window length {ell} is too short for its tail \({tail} symbols\), "
+    with pytest.raises(ParameterViolation, match=rf"{refusal}.*; no window length up to n = {n} fits$"):
+        build()
+
+
+# (id, build(n, ell, slack)) for every built-in tail: a window, its index and
+# the packed window (mw, lab, mp, enp, listed, a hand-built coder), or a pair
+# of indices (rf, rss)
+TAILS = [
+    ("mw-p2", lambda n, ell, slack: min_weight_coder(n, ell, 2, slack)),
+    ("mw-p16", lambda n, ell, slack: min_weight_coder(n, ell, 16, slack)),
+    ("lab", lambda n, ell, slack: weight_window_coder(n, ell, 1, ell, slack)),
+    ("mp", lambda n, ell, slack: min_period_coder(n, ell, 3, slack)),
+    ("enp", lambda n, ell, slack: no_palindrome_coder(n, ell, slack=slack)),
+    ("enp-rc", lambda n, ell, slack: no_palindrome_coder(n, ell, DNA_COMPLEMENT, q=4, slack=slack)),
+    ("listed", lambda n, ell, slack: listed_window_coder([(0,) * ell], n, ell, slack=slack)),
+    ("forbidden-window", lambda n, ell, slack: _hand_built(ell, slack, n)),
+    ("rf", lambda n, ell, slack: repeat_free_shrink(n, ell, slack=slack)),
+    ("rss", lambda n, ell, slack: reverse_complement_shrink(n, ell, slack=slack)),
+]
+
+
+@pytest.mark.parametrize("build", [case[1] for case in TAILS], ids=[case[0] for case in TAILS])
+def test_room_refusal_names_the_smallest_longer_window_that_builds(build):
+    # window_room jumps to the next length that can fit; trying every length
+    # in turn must find the same one, or none up to n
+    for n in (*range(2, 34), 63, 64, 65, 127, 128, 129):
+        for slack in range(3):
+            built, refused = [], {}
+            for ell in range(1, n + 1):
+                try:
+                    build(n, ell, slack)
+                    built.append(ell)
+                except ParameterViolation as err:
+                    refused[ell] = str(err)
+            for ell, message in refused.items():
+                if " is too short for its tail " not in message:
+                    continue  # another bound, such as mp's p <= ell
+                smallest = next((e for e in built if e > ell), None)
+                found = (
+                    f"smallest admissible window length is {smallest}" if smallest
+                    else f"no window length up to n = {n} fits"
+                )
+                assert message.endswith(f"; {found}"), (n, slack, ell, message)

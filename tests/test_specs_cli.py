@@ -416,6 +416,9 @@ def test_cli_huge_word_length_builds_nothing_of_that_length(tmp_path, capsys):
     src.write_text("0101\n")
     assert run_cli(["encode", "--spec", spec, "--input", str(src)]) == 1
     assert capsys.readouterr().err == "error: line 1: payload has length 4, expected 9999999999999\n"
+    # past sys.maxsize a line is read sys.maxsize characters at a time
+    assert run_cli(["check", "--spec", f"mpl:n={10**30}", "--input", str(src)]) == 1
+    assert capsys.readouterr() == ("", f"error: line 1: word has length 4, expected {10**30}\n")
 
 
 def test_cli_format_q_mismatch(capsys):
