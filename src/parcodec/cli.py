@@ -244,8 +244,9 @@ def _cmd_graph(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", required=True, help="constraint spec, e.g. mw:n=16,l=9,p=2")
-    parser.add_argument("--q", type=int, choices=(2, 4), default=2, help="alphabet size")
-    parser.add_argument("--format", choices=("bits", "dna"), default="bits", help="word text format")
+    q_choices = sorted(set(FORMAT_Q.values()))
+    parser.add_argument("--q", type=int, choices=q_choices, default=2, help="alphabet size")
+    parser.add_argument("--format", choices=tuple(FORMAT_Q), default="bits", help="word text format")
 
 
 def _add_io(parser: argparse.ArgumentParser) -> None:

@@ -1,24 +1,24 @@
 """Global constraints: properties of window *pairs* or of the whole word.
 
 Words are ``bytes``, one byte per symbol.  One window-pair shrink serves
-every pair constraint.  It finds the first pair
-(i, j) with transform(window at i) == window at j and j >= i + min_gap, cuts
-window j out in the cut-window layout of :func:`core.cut_window_shrink` and
-appends both indices.  The pair finder (:func:`_pair_finder`) keys every
-window and every transformed window with one multiply each
-(:func:`words.window_keys`), so q <= 256.  One set test answers "no pair";
-only then is the minimal (i, j) looked up.  The inverse reads j, then i,
-through :func:`core.decode_field`, so it accepts exactly
-i + min_gap <= j <= n - ell.  :func:`core.window_fits` refuses a window
-longer than the word before any window is keyed, :func:`core.window_room`
-one too short for both indices (ell < 2*ceil_log(n) + 1 + slack); symbol
-tables and complements are checked by :func:`words.check_symbol_map` and
-:func:`words.check_complement`.  The public builders only choose the
-transform, the minimum gap and how an overlapping window is regrown:
+every pair constraint.  It finds the first pair (i, j) with
+transform(window at i) == window at j and j >= i + gap, cuts window j out in
+the cut-window layout of :func:`core.cut_window_shrink` and appends both
+indices.  The transform (:class:`_Source`) is a symbol map, applied to the
+reversed window for reverse complements, whose image never overlaps its
+match: the gap is ell there and 1 otherwise.  The pair finder
+(:func:`_pair_finder`) keys every window and every transformed window with
+one multiply each (:func:`words.window_keys`), so q <= 256; one set test
+answers "no pair".  The inverse reads j, then i, through
+:func:`core.decode_field`, so it accepts exactly i + gap <= j <= n - ell,
+and rebuilds window j from window i, or regrows it where the two overlap.
+:func:`core.window_fits` refuses a window longer than the word before any
+window is keyed or table checked, :func:`core.window_room` one too short
+for both indices (ell < 2*ceil_log(n) + 1 + slack).  The public builders
+only choose the transform:
 
 * :func:`repeat_free_shrink` (CLI: rf/srf) - no length-ell window may recur,
-  optionally after a per-position symbol substitution (gap 1; overlapping
-  repeats are regrown symbol by symbol).
+  optionally after a per-position symbol substitution (gap 1).
 * :func:`reverse_complement_shrink` (CLI: rss) - no two non-overlapping
   windows may be reverse complements of each other (gap ell).
 * :func:`build_secondary_structure` (CLI: ss) - reverse-complement pairs
@@ -63,39 +63,31 @@ def reverse_complement(word: Word, comp: Sequence[int] = DNA_COMPLEMENT) -> Word
     return tuple(comp[s] for s in reversed(word))
 
 
-def _normalize_symbol_map(
-    symbol_map: Sequence[Sequence[int]] | Sequence[int] | None, ell: int, q: int
-) -> tuple[tuple[int, ...], ...] | None:
-    """A symbol map's tables: one per window position, or a flat map as one; None means identity."""
-    if symbol_map is None:
-        return None
-    tables = list(symbol_map)
-    if tables and _is_index(tables[0]):
-        tables = [symbol_map]
-    elif len(tables) != ell:
-        raise ParameterViolation(f"need one symbol table per window position ({ell}), got {len(tables)}")
-    return tuple(check_symbol_map(table, q, "symbol table") for table in tables)
-
-
-def _is_index(value: object) -> bool:
-    try:
-        index(value)
-    except TypeError:
-        return False
-    return True
-
-
 class _Source:
     """The transform a pair's source window goes through before it must equal
     the window at j: symbol u of the image is ``tables[u % len(tables)]``
     applied to symbol u of the window, or to symbol ell - 1 - u when
-    ``reverse``, so a single table serves every position.
+    ``reverse``.  A flat map is one table, a per-position map ell tables
+    (one if all are equal), each checked to map [0, q) into [0, q).
     """
 
-    def __init__(self, tables: tuple[Word, ...], reverse: bool = False):
-        self.tables, self.reverse = tables, reverse
-        # one distinct table: the whole window goes through one translate
-        self.translation = symbol_translation(tables[0]) if len(set(tables)) == 1 else None
+    def __init__(
+        self, symbol_map: Sequence[Sequence[int]] | Sequence[int], ell: int, q: int, reverse: bool = False
+    ):
+        tables = list(symbol_map)
+        try:
+            index(tables[0])  # not hasattr(__index__): a numpy row has one, yet refuses it
+            tables = [symbol_map]
+        except (IndexError, TypeError):
+            if len(tables) != ell:
+                raise ParameterViolation(
+                    f"need one symbol table per window position ({ell}), got {len(tables)}"
+                ) from None
+        tables = tuple(check_symbol_map(table, q, "symbol table") for table in tables)
+        self.tables = tables if len(set(tables)) > 1 else tables[:1]
+        self.ell, self.q, self.reverse = ell, q, reverse
+        # one table: the whole window goes through one translate
+        self.translation = symbol_translation(self.tables[0]) if len(self.tables) == 1 else None
 
     def __call__(self, window: bytes) -> bytes:
         symbols = window[::-1] if self.reverse else window
@@ -103,17 +95,28 @@ class _Source:
             return symbols.translate(self.translation)
         return bytes(map(getitem, cycle(self.tables), symbols))
 
-    def terms(self, q: int, ell: int, digit_bits: int) -> list[tuple[bytes, int]]:
+    def regrow(self, rest: bytes, i: int, j: int) -> bytes:
+        """The window at j that overlapped its source at i (j < i + ell, so
+        never when reversed): from symbol j - i on it is the image of its own
+        earlier symbols, so it is grown left to right."""
+        grown = bytearray()
+        for t in range(self.ell):
+            src = rest[i + t] if i + t < j else grown[i + t - j]
+            grown.append(self.tables[t % len(self.tables)][src])
+        return bytes(grown)
+
+    def terms(self, digit_bits: int) -> list[tuple[bytes, int]]:
         """(translation, multiplier) pairs, one per distinct table: the sum of
         ``spread_digits(word.translate(translation), width) * multiplier`` keys
         the image of window i in digit i + ell - 1, where image symbol u, at
         shift s below that digit, has weight q**(ell - 1 - u).
         """
+        ell = self.ell
         multipliers: dict[Word, int] = {}
         for s in range(ell):
             u = s if self.reverse else ell - 1 - s
             table = self.tables[u % len(self.tables)]
-            multipliers[table] = multipliers.get(table, 0) + (q ** (ell - 1 - u) << digit_bits * s)
+            multipliers[table] = multipliers.get(table, 0) + (self.q ** (ell - 1 - u) << digit_bits * s)
         return [(symbol_translation(table), m) for table, m in multipliers.items()]
 
 
@@ -123,7 +126,7 @@ def _pair_finder(q: int, ell: int, min_gap: int, source: _Source | None):
     None ``source`` is the identity.
     """
     width, ones, reader = window_keys(q, ell)
-    terms = None if source is None else source.terms(q, ell, 8 * width)
+    terms = None if source is None else source.terms(8 * width)
 
     def find(word: bytes) -> tuple[int, int] | None:
         length = len(word)
@@ -153,16 +156,19 @@ def _pair_finder(q: int, ell: int, min_gap: int, source: _Source | None):
 
 
 def _window_pair_shrink(
-    n: int, ell: int, q: int, slack: int, min_gap: int, regrow, source: _Source | None,
+    n: int, ell: int, q: int, slack: int,
+    symbol_map: Sequence[Sequence[int]] | Sequence[int] | None = None, reverse: bool = False,
 ) -> ShrinkStep:
     """The one window-pair shrink: cut window j of the first pair, append i and j.
 
-    ``source`` is the transform of the window at i, None for the identity.
-    The inverse accepts only i + min_gap <= j <= n - ell.  A removed window
-    that did not overlap its match is ``source`` of the window at i, an
-    overlapping one (possible only when min_gap < ell) regrow(rest, i, j).
+    The source transform is :class:`_Source` of ``symbol_map`` and
+    ``reverse``, None the identity.  The inverse accepts only
+    i + min_gap <= j <= n - ell.
     """
-    window_fits(n, ell)  # before the finder keys any window
+    window_fits(n, ell)  # before any window is keyed or any ell tables checked
+    check_byte_alphabet(q, "a window-pair constraint")  # before any translate table
+    source = None if symbol_map is None else _Source(symbol_map, ell, q, reverse)
+    min_gap = ell if reverse else 1  # a reversed image never overlaps its match
     index_width = ceil_log(n, q)
 
     def cut(word: bytes, pair: tuple[int, int]) -> tuple[int, bytes]:
@@ -172,10 +178,11 @@ def _window_pair_shrink(
     def restore(rest: bytes, tail: bytes) -> tuple[int, bytes]:
         j = decode_field(tail[index_width:], q, n - ell + 1, "pair index j")
         i = decode_field(tail[:index_width], q, j - min_gap + 1, "pair index i")
+        if source is None:  # a repeat is the periodic extension of rest[i:j], overlapping or not
+            return j, (rest[i:j] * (ell // (j - i) + 1))[:ell]
         if j < i + ell:
-            return j, regrow(rest, i, j)
-        window = rest[i : i + ell]
-        return j, window if source is None else source(window)
+            return j, source.regrow(rest, i, j)
+        return j, source(rest[i : i + ell])
 
     return cut_window_shrink(
         q, n, ell, slack, 2 * index_width, _pair_finder(q, ell, min_gap, source), cut, restore,
@@ -194,24 +201,11 @@ def repeat_free_shrink(
     With the default identity map this is the repeat-free constraint; a
     symbol map generalizes it to symbolwise-transformed repeats (CLI: srf).
     The shrink removes the window at the later index j of the first violating
-    pair and appends both indices; the inverse either copies the surviving
-    window (no overlap) or regrows the removed one symbol by symbol, since an
-    overlapping match forces a (j - i)-periodic structure.
+    pair and appends both indices; the inverse either maps the surviving
+    window (no overlap) or regrows the removed one, since an overlapping
+    match forces a (j - i)-periodic structure.
     """
-    check_byte_alphabet(q, "a window-pair constraint")
-    tables = _normalize_symbol_map(symbol_map, ell, q)
-    source = None if tables is None else _Source(tables)
-
-    def regrow(rest: bytes, i: int, j: int) -> bytes:
-        # the removed window overlapped its match: regrow left to right,
-        # reading already-regrown symbols once the source runs past j
-        grown = bytearray()
-        for t in range(ell):
-            src = rest[i + t] if i + t < j else grown[i + t - j]
-            grown.append(src if tables is None else tables[t % len(tables)][src])
-        return bytes(grown)
-
-    return _window_pair_shrink(n, ell, q, slack, 1, regrow, source)
+    return _window_pair_shrink(n, ell, q, slack, symbol_map)
 
 
 def reverse_complement_shrink(
@@ -224,10 +218,8 @@ def reverse_complement_shrink(
     overlapping case.  Any self-inverse symbol complement is accepted.  With
     n - ell < ell no such pair fits, so the step is empty and scans nothing.
     """
-    q = len(comp)
-    comp = check_complement(comp, q, "complement table")
-    check_byte_alphabet(q, "a window-pair constraint")
-    return _window_pair_shrink(n, ell, q, slack, ell, None, _Source((comp,), reverse=True))
+    comp = check_complement(comp, len(comp), "complement table")
+    return _window_pair_shrink(n, ell, len(comp), slack, comp, reverse=True)
 
 
 def secondary_structure_member(

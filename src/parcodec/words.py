@@ -35,7 +35,7 @@ Word = tuple[int, ...]
 # Text formats: one word per line. "bits" is ASCII 0/1 (q=2), "dna" maps
 # A,C,G,T to 0,1,2,3 (q=4).
 FORMAT_ALPHABETS = {"bits": "01", "dna": "ACGT"}
-FORMAT_Q = {"bits": 2, "dna": 4}
+FORMAT_Q = {fmt: len(alphabet) for fmt, alphabet in FORMAT_ALPHABETS.items()}
 
 _BYTE_VALUES = bytes(range(256))
 # the symbols [0, q) of each alphabet that fits a byte: translate(None, ...) deletes them

@@ -105,11 +105,11 @@ PER_POSITION_Q4 = ((1, 2, 3, 0), (1, 2, 0, 3), (3, 3, 0, 1))
 PAIR_CASES = {
     "rf-l3": (2, 14, 3, 1, None, lambda w: w),
     "rf-l5": (2, 14, 5, 1, None, lambda w: w),
-    "srf-one-table": (2, 14, 5, 1, _Source((FLIP,) * 5), mapped((FLIP,) * 5)),
-    "srf-per-position": (2, 14, 5, 1, _Source(PER_POSITION), mapped(PER_POSITION)),
-    "srf-per-position-q4": (4, 7, 3, 1, _Source(PER_POSITION_Q4), mapped(PER_POSITION_Q4)),
-    "rss-l2": (4, 7, 2, 2, _Source((DNA_COMPLEMENT,), reverse=True), rc),
-    "rss-l3": (4, 7, 3, 3, _Source((DNA_COMPLEMENT,), reverse=True), rc),
+    "srf-one-table": (2, 14, 5, 1, _Source(FLIP, 5, 2), mapped((FLIP,) * 5)),
+    "srf-per-position": (2, 14, 5, 1, _Source(PER_POSITION, 5, 2), mapped(PER_POSITION)),
+    "srf-per-position-q4": (4, 7, 3, 1, _Source(PER_POSITION_Q4, 3, 4), mapped(PER_POSITION_Q4)),
+    "rss-l2": (4, 7, 2, 2, _Source(DNA_COMPLEMENT, 2, 4, reverse=True), rc),
+    "rss-l3": (4, 7, 3, 3, _Source(DNA_COMPLEMENT, 3, 4, reverse=True), rc),
 }
 
 
@@ -124,8 +124,8 @@ def test_pair_finder_exhaustive(name):
 # (q, ell, min_gap, source, reference transform), each source at its builder's gap
 PAIR_BOUNDARY_CASES = {
     "rf": (2, 5, 1, None, lambda w: w),
-    "srf": (2, 5, 1, _Source((FLIP,) * 5), mapped((FLIP,) * 5)),
-    "rss": (4, 3, 3, _Source((DNA_COMPLEMENT,), reverse=True), rc),
+    "srf": (2, 5, 1, _Source(FLIP, 5, 2), mapped((FLIP,) * 5)),
+    "rss": (4, 3, 3, _Source(DNA_COMPLEMENT, 3, 4, reverse=True), rc),
 }
 
 
@@ -453,7 +453,7 @@ def test_per_length_tables_stay_bounded():
         min_weight_coder(16, 9, 2).first_violation,
         listed_window_coder(LISTED, 4, 5).first_violation,
         _pair_finder(2, 5, 1, None),
-        _pair_finder(4, 3, 3, _Source((DNA_COMPLEMENT,), reverse=True)),
+        _pair_finder(4, 3, 3, _Source(DNA_COMPLEMENT, 3, 4, reverse=True)),
     ]
     for length in range(3000):
         word = (b"\x00\x01\x01\x00\x01" * 600)[:length]

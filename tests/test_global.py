@@ -129,14 +129,19 @@ def test_symbolwise_repeat_free_roundtrip_on_violations():
 _PER_POSITION = [(1, 0) if t % 3 == 0 else (0, 1) for t in range(9)]
 
 
-def test_per_position_repeat_free_roundtrip_exhaustive_n12():
-    # at n = 12 every mapped repeat of a 9-window overlaps, so this exercises
-    # the regrow branch with a different table at each position
-    shrink = repeat_free_shrink(12, 9, symbol_map=_PER_POSITION)
+@pytest.mark.parametrize(
+    "symbol_map, tables",
+    [(None, [(0, 1)] * 9), ((1, 0), [(1, 0)] * 9), (_PER_POSITION, _PER_POSITION)],
+    ids=["identity", "flat", "per-position"],
+)
+def test_per_position_repeat_free_roundtrip_exhaustive_n12(symbol_map, tables):
+    # at n = 12 every (mapped) repeat of a 9-window overlaps, so this exercises
+    # the regrow of a periodic repeat, of one table and of a table per position
+    shrink = repeat_free_shrink(12, 9, symbol_map=symbol_map)
     checked = 0
     for word in all_binary_words(12):
         if shrink.satisfies(bytes(word)):
-            assert mapped_repeat_free_ok(word, 9, _PER_POSITION)
+            assert mapped_repeat_free_ok(word, 9, tables)
             continue
         checked += 1
         assert tuple(shrink.unshrink(shrink.shrink(bytes(word)))) == word

@@ -158,7 +158,8 @@ def test_flat_numpy_symbol_map_is_one_table_for_every_position():
     # window 0..8 copied, bits flipped, at 7..15: an overlapping copy, regrown on unshrink
     word = (1, 1, 0, 1, 0, 0, 0) + (0, 0, 1, 0, 1, 1, 1, 1, 1)
     plain = repeat_free_shrink(N, 9, symbol_map=(1, 0))
-    for symbol_map in (np.array([1, 0]), (np.int64(1), np.int64(0))):
+    # a 2-D array is a per-position map: its rows define __index__ but refuse it
+    for symbol_map in (np.array([1, 0]), (np.int64(1), np.int64(0)), np.array([[1, 0]] * 9)):
         shrink = repeat_free_shrink(N, 9, symbol_map=symbol_map)
         assert shrink.first_violation(bytes(word)) == plain.first_violation(bytes(word)) == (0, 7)
         image = shrink.shrink(bytes(word))
