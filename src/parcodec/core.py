@@ -200,7 +200,7 @@ def decode(codec: CodecSpec, word: Word) -> Word:
     word = check_word(word, codec.q, codec.n, "codeword")
     if codec.is_start(word):  # read in place: a start word is never converted
         return codec.unembed(word)
-    return tuple(decode_walk(codec, bytes(word)))
+    return tuple(decode_walk(codec, bytes(bytearray(word))))  # bytes(tuple) is about 2x slower
 
 
 def decode_walk(codec: CodecSpec, word: bytes) -> bytes:

@@ -228,7 +228,8 @@ def min_period_coder(n: int, ell: int, p: int, slack: int = 0, q: int = 2) -> Wi
 
     # a window has period d iff word[t] == word[t + d] along its first
     # ell - d positions, that is, iff byte t of x ^ (x >> 8*d) is zero there
-    # (up to len - d, where x >> 8*d runs out); a period below p needs d < p
+    # (up to len - d, where x >> 8*d runs out); a period below p needs d < p,
+    # so with p = 1 there is no run and no window is flagged
     runs = [(d, bytes(ell - d)) for d in range(1, p)]
 
     def first_violation(word: bytes) -> int | None:
@@ -236,8 +237,12 @@ def min_period_coder(n: int, ell: int, p: int, slack: int = 0, q: int = 2) -> Wi
         if length < ell:  # and so no negative end, which find() counts from the back
             return None
         x = int.from_bytes(word, "little")
-        starts = [(x ^ (x >> 8 * d)).to_bytes(length, "little").find(run, 0, length - d) for d, run in runs]
-        return min((i for i in starts if i >= 0), default=None)
+        first = length  # no window starts there
+        for d, run in runs:
+            i = (x ^ (x >> 8 * d)).to_bytes(length, "little").find(run, 0, length - d)
+            if 0 <= i < first:
+                first = i
+        return None if first == length else first
 
     def pack(window: bytes) -> bytes:
         period = minimal_period(window)

@@ -51,6 +51,7 @@ BINARY_WINDOW_CASES = {
     "lab": (lambda: weight_window_coder(16, 12, 2, 10), lambda w: not 2 <= sum(w) <= 10),
     "lab-heavy-only": (lambda: weight_window_coder(4, 6, 0, 4), lambda w: sum(w) > 4),
     "lab-narrow": (lambda: weight_window_coder(2, 6, 2, 4), lambda w: not 2 <= sum(w) <= 4),
+    "mp-p1": (lambda: min_period_coder(16, 8, 1), has_period_below(1)),  # forbids no window
     "mp-p3": (lambda: min_period_coder(16, 8, 3), has_period_below(3)),
     "mp-p4": (lambda: min_period_coder(4, 7, 4), has_period_below(4)),
     "mp-p6": (lambda: min_period_coder(2, 8, 6), has_period_below(6)),

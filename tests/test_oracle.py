@@ -8,6 +8,7 @@ from parcodec import (
     BoundExceeded,
     CodecSpec,
     ShrinkStep,
+    all_words,
     build_one_symbol,
     build_state_graph,
     check_graph,
@@ -20,7 +21,17 @@ from parcodec import (
     repeat_free_shrink,
     sample_roundtrip,
 )
-from parcodec.oracle import CYCLE, IMAGE_COLLISION, IMAGE_LENGTH, IN_DEGREE, ROUNDTRIP
+from parcodec.oracle import (
+    CYCLE,
+    EDGE_INTO_START,
+    IMAGE_COLLISION,
+    IMAGE_LENGTH,
+    IMAGE_SYMBOL,
+    IN_DEGREE,
+    PATH_SUM,
+    ROUNDTRIP,
+    _engine_words,
+)
 
 
 def mw8_codec():
@@ -72,6 +83,14 @@ def test_roundtrip_catches_two_payloads_on_one_codeword():
     assert report.failures == [((0, 1), ROUNDTRIP)]
 
 
+# --- engine words ----------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+def test_engine_words_are_all_words_as_bytes_in_order(q, n):
+    assert list(_engine_words(q, n)) == list(map(bytes, all_words(q, n)))
+
+
 # --- graph checks ---------------------------------------------------------------
 
 def test_graph_properties_hold_for_min_weight():
@@ -112,10 +131,52 @@ def _faulty_codec():
 
 
 def test_graph_flags_in_degree_and_cycle():
+    # witness, kind and order: the in-degree witness is the second edge into 10,
+    # the cycle is named by 01, payload 0 embedded, whose walk takes 5 > 2**2 steps
     report = check_graph(_faulty_codec())
-    kinds = {kind for _, kind in report.failures}
-    assert IN_DEGREE in kinds
-    assert CYCLE in kinds
+    assert report.failures == [((1, 0), IN_DEGREE), ((0, 1), CYCLE), ((), PATH_SUM)]
+    assert (report.avg_iterations, report.max_iterations, report.constraint_count) == (Fraction(5, 2), 5, 1)
+
+
+def _into_start_codec(table):
+    """Steps by ``table``, whose targets are start words; the other words are valid."""
+    return CodecSpec(
+        q=2, n=3, k=2,
+        embed=lambda x: x + type(x)((1,)),
+        unembed=lambda y: y[:-1],
+        is_start=lambda y: y[-1] == 1,
+        step=lambda y: table[y],
+        step_back=lambda y: y,
+        satisfies=lambda y: y not in table,
+    )
+
+
+INTO_START_CASES = {
+    # 000 -> 011 and 010 -> 001: two start edges and no shared target
+    "distinct-targets": (
+        ((0, 0, 0), (0, 1, 1)), ((0, 1, 0), (0, 0, 1)),
+        [((0, 1, 1), EDGE_INTO_START), ((0, 0, 1), EDGE_INTO_START)],
+    ),
+    # 100 -> 011 as well: its in-degree witness comes before its start edge
+    "shared-target": (
+        ((0, 0, 0), (0, 1, 1)), ((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1)),
+        [
+            ((0, 1, 1), EDGE_INTO_START),
+            ((0, 0, 1), EDGE_INTO_START),
+            ((0, 1, 1), IN_DEGREE),
+            ((0, 1, 1), EDGE_INTO_START),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTO_START_CASES))
+def test_graph_names_edges_into_start_words_in_edge_order(name):
+    *steps, failures = INTO_START_CASES[name]
+    report = check_graph(_into_start_codec({bytes(word): bytes(image) for word, image in steps}))
+    assert report.failures == failures
+    # every payload embeds into a word with no out-edge
+    assert (report.avg_iterations, report.max_iterations) == (0, 0)
 
 
 def test_graph_bound_refusal():
@@ -194,6 +255,19 @@ def test_shrink_injectivity_flags_collisions():
     )
     report = check_shrink_injective(constant)
     assert IMAGE_COLLISION in {kind for _, kind in report.failures}
+
+
+def test_shrink_injectivity_flags_out_of_alphabet_symbols():
+    inner = forbidden_window_shrink(min_weight_coder(8, 7, 2), 8)
+    # only the all-zero word's image holds the symbol q = 2
+    leaky = ShrinkStep(
+        q=2, n=8, slack=0,
+        first_violation=inner.first_violation,
+        cut=lambda w, witness: bytes((2,) * 7) if w == bytes(8) else inner.cut(w, witness),
+        unshrink=inner.unshrink,
+    )
+    report = check_shrink_injective(leaky)
+    assert report.failures == [((0,) * 8, IMAGE_SYMBOL)]
 
 
 # --- sampling ---------------------------------------------------------------------
