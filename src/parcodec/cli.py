@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import stat
 import sys
 import tempfile
@@ -99,20 +100,19 @@ def _output(path: str):
             raise _FileError("open", path, exc) from exc
     with tempfile.TemporaryFile() as spool:
         yield spool
-        spool.flush()
-        os.lseek(spool.fileno(), 0, os.SEEK_SET)
+        spool.seek(0)
         try:
             if path == "-":
-                while chunk := os.read(spool.fileno(), 1 << 16):
+                while chunk := spool.read(1 << 16):
                     sys.stdout.write(chunk.decode("ascii"))
             else:
-                _overwrite(path, spool.fileno())
+                _overwrite(path, spool)
         except OSError as exc:
             raise _FileError("write", path, exc) from exc
 
 
-def _overwrite(path: str, source: int) -> None:
-    """Copy descriptor ``source`` to ``path``, created if missing.
+def _overwrite(path: str, source) -> None:
+    """Copy binary file ``source`` to ``path``, created if missing.
 
     A regular file is written over in place, with no truncation to zero,
     and then cut to the length written; anything else (a FIFO, a device)
@@ -123,12 +123,9 @@ def _overwrite(path: str, source: int) -> None:
     except OSError as exc:
         raise _FileError("open", path, exc) from exc
     with open(fd, "wb") as target:
-        size = 0
-        while chunk := os.read(source, 1 << 16):
-            size += target.write(chunk)
-        target.flush()
+        shutil.copyfileobj(source, target)
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, size)
+            target.truncate()
 
 
 def _data_lines(stream, width: int, what: str):
@@ -182,14 +179,28 @@ def _build(args):
     return build_codec(spec, args.q)
 
 
-def _transform_stream(args, what: str, answer, answer_format: str):
-    """Write answer(codec, word) per input line as text in ``answer_format``,
-    ``word`` the line's engine word of k symbols (``what`` is "payload") or
-    n; a failure is reported with its line."""
+# The commands that read one word per line and write one answer per line:
+# (help, what a line holds, answer(codec, engine word), whether the answer is
+# written as bits rather than in the input's format).  A "payload" line holds
+# k symbols, any other line n.
+_STREAMS = {
+    "encode": ("encode k-symbol payloads into n-symbol codewords", "payload",
+               lambda codec, word: encode_loop(codec, word)[0], False),
+    "decode": ("decode n-symbol codewords back to payloads", "codeword", decode_walk, False),
+    # a verdict is one bit, 1 for a member
+    "check": ("print 1/0 per input word for constraint membership", "word",
+              lambda codec, word: bytes((codec.satisfies(word),)), True),
+}
+
+
+def _transform_stream(args) -> int:
+    """Write the answer of ``args.command``'s row per input line, given the
+    line's engine word; a failure is reported with its line."""
+    _, what, answer, as_bits = _STREAMS[args.command]
     with _output(args.output) as out, _open_input(args.input) as stream:
         codec = _build(args)
         width = codec.k if what == "payload" else codec.n
-        symbols, text = TEXT_TO_SYMBOL[args.format], SYMBOL_TO_TEXT[answer_format]
+        symbols, text = TEXT_TO_SYMBOL[args.format], SYMBOL_TO_TEXT["bits" if as_bits else args.format]
         for lineno, line in _data_lines(stream, width, what):
             word = line.encode("ascii").translate(symbols)  # _data_lines refused non-ASCII
             try:
@@ -201,19 +212,6 @@ def _transform_stream(args, what: str, answer, answer_format: str):
             except NotACodeword as exc:
                 raise _LineError(lineno, f"not a codeword ({exc})") from exc
     return 0
-
-
-def _cmd_encode(args) -> int:
-    return _transform_stream(args, "payload", lambda codec, word: encode_loop(codec, word)[0], args.format)
-
-
-def _cmd_decode(args) -> int:
-    return _transform_stream(args, "codeword", decode_walk, args.format)
-
-
-def _cmd_check(args) -> int:
-    # a verdict is one bit, 1 for a member, written as bits whatever the input format
-    return _transform_stream(args, "word", lambda codec, word: bytes((codec.satisfies(word),)), "bits")
 
 
 def _cmd_stats(args) -> int:
@@ -249,11 +247,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=tuple(FORMAT_Q), default="bits", help="word text format")
 
 
-def _add_io(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", default="-", help="input path or - for stdin")
-    parser.add_argument("--output", default="-", help="output path or - for stdout")
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -271,20 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_encode = sub.add_parser("encode", help="encode k-symbol payloads into n-symbol codewords")
-    _add_common(p_encode)
-    _add_io(p_encode)
-    p_encode.set_defaults(func=_cmd_encode)
-
-    p_decode = sub.add_parser("decode", help="decode n-symbol codewords back to payloads")
-    _add_common(p_decode)
-    _add_io(p_decode)
-    p_decode.set_defaults(func=_cmd_decode)
-
-    p_check = sub.add_parser("check", help="print 1/0 per input word for constraint membership")
-    _add_common(p_check)
-    _add_io(p_check)
-    p_check.set_defaults(func=_cmd_check)
+    for name, (summary, *_) in _STREAMS.items():
+        p_stream = sub.add_parser(name, help=summary)
+        _add_common(p_stream)
+        p_stream.add_argument("--input", default="-", help="input path or - for stdin")
+        p_stream.add_argument("--output", default="-", help="output path or - for stdout")
+        p_stream.set_defaults(func=_transform_stream)
 
     p_stats = sub.add_parser("stats", help="run the verification suite and print key=value lines")
     _add_common(p_stats)

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 from .errors import (
     DimensionMismatch, IterationCapExceeded, NotACodeword, ParameterViolation, SlackMismatch,
 )
-from .words import Word, check_byte_alphabet, check_symbols, check_word
+from .words import DIGITS, TEXT_TO_SYMBOL, Word, check_byte_alphabet, check_symbols, check_word
 
 
 def ceil_log(value: int, base: int) -> int:
@@ -399,13 +399,6 @@ def build_intersection(members: Sequence[ShrinkStep]) -> ShrinkStep:
     return ShrinkStep(q=q, n=n, slack=0, first_violation=first_violation, cut=cut, unshrink=unshrink)
 
 
-# bytes.translate tables from the text digits "0"/"1" to the symbols 0/1, and
-# from the symbols 0..35 to the digits int() reads in any base up to 36 (a
-# larger byte becomes "!", which int() refuses)
-_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-_DIGIT_TEXT = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"!")
-
-
 def encode_index(value: int, width: int, q: int) -> bytes:
     """Fixed-width big-endian base-q encoding of a 0-based index.
 
@@ -416,7 +409,7 @@ def encode_index(value: int, width: int, q: int) -> bytes:
         raise OverflowError(f"index {value} does not fit in {width} base-{q} symbols")
     if q == 2:
         # the leading 1 of bin() pads the digits to exactly width symbols
-        return bin(value | 1 << width)[3:].encode("ascii").translate(_BIT_DIGITS)
+        return bin(value | 1 << width)[3:].encode("ascii").translate(TEXT_TO_SYMBOL["bits"])
     digits = bytearray(width)
     for t in range(width - 1, -1, -1):
         value, digits[t] = divmod(value, q)
@@ -424,9 +417,9 @@ def encode_index(value: int, width: int, q: int) -> bytes:
 
 
 def decode_index(word: bytes, q: int) -> int:
-    """The value of a big-endian base-q field: ``int`` reads its digit text for q <= 36."""
+    """The value of a big-endian base-q field: ``int`` reads its :data:`DIGITS` text for q <= 36."""
     if q <= 36:
-        return int(word.translate(_DIGIT_TEXT), q) if word else 0
+        return int(word.translate(DIGITS), q) if word else 0
     value = 0
     for symbol in word:
         value = value * q + symbol

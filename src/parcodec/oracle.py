@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core import CodecSpec, ShrinkStep, decode, encode
 from .errors import BoundExceeded, NotACodeword
-from .words import Word, all_words
+from .words import DIGITS, Word, all_words
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -159,20 +159,14 @@ class _XorShift64Star:
         return self.next64() % q
 
 
-def sample_roundtrip(
-    codec: CodecSpec,
-    samples: int,
-    seed: int,
-    *,
-    output_check: Callable[[Word], bool] | None = None,
-) -> VerifyReport:
+def sample_roundtrip(codec: CodecSpec, samples: int, seed: int) -> VerifyReport:
     """Round-trip a seeded sample of payloads; reported as non-exhaustive."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = _XorShift64Star(seed)
     payloads = (tuple(rng.symbol(codec.q) for _ in range(codec.k)) for _ in range(samples))
     report = VerifyReport(total_inputs=samples, exhaustive=False, seed=seed)
-    return _roundtrip(codec, payloads, report, output_check)
+    return _roundtrip(codec, payloads, report, None)
 
 
 def _engine_words(q: int, length: int) -> Iterator[bytes]:
@@ -250,8 +244,9 @@ def check_graph(
     return report
 
 
-def _label(word: bytes) -> str:
-    return "".join(str(s) for s in word)
+def _label(word: bytes, q: int) -> str:
+    """A DOT node name: one :data:`DIGITS` digit per symbol up to q = 36, two hex digits above."""
+    return word.translate(DIGITS).decode("ascii") if q <= 36 else word.hex()
 
 
 def graph_to_dot(graph: StateGraph) -> Iterator[str]:
@@ -266,9 +261,9 @@ def graph_to_dot(graph: StateGraph) -> Iterator[str]:
     for node in _engine_words(graph.q, graph.n):
         fill = "white" if node in graph.edges else "palegreen"
         peripheries = 2 if graph.is_start(node) else 1
-        yield f'  "{_label(node)}" [style=filled fillcolor="{fill}" peripheries={peripheries}];\n'
+        yield f'  "{_label(node, graph.q)}" [style=filled fillcolor="{fill}" peripheries={peripheries}];\n'
     for source, target in graph.edges.items():
-        yield f'  "{_label(source)}" -> "{_label(target)}";\n'
+        yield f'  "{_label(source, graph.q)}" -> "{_label(target, graph.q)}";\n'
     yield "}\n"
 
 

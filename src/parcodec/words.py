@@ -15,6 +15,7 @@ tuple.  Only input the fast test rejects reaches a per-symbol Python loop,
 which names the first bad symbol or character.  The CLI reads a text line
 through :data:`TEXT_TO_SYMBOL` and writes one through :data:`SYMBOL_TO_TEXT`;
 only a line it refuses reaches :func:`text_symbols` and :func:`check_symbols`.
+:data:`DIGITS` spells a symbol as one digit, for index fields and DOT names.
 Symbol maps (substitution tables and complements) are validated here too,
 and turned into ``translate`` tables.  The window finders' one digit layout,
 :func:`window_keys`, lives here too, with its per-length key reader.
@@ -50,6 +51,8 @@ SYMBOL_TO_TEXT = {
     fmt: alphabet.encode("ascii") + b"\x80" * (256 - len(alphabet))
     for fmt, alphabet in FORMAT_ALPHABETS.items()
 }
+# Symbol s as the digit int() reads in any base up to 36; a larger symbol is "!", which int() refuses.
+DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"!")
 
 
 def _is_symbol(s, q: int) -> bool:

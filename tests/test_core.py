@@ -97,13 +97,16 @@ def test_index_coding_every_value(q, max_width):
             assert decode_index(bytes(word), q) == value
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 37, 256])
 def test_index_coding_empty_field(q):
     assert tuple(encode_index(0, 0, q)) == ()
     assert decode_index(bytes(()), q) == 0
 
 
-@pytest.mark.parametrize("q, width", [(2, 254), (2, 1022), (3, 200), (4, 300)])
+# above q = 36, which int() cannot read, a field takes the per-symbol loop
+@pytest.mark.parametrize(
+    "q, width", [(2, 254), (2, 1022), (3, 200), (4, 300), *((q, w) for q in (37, 256) for w in (1, 2, 3))]
+)
 def test_index_coding_wide_fields(q, width):
     rng = random.Random(width)
     for value in (0, 1, q**width - 1, q ** (width - 1), *(rng.randrange(q**width) for _ in range(20))):
@@ -219,6 +222,12 @@ def test_encode_rejects_bad_symbol(mw16):
         encode(mw16, (0,) * 14 + (2,))
 
 
+@pytest.mark.parametrize("bad", [None, 0.5])
+def test_encode_names_a_symbol_that_is_not_an_integer(mw16, bad):
+    with pytest.raises(DimensionMismatch, match=rf"^payload contains symbol {bad!r} outside alphabet \[0, 2\)$"):
+        encode(mw16, (0,) * 7 + (bad,) + (0,) * 7)
+
+
 def _plain_tuple(word):
     return type(word) is tuple and all(type(s) is int for s in word)
 
@@ -255,6 +264,15 @@ def test_decode_outside_image_never_diverges(mw16):
         assert len(payload) == 15
     except NotACodeword:
         pass
+
+
+def test_decode_names_the_iteration_cap():
+    codec = build_one_symbol(forbidden_window_shrink(min_weight_coder(16, 9, 2), 16))
+    word, stats = encode(codec, (0,) * 15)
+    assert stats.iterations == 3
+    object.__setattr__(codec, "iter_cap", 2)
+    with pytest.raises(NotACodeword, match=r"^no start word after 2 reverse steps \(cap 2\)$"):
+        decode(codec, word)
 
 
 def test_decode_names_a_reverse_cycle(mw16):
@@ -391,6 +409,13 @@ def test_intersection_scans_each_member_once_up_to_the_one_that_fires():
         assert calls == [1] * (fired + 1) + [0] * (len(members) - fired - 1)
         assert decode_index(image[-2:], 2) == fired
         assert combined.unshrink(image) == word
+
+
+def test_intersection_needs_members_that_agree_on_q_and_n():
+    with pytest.raises(ValueError, match="^need at least one member$"):
+        build_intersection([])
+    with pytest.raises(DimensionMismatch, match=r"^members disagree on alphabet/length: \(2, 24\) vs \(2, 16\)$"):
+        build_intersection([_mw_shrink(16, 10, 2, 1), _mw_shrink(24, 11, 2, 1)])
 
 
 def test_intersection_rejects_wrong_slack():

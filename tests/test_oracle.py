@@ -8,6 +8,7 @@ from parcodec import (
     BoundExceeded,
     CodecSpec,
     ShrinkStep,
+    StateGraph,
     all_words,
     build_one_symbol,
     build_state_graph,
@@ -203,6 +204,15 @@ def test_dot_marks_roles():
     # 0^8 violates it and is not a start word
     assert '"00000000" [style=filled fillcolor="white" peripheries=1];' in dot
     assert '"00000000" -> ' in dot
+
+
+@pytest.mark.parametrize("q, n, word, name", [(12, 3, (10, 11, 0), "ab0"), (37, 2, (36, 0), "2400")])
+def test_dot_gives_every_node_its_own_name(q, n, word, name):
+    # one digit per symbol up to q = 36, two hex digits per symbol above
+    graph = StateGraph(q=q, n=n, edges={}, is_start=lambda _: False)
+    names = [line.split('"')[1] for line in graph_to_dot(graph) if "style=filled" in line]
+    assert len(set(names)) == len(names) == q**n
+    assert names[sum(s * q ** (n - 1 - t) for t, s in enumerate(word))] == name
 
 
 # --- counting -------------------------------------------------------------------

@@ -573,6 +573,37 @@ def test_cli_output_to_devnull(tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("command", ["decode", "check"])
+def test_cli_decode_and_check_write_to_devnull(tmp_path, capsys, command):
+    # a device is never truncated, so writing one succeeds
+    src = tmp_path / "in.txt"
+    src.write_text("1111111111111111\n")
+    rc = run_cli([command, "--spec", "mw:n=16,l=9,p=2", "--input", str(src), "--output", os.devnull])
+    assert rc == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cli_decode_names_a_non_codeword_and_keeps_the_output(tmp_path, capsys):
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("1111111111111111\n1111111111111110\n")
+    out.write_text("kept\n")
+    rc = run_cli(["decode", "--spec", "mw:n=16,l=9,p=2", "--input", str(src), "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: line 2: not a codeword (window index 15 out of range (limit 8))\n"
+    )
+    assert out.read_text() == "kept\n"
+
+
+def test_cli_output_to_a_directory_is_usage_error(tmp_path, capsys):
+    src, target = tmp_path / "in.txt", tmp_path / "dir"
+    src.write_text("1111111111111111\n")
+    target.mkdir()
+    rc = run_cli(["decode", "--spec", "mw:n=16,l=9,p=2", "--input", str(src), "--output", str(target)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: cannot open {str(target)!r}: Is a directory\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",
