@@ -7,8 +7,10 @@ with a seed and is reported as non-exhaustive.  All results are deterministic.
 The round trip checks ``decode(encode(p)) == p`` for every payload; that
 also proves each codeword valid (``encode`` returns only words that satisfy
 the constraint) and all codewords distinct (two payloads sharing one decode
-to one payload).  The step graph keeps only its edges, since a word is valid
-iff it has none.
+to one payload).  The step graph is one array indexed by a word's base-q
+rank, its lexicographic position: the rank of the word's step image, or -1
+for a valid word.  Words are built from ranks only for a witness, a DOT
+name or ``is_start``.
 
 The round trip goes through the public :func:`encode` and :func:`decode`,
 on tuples; the graph, the count and the injectivity check enumerate engine
@@ -24,11 +26,12 @@ from itertools import filterfalse, product, starmap
 from operator import add
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .core import CodecSpec, ShrinkStep, decode, encode
-from .errors import BoundExceeded, NotACodeword
-from .words import DIGITS, Word, all_words
+from .core import CodecSpec, ShrinkStep, decode, decode_index, encode, encode_index
+from .errors import BoundExceeded, DimensionMismatch, NotACodeword
+from .words import DIGITS, Word, all_words, check_symbols
 
 if TYPE_CHECKING:
+    from array import array
     from fractions import Fraction
 
 DEFAULT_STATE_BOUND = 1 << 20
@@ -108,8 +111,10 @@ def _roundtrip(
     max_iterations = 0
     for payload in payloads:
         word, stats = encode(codec, payload)
-        total_iterations += stats.iterations
-        max_iterations = max(max_iterations, stats.iterations)
+        iterations = stats.iterations
+        total_iterations += iterations
+        if iterations > max_iterations:
+            max_iterations = iterations
         if output_check is not None and not output_check(word):
             report.failures.append((payload, OUTPUT_CHECK))
         try:
@@ -183,20 +188,31 @@ def _engine_words(q: int, length: int) -> Iterator[bytes]:
 
 @dataclass
 class StateGraph:
-    """The step map over all q**n words: ``edges`` maps each violating engine
-    word, in lexicographic order, to its step image, so a word is valid iff it
-    has none."""
+    """The step map over all q**n words, indexed by base-q rank (a word's
+    lexicographic position): ``targets[r]`` is the rank of word r's step
+    image, or -1 when word r satisfies the constraint."""
 
     q: int
     n: int
-    edges: dict[bytes, bytes]
+    targets: array
     is_start: Callable[[bytes], bool]
 
 
 def build_state_graph(codec: CodecSpec, *, bound: int = DEFAULT_STATE_BOUND) -> StateGraph:
-    _space(codec.q, codec.n, "n", bound)
-    edges = {node: codec.step(node) for node in filterfalse(codec.satisfies, _engine_words(codec.q, codec.n))}
-    return StateGraph(q=codec.q, n=codec.n, edges=edges, is_start=codec.is_start)
+    """The step graph; DimensionMismatch naming the source word of a step image
+    that is not an n-word over [0, q)."""
+    from array import array  # on first use, as fractions is: loading it takes about 0.5 ms
+
+    q, n = codec.q, codec.n
+    space = _space(q, n, "n", bound)
+    targets = array("i" if space <= 1 << 31 else "q", [-1]) * space
+    for word in filterfalse(codec.satisfies, _engine_words(q, n)):
+        try:
+            image = check_symbols(codec.step(word), q, n, "step image")
+        except DimensionMismatch as refusal:
+            raise DimensionMismatch(f"word {tuple(word)}: {refusal}") from None
+        targets[decode_index(word, q)] = decode_index(image, q)
+    return StateGraph(q=q, n=n, targets=targets, is_start=codec.is_start)
 
 
 def check_graph(
@@ -205,39 +221,46 @@ def check_graph(
     """Structural checks on the step graph.
 
     Asserts in-degree <= 1 everywhere, in-degree 0 on the start set, no cycle
-    reachable from any embedded payload, and total path length at most q**n.
+    reachable from any embedded payload, and total path length at most
+    q**n - q**k: given the first two, paths from distinct starts are disjoint
+    and end on words that are not starts.  An embedded payload that is not
+    an n-word over [0, q) raises DimensionMismatch naming the payload.
     Pass a prebuilt ``graph`` to avoid enumerating the state space twice.
     """
     if graph is None:
         graph = build_state_graph(codec, bound=bound)
-    space = codec.q ** codec.n
-    report = VerifyReport(total_inputs=codec.q ** codec.k, constraint_count=space - len(graph.edges))
+    q, n, targets = graph.q, graph.n, graph.targets
+    space = len(targets)
+    report = VerifyReport(total_inputs=q ** codec.k, constraint_count=targets.count(-1))
 
-    edges = graph.edges
-    targets: set[bytes] = set()
-    for target in edges.values():
-        if target in targets:
-            report.failures.append((tuple(target), IN_DEGREE))
-        targets.add(target)
-        if graph.is_start(target):
-            report.failures.append((tuple(target), EDGE_INTO_START))
+    seen = bytearray(space)
+    for target in filter((-1).__ne__, targets):
+        word = encode_index(target, n, q)
+        if seen[target]:
+            report.failures.append((tuple(word), IN_DEGREE))
+        seen[target] = 1
+        if graph.is_start(word):
+            report.failures.append((tuple(word), EDGE_INTO_START))
 
-    # a start word with no out-edge takes 0 steps, so only the others are walked
     total_steps = 0
     max_steps = 0
-    for start in filter(edges.__contains__, map(codec.embed, _engine_words(codec.q, codec.k))):
-        node = start
+    for payload in _engine_words(q, codec.k):
+        try:
+            start = decode_index(check_symbols(codec.embed(payload), q, n, "embedded payload"), q)
+        except DimensionMismatch as refusal:
+            raise DimensionMismatch(f"payload {tuple(payload)}: {refusal}") from None
+        node = targets[start]
         steps = 0
-        while node in edges:
-            node = edges[node]
+        while node >= 0:
             steps += 1
             if steps > space:
-                report.failures.append((tuple(start), CYCLE))
+                report.failures.append((tuple(encode_index(start, n, q)), CYCLE))
                 break
+            node = targets[node]
         total_steps += steps
         if steps > max_steps:
             max_steps = steps
-    if total_steps > space:
+    if total_steps > space - report.total_inputs:
         report.failures.append(((), PATH_SUM))
     report.avg_iterations = _exact_mean(total_steps, report.total_inputs)
     report.max_iterations = max_steps
@@ -251,19 +274,22 @@ def _label(word: bytes, q: int) -> str:
 
 def graph_to_dot(graph: StateGraph) -> Iterator[str]:
     """Deterministic DOT text, one newline-terminated line at a time: nodes
-    in lexicographic order, colored by role, then the edges.
+    in lexicographic order, colored by role, then the edges in source order.
 
     Fill marks constraint membership, a double border marks start words.
     The lines are yielded as they are made, so a writer never holds the text.
     """
+    q, n, targets = graph.q, graph.n, graph.targets
     yield "digraph step_graph {\n"
     yield "  node [shape=circle];\n"
-    for node in _engine_words(graph.q, graph.n):
-        fill = "white" if node in graph.edges else "palegreen"
+    for node, target in zip(_engine_words(q, n), targets):
+        fill = "white" if target >= 0 else "palegreen"
         peripheries = 2 if graph.is_start(node) else 1
-        yield f'  "{_label(node, graph.q)}" [style=filled fillcolor="{fill}" peripheries={peripheries}];\n'
-    for source, target in graph.edges.items():
-        yield f'  "{_label(source, graph.q)}" -> "{_label(target, graph.q)}";\n'
+        yield f'  "{_label(node, q)}" [style=filled fillcolor="{fill}" peripheries={peripheries}];\n'
+    # the edge lines need a second pass: the DOT text puts every node before any edge
+    for source, target in zip(_engine_words(q, n), targets):
+        if target >= 0:
+            yield f'  "{_label(source, q)}" -> "{_label(encode_index(target, n, q), q)}";\n'
     yield "}\n"
 
 

@@ -1,5 +1,10 @@
 """Verification harness: graph checks, counting, injectivity, sampling."""
 
+import re
+import tracemalloc
+from array import array
+from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,9 +12,11 @@ import pytest
 from parcodec import (
     BoundExceeded,
     CodecSpec,
+    DimensionMismatch,
     ShrinkStep,
     StateGraph,
     all_words,
+    build_codec,
     build_one_symbol,
     build_state_graph,
     check_graph,
@@ -19,6 +26,7 @@ from parcodec import (
     forbidden_window_shrink,
     graph_to_dot,
     min_weight_coder,
+    parse_spec,
     repeat_free_shrink,
     sample_roundtrip,
 )
@@ -139,10 +147,10 @@ def test_graph_flags_in_degree_and_cycle():
     assert (report.avg_iterations, report.max_iterations, report.constraint_count) == (Fraction(5, 2), 5, 1)
 
 
-def _into_start_codec(table):
-    """Steps by ``table``, whose targets are start words; the other words are valid."""
+def _into_start_codec(table, q=2, n=3, k=2):
+    """Payload x embeds as x1, the start words; the words in ``table`` step by it, the others are valid."""
     return CodecSpec(
-        q=2, n=3, k=2,
+        q=q, n=n, k=k,
         embed=lambda x: x + type(x)((1,)),
         unembed=lambda y: y[:-1],
         is_start=lambda y: y[-1] == 1,
@@ -180,6 +188,59 @@ def test_graph_names_edges_into_start_words_in_edge_order(name):
     assert (report.avg_iterations, report.max_iterations) == (0, 0)
 
 
+def test_graph_caps_total_walk_length_at_q_n_minus_q_k():
+    # 01 -> 00 -> 10 and 11 -> 00 -> 10: 4 steps in all, at most q**n = 4 but above q**n - q**k = 2
+    report = check_graph(_into_start_codec({b"\0\1": b"\0\0", b"\1\1": b"\0\0", b"\0\0": b"\1\0"}, n=2, k=1))
+    assert report.failures == [((0, 0), IN_DEGREE), ((), PATH_SUM)]
+    assert (report.avg_iterations, report.max_iterations, report.constraint_count) == (2, 2, 1)
+
+
+@pytest.mark.parametrize("q", [3, 36, 37])
+def test_graph_walk_ranks_starts_on_either_side_of_the_digit_alphabet(q):
+    # (q-1)1 -> (q-1)0, which steps to itself: decode_index ranks with int() up to q = 36, symbol by symbol above
+    top = q - 1
+    table = {bytes((top, 1)): bytes((top, 0)), bytes((top, 0)): bytes((top, 0))}
+    report = check_graph(_into_start_codec(table, q=q, n=2, k=1))
+    assert report.failures == [((top, 0), IN_DEGREE), ((top, 1), CYCLE), ((), PATH_SUM)]
+    assert report.max_iterations == q**2 + 1
+
+
+@pytest.mark.parametrize(
+    "image, refusal",
+    [((1, 0, 0), "step image has length 3, expected 2"), ((1, 7), "step image contains symbol 7 outside alphabet [0, 2)")],
+)
+def test_graph_refuses_a_step_image_that_is_not_a_word(image, refusal):
+    with pytest.raises(DimensionMismatch, match=re.escape(f"word (0, 0): {refusal}")):
+        build_state_graph(_into_start_codec({b"\0\0": bytes(image)}, n=2, k=1))
+
+
+@pytest.mark.parametrize(
+    "embed, refusal",
+    [
+        (lambda x: x, "embedded payload has length 2, expected 3"),
+        (lambda x: x + b"\5", "embedded payload contains symbol 5 outside alphabet [0, 2)"),
+    ],
+)
+def test_graph_refuses_an_embedded_payload_that_is_not_a_word(embed, refusal):
+    codec = replace(_into_start_codec({}), embed=embed)
+    with pytest.raises(DimensionMismatch, match=re.escape(f"payload (0, 0): {refusal}")):
+        check_graph(codec)
+
+
+def test_graph_build_check_and_dot_peak_under_one_mib():
+    # the graph is one array of q**n ranks; a dict of bytes edges and a set of targets took 2.5 MiB on this spec
+    codec = build_codec(parse_spec("enp:n=16,l=10"))
+    tracemalloc.start()
+    try:
+        graph = build_state_graph(codec)
+        assert check_graph(codec, graph=graph).ok
+        deque(graph_to_dot(graph), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_graph_bound_refusal():
     with pytest.raises(BoundExceeded):
         check_graph(mw8_codec(), bound=100)
@@ -209,7 +270,7 @@ def test_dot_marks_roles():
 @pytest.mark.parametrize("q, n, word, name", [(12, 3, (10, 11, 0), "ab0"), (37, 2, (36, 0), "2400")])
 def test_dot_gives_every_node_its_own_name(q, n, word, name):
     # one digit per symbol up to q = 36, two hex digits per symbol above
-    graph = StateGraph(q=q, n=n, edges={}, is_start=lambda _: False)
+    graph = StateGraph(q=q, n=n, targets=array("i", [-1]) * q**n, is_start=lambda _: False)
     names = [line.split('"')[1] for line in graph_to_dot(graph) if "style=filled" in line]
     assert len(set(names)) == len(names) == q**n
     assert names[sum(s * q ** (n - 1 - t) for t, s in enumerate(word))] == name
