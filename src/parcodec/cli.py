@@ -5,17 +5,22 @@ in a text format (``bits`` for q=2, ``dna`` for q=4); lines starting with
 ``#`` and blank lines are ignored.  The codec is fully determined by the
 ``--spec``/``--q`` flags, so streams carry no header.
 
-Each data line is translated once each way, through
-:data:`words.TEXT_TO_SYMBOL` and :data:`words.SYMBOL_TO_TEXT`, around the
-library's encode loop or decode walk (:func:`core.encode_loop`,
-:func:`core.decode_walk`).  The format fixes q and its alphabet is [0, q), so
-a line is a valid word once its length and the absence of
-:data:`words.NOT_A_SYMBOL` are tested; only a line that fails is read again,
-by :func:`words.text_symbols` and :func:`words.check_symbols`, to name its
-fault (a bad character first).  A line is read at most its word length plus
-``LINE_ROOM`` characters at a time, so memory per line stays bounded: a data
-line whose text runs past that is refused, and the excess of a long ``#``
-line is read and dropped in chunks.
+The input is read ``CHUNK`` characters at a time, and each run of complete
+lines is answered as one block.  The format fixes q and its alphabet is
+[0, q), so a run whose lines are all bare words of the right length needs no
+further test: it is translated once through :data:`words.TEXT_TO_SYMBOL`,
+split into engine words, answered by the library's encode loop or decode
+walk (:func:`core.encode_loop`, :func:`core.decode_walk`), joined and
+translated back once through :data:`words.SYMBOL_TO_TEXT`.  Any other run
+(with a ``#``, blank, padded, non-ASCII or bad line, or a word the library
+refuses) goes line by line from its first line number, and only a line that
+fails its length and :data:`words.NOT_A_SYMBOL` test is read again, by
+:func:`words.text_symbols` and :func:`words.check_symbols`, to name its
+fault (a bad character first).  So the first bad line is the one reported,
+whichever way its run went.  A run holds at most ``CHUNK`` characters plus a
+word and ``LINE_ROOM``, so memory stays bounded: a data line whose text runs
+past its word plus ``LINE_ROOM`` characters is refused, and a longer ``#``
+or blank line is read to its end in ``CHUNK``-character pieces and dropped.
 
 Output (``--output``, and ``graph``'s ``--dot``) reaches its target, a file
 or standard output, only when the command succeeds: a failed run leaves the
@@ -41,7 +46,7 @@ import sys
 import tempfile
 from contextlib import contextmanager, nullcontext
 from functools import cache
-from itertools import count
+from itertools import repeat
 
 from .core import decode_walk, encode_loop
 from .errors import CodecError, DimensionMismatch, NotACodeword, ParseError
@@ -58,7 +63,7 @@ from .specs import build_codec, parse_spec
 from .words import FORMAT_Q, NOT_A_SYMBOL, SYMBOL_TO_TEXT, TEXT_TO_SYMBOL, check_symbols, text_symbols
 
 LINE_ROOM = 256  # characters a line may hold beyond its word: whitespace and the newline
-CHUNK = 1 << 16  # characters read at a time from the excess of a long line
+CHUNK = 1 << 13  # characters read at a time, from the stream and from a long line
 
 
 class _LineError(Exception):
@@ -77,7 +82,7 @@ def _open_input(path: str):
     # standard input is borrowed, never closed: main() may run again in-process
     if path == "-":
         return nullcontext(sys.stdin)
-    # non-ASCII bytes decode to lone surrogates, which _data_lines reports by line
+    # non-ASCII bytes decode to lone surrogates, which are reported by line
     try:
         return open(path, encoding="ascii", errors="surrogateescape")
     except OSError as exc:
@@ -128,48 +133,53 @@ def _overwrite(path: str, source) -> None:
             target.truncate()
 
 
-def _data_lines(stream, width: int, what: str):
-    """(line number, stripped text) of each data line of ``stream``.
+def _runs(stream, limit: int, too_long: str):
+    """(first line number, text) of each run of complete lines of ``stream``:
+    the lines joined by newlines, the run's last newline dropped.
 
-    A line is read at most ``width + LINE_ROOM`` characters at a time.  The
-    rest of a longer line is read in ``CHUNK``-character pieces and dropped:
-    a ``#`` or blank line is skipped, and a data line is refused.
+    ``stream`` is read ``CHUNK`` characters at a time, so a run holds at most
+    ``CHUNK + limit`` characters.  A line that runs past ``limit`` characters
+    with no newline in sight is read to its end and dropped once the lines
+    before it are answered: a ``#`` or blank line is skipped, and a data line
+    is refused with ``too_long``.  A run may still hold a complete line past
+    ``limit``; the caller refuses it.
     """
-    limit = min(width + LINE_ROOM, sys.maxsize)  # readline takes no larger size
-    for lineno in count(1):
-        raw = stream.readline(limit)
-        if not raw:
-            return
-        if not raw.isascii():
-            raise _LineError(lineno, "input is not ASCII text")
-        line = raw.strip()
-        if len(raw) == limit and raw[-1] != "\n":
-            line, longer = _drain(stream, lineno, line)
-            if longer:
-                if line and line[0] != "#":
-                    raise _LineError(
-                        lineno, f"line longer than {limit} characters, expected a {what} of {width} symbols"
-                    )
-                continue
-        if line and line[0] != "#":
-            yield lineno, line
-
-
-def _drain(stream, lineno: int, head: str) -> tuple[str, bool]:
-    """Read the rest of a line in ``CHUNK``-character pieces, keeping none.
-
-    Returns the line's first text (``head``, or if that is empty the first
-    text of the rest) and whether the rest held more than its newline.
-    """
-    longer = False
-    while piece := stream.readline(CHUNK):
-        if not piece.isascii():
-            raise _LineError(lineno, "input is not ASCII text")
-        longer = longer or piece != "\n"
-        head = head or piece.strip()
-        if piece[-1] == "\n":
+    lineno, text = 1, ""
+    while True:
+        end = text.rfind("\n")
+        if end >= 0:
+            run, text = text[:end], text[end + 1:]
+            yield lineno, run
+            lineno += run.count("\n") + 1
+        if len(text) > limit:
+            is_data, text = _drop_line(stream, lineno, text)
+            if is_data:
+                raise _LineError(lineno, too_long)
+            lineno += 1
+        elif piece := stream.read(CHUNK):
+            text += piece
+        else:
             break
-    return head, longer
+    if text:
+        yield lineno, text
+
+
+def _drop_line(stream, lineno: int, text: str) -> tuple[bool, str]:
+    """Read the rest of the line that ``text`` starts, ``CHUNK`` characters
+    at a time, keeping none of it.
+
+    Returns whether the line's first text is other than ``#`` (a data line),
+    and what follows its newline.
+    """
+    first = ""
+    while True:
+        end = text.find("\n")
+        line = text if end < 0 else text[:end]
+        if not line.isascii():
+            raise _LineError(lineno, "input is not ASCII text")
+        first = first or line.lstrip()[:1]
+        if end >= 0 or not (text := stream.read(CHUNK)):
+            return first not in ("", "#"), text[end + 1:]  # at the end of the stream, text is ""
 
 
 def _build(args):
@@ -195,22 +205,48 @@ _STREAMS = {
 
 def _transform_stream(args) -> int:
     """Write the answer of ``args.command``'s row per input line, given the
-    line's engine word; a failure is reported with its line."""
+    line's engine word; a failure is reported with its line.  A run of bare
+    words is answered as one block, any other run line by line."""
     _, what, answer, as_bits = _STREAMS[args.command]
     with _output(args.output) as out, _open_input(args.input) as stream:
         codec = _build(args)
         width = codec.k if what == "payload" else codec.n
-        symbols, text = TEXT_TO_SYMBOL[args.format], SYMBOL_TO_TEXT["bits" if as_bits else args.format]
-        for lineno, line in _data_lines(stream, width, what):
-            word = line.encode("ascii").translate(symbols)  # _data_lines refused non-ASCII
-            try:
-                if len(word) != width or NOT_A_SYMBOL in word:
-                    check_symbols(text_symbols(line, args.format), codec.q, width, what)
-                out.write(answer(codec, word).translate(text) + b"\n")
-            except (ParseError, DimensionMismatch) as exc:
-                raise _LineError(lineno, str(exc)) from exc
-            except NotACodeword as exc:
-                raise _LineError(lineno, f"not a codeword ({exc})") from exc
+        limit = width + LINE_ROOM
+        too_long = f"line longer than {limit} characters, expected a {what} of {width} symbols"
+        # both tables keep the newline as byte 10, which is no symbol of any format
+        symbols, text = (
+            table[:10] + b"\n" + table[11:]
+            for table in (TEXT_TO_SYMBOL[args.format], SYMBOL_TO_TEXT["bits" if as_bits else args.format])
+        )
+        for first, run in _runs(stream, limit, too_long):
+            if run.isascii():
+                block = run.encode("ascii").translate(symbols)
+                if NOT_A_SYMBOL not in block and set(map(len, words := block.split(b"\n"))) == {width}:
+                    try:
+                        answers = b"\n".join(map(answer, repeat(codec), words))
+                    except CodecError:
+                        pass  # named by the line-by-line pass
+                    else:
+                        out.write(answers.translate(text))
+                        out.write(b"\n")
+                        continue
+            for lineno, raw in enumerate(run.split("\n"), first):
+                if not raw.isascii():
+                    raise _LineError(lineno, "input is not ASCII text")
+                line = raw.strip()
+                if not line or line[0] == "#":
+                    continue
+                if len(raw) > limit:
+                    raise _LineError(lineno, too_long)
+                word = line.encode("ascii").translate(symbols)
+                try:
+                    if len(word) != width or NOT_A_SYMBOL in word:
+                        check_symbols(text_symbols(line, args.format), codec.q, width, what)
+                    out.write(answer(codec, word).translate(text) + b"\n")
+                except (ParseError, DimensionMismatch) as exc:
+                    raise _LineError(lineno, str(exc)) from exc
+                except NotACodeword as exc:
+                    raise _LineError(lineno, f"not a codeword ({exc})") from exc
     return 0
 
 
