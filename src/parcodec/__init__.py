@@ -1,7 +1,9 @@
 """parcodec: single-redundancy-symbol codes for length-parametric channel constraints.
 
-Build a codec from one of the constraint builders (or from a textual spec via
-:mod:`parcodec.specs`), then :func:`encode`/:func:`decode` fixed-length words.
+Build a codec from a textual spec, ``build_codec(parse_spec("mpl:n=16"))``
+(one :mod:`parcodec.specs` registry row per constraint, ``mpl``, ``ss`` and
+``ab`` included), or from shrink steps via :func:`build_one_symbol`, then
+:func:`encode`/:func:`decode` fixed-length words.
 The :mod:`parcodec.oracle` module verifies codecs exhaustively at small block
 lengths.
 """
@@ -31,20 +33,15 @@ from .errors import (
 )
 from .global_codes import (
     DNA_COMPLEMENT,
-    almost_balanced_shrink_pair,
-    build_almost_balanced,
-    build_secondary_structure,
     count_weight_at_most,
     min_balanced_weight,
     rank_weight_at_most,
     repeat_free_shrink,
-    reverse_complement,
     reverse_complement_shrink,
     unrank_weight_at_most,
 )
 from .local import (
     WindowCoder,
-    build_palindrome_free,
     first_forbidden_window,
     forbidden_window_shrink,
     listed_window_coder,

@@ -14,20 +14,23 @@ answers "no pair".  The inverse reads j, then i, through
 and rebuilds window j from window i, or regrows it where the two overlap.
 :func:`core.window_fits` refuses a window longer than the word before any
 window is keyed or table checked, :func:`core.window_room` one too short
-for both indices (ell < 2*ceil_log(n) + 1 + slack).  The public builders
-only choose the transform:
+for both indices (ell < 2*ceil_log(n) + 1 + slack).  The public shrink
+steps only choose the transform:
 
 * :func:`repeat_free_shrink` (CLI: rf/srf) - no length-ell window may recur,
   optionally after a per-position symbol substitution (gap 1).
 * :func:`reverse_complement_shrink` (CLI: rss) - no two non-overlapping
   windows may be reverse complements of each other (gap ell).
-* :func:`build_secondary_structure` (CLI: ss) - reverse-complement pairs
-  forbidden at *every* offset, overlapping included, by intersecting the
-  non-overlapping shrink with a reverse-complement-palindrome window coder.
-* :func:`build_almost_balanced` (CLI: ab) - total Hamming weight confined to
-  [n/2 - sqrt(n), n/2 + sqrt(n)], via exact enumerative ranking of the
-  too-light and too-heavy words.  All threshold arithmetic is exact integer
-  work; no floating point enters codec semantics.
+
+The :mod:`parcodec.specs` rows ``ss`` and ``ab`` intersect two members each:
+
+* :func:`secondary_structure_member` (ss) - reverse-complement pairs
+  forbidden at *every* offset: the non-overlapping pair shrink and a
+  reverse-complement-palindrome window shrink.
+* :func:`almost_balanced_member` (ab) - total Hamming weight confined to
+  [n/2 - sqrt(n), n/2 + sqrt(n)], by exact enumerative ranking of the
+  too-light and the too-heavy words.  All threshold arithmetic is exact
+  integer work; no floating point enters codec semantics.
 """
 
 from __future__ import annotations
@@ -39,10 +42,7 @@ from operator import getitem, index
 from typing import Sequence
 
 from .core import (
-    CodecSpec,
     ShrinkStep,
-    build_intersection,
-    build_one_symbol,
     ceil_log,
     cut_window_shrink,
     decode_field,
@@ -57,10 +57,6 @@ from .words import spread_digits, window_keys
 
 # DNA alphabet is A=0, C=1, G=2, T=3; complement swaps A<->T and C<->G.
 DNA_COMPLEMENT: tuple[int, ...] = (3, 2, 1, 0)
-
-
-def reverse_complement(word: Word, comp: Sequence[int] = DNA_COMPLEMENT) -> Word:
-    return tuple(comp[s] for s in reversed(word))
 
 
 class _Source:
@@ -214,8 +210,8 @@ def reverse_complement_shrink(
     """No window may be the reverse complement of an earlier, non-overlapping one.
 
     Reverse complement is not symbolwise (it reverses), so only pairs with
-    j >= i + ell are covered here; :func:`build_secondary_structure` adds the
-    overlapping case.  Any self-inverse symbol complement is accepted.  With
+    j >= i + ell are covered here; :func:`secondary_structure_member` adds
+    the overlapping case.  Any self-inverse symbol complement is accepted.  With
     n - ell < ell no such pair fits, so the step is empty and scans nothing.
     """
     comp = check_complement(comp, len(comp), "complement table")
@@ -225,11 +221,13 @@ def reverse_complement_shrink(
 def secondary_structure_member(
     n: int, palindromes: bool, slack: int, comp: Sequence[int] = DNA_COMPLEMENT
 ) -> ShrinkStep:
-    """One member of :func:`build_secondary_structure`: the non-overlapping
-    reverse-complement pair shrink, or, if ``palindromes``, the
-    reverse-complement-palindrome window shrink.  The pair member is empty
-    when n - ell < ell (so at n = 8, where ell = 6): no pair fits, and its
-    finder answers before keying any window."""
+    """One member of the ``ss`` row: the non-overlapping reverse-complement
+    pair shrink, or, if ``palindromes``, the reverse-complement-palindrome
+    window shrink, over q = len(comp) with ell = 2*ceil_log(n, q) + 2.  An
+    overlapping pair forces a reverse-complement palindrome of length
+    2*floor(ell/2) + 2, so the two cover every offset.  The pair member is
+    empty when n - ell < ell (so at n = 8, where ell = 6): no pair fits, and
+    its finder answers before keying any window."""
     comp = tuple(comp)
     q = len(comp)
     ell = 2 * ceil_log(n, q) + 2
@@ -237,18 +235,6 @@ def secondary_structure_member(
         return reverse_complement_shrink(n, ell, comp, slack)
     coder = no_palindrome_coder(n, 2 * (ell // 2) + 2, comp=comp, q=q, slack=slack)
     return forbidden_window_shrink(coder, n, slack)
-
-
-def build_secondary_structure(n: int, comp: Sequence[int] = DNA_COMPLEMENT) -> CodecSpec:
-    """Codec over q=4 forbidding reverse-complement window pairs at any offset (CLI: ss).
-
-    Windows have length 2*ceil_log4(n) + 2.  An overlapping reverse-complement
-    pair forces a reverse-complement palindrome of length 2*floor(ell/2) + 2
-    inside the word, so intersecting the non-overlapping shrink with a
-    no-palindrome coder of that length covers every offset.
-    """
-    members = [secondary_structure_member(n, palindromes, 1, comp) for palindromes in (False, True)]
-    return build_one_symbol(build_intersection(members))
 
 
 @lru_cache(maxsize=64)  # each almost-balanced half counts the same set
@@ -309,13 +295,3 @@ def almost_balanced_member(n: int, heavy: bool, slack: int) -> ShrinkStep:
         return unrank_weight_at_most(decode_field(word, 2, count, "light rank"), n, w_star).translate(flip)
 
     return ShrinkStep(q=2, n=n, slack=slack, first_violation=first_violation, cut=cut, unshrink=unshrink)
-
-
-def almost_balanced_shrink_pair(n: int) -> tuple[ShrinkStep, ShrinkStep]:
-    """The light and the heavy half of the almost-balanced constraint, each at slack 1."""
-    return tuple(almost_balanced_member(n, heavy, 1) for heavy in (False, True))
-
-
-def build_almost_balanced(n: int) -> CodecSpec:
-    """Codec whose outputs have weight in [n/2 - sqrt(n), n/2 + sqrt(n)] (CLI: ab)."""
-    return build_one_symbol(build_intersection(almost_balanced_shrink_pair(n)))

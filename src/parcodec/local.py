@@ -22,9 +22,11 @@ Built-in coders (CLI names in parentheses):
 * :func:`no_palindrome_coder` (enp) - no window equal to its own
   (optionally complemented) reversal.
 * :func:`listed_window_coder` - any explicit window list, rank-compressed.
-* :func:`build_palindrome_free` (mpl) - full codec forbidding palindromes of
-  every length above a log-scale threshold, via intersection of two
-  no-palindrome coders.
+
+:func:`palindrome_free_member` is one member of the ``mpl`` registry row
+(:mod:`parcodec.specs`): no palindrome of length >= 2*ceil_log(n) + 4, by
+intersecting the even- and the odd-length no-palindrome shrink, since any
+longer palindrome contains one of those two lengths.
 """
 
 from __future__ import annotations
@@ -35,10 +37,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .core import (
-    CodecSpec,
     ShrinkStep,
-    build_intersection,
-    build_one_symbol,
     ceil_log,
     cut_window_shrink,
     decode_field,
@@ -349,16 +348,7 @@ def listed_window_coder(
 
 
 def palindrome_free_member(n: int, q: int, odd: bool, slack: int) -> ShrinkStep:
-    """Shrink step forbidding palindromes of length 2*ceil_log(n) + 4, plus one if ``odd``."""
+    """One member of the ``mpl`` row: the shrink step forbidding palindromes of
+    length 2*ceil_log(n) + 4, plus one if ``odd``."""
     ell = 2 * ceil_log(n, q) + 4 + odd
     return forbidden_window_shrink(no_palindrome_coder(n, ell, q=q, slack=slack), n, slack)
-
-
-def build_palindrome_free(n: int, q: int = 2) -> CodecSpec:
-    """Codec whose outputs contain no palindrome of length >= 2*ceil_log(n) + 4 (CLI: mpl).
-
-    Intersects no-palindrome coders for one even and one odd length; any
-    longer palindrome contains one of those two lengths, so both are enough.
-    """
-    members = [palindrome_free_member(n, q, odd, slack=1) for odd in (False, True)]
-    return build_one_symbol(build_intersection(members))

@@ -200,12 +200,16 @@ class StateGraph:
 
 def build_state_graph(codec: CodecSpec, *, bound: int = DEFAULT_STATE_BOUND) -> StateGraph:
     """The step graph; DimensionMismatch naming the source word of a step image
-    that is not an n-word over [0, q)."""
+    that is not an n-word over [0, q), and BoundExceeded when the q**n
+    targets do not fit in memory, whatever the bound."""
     from array import array  # on first use, as fractions is: loading it takes about 0.5 ms
 
     q, n = codec.q, codec.n
     space = _space(q, n, "n", bound)
-    targets = array("i" if space <= 1 << 31 else "q", [-1]) * space
+    try:  # above sys.maxsize the array refuses its length before allocating
+        targets = array("i" if space <= 1 << 31 else "q", [-1]) * space
+    except (OverflowError, MemoryError):
+        raise BoundExceeded(f"q**n = {space} step-graph targets do not fit in memory") from None
     for word in filterfalse(codec.satisfies, _engine_words(q, n)):
         try:
             image = check_symbols(codec.step(word), q, n, "step image")

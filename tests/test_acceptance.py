@@ -11,13 +11,9 @@ import pytest
 
 from parcodec import (
     ParameterViolation,
-    almost_balanced_shrink_pair,
-    build_almost_balanced,
     build_codec,
     build_intersection,
     build_one_symbol,
-    build_palindrome_free,
-    build_secondary_structure,
     check_graph,
     check_shrink_injective,
     count_constraint,
@@ -32,7 +28,7 @@ from parcodec import (
     reverse_complement_shrink,
     weight_window_coder,
 )
-from parcodec.global_codes import DNA_COMPLEMENT
+from parcodec.global_codes import DNA_COMPLEMENT, almost_balanced_member
 
 from oracles import (
     min_period_ok,
@@ -81,13 +77,13 @@ SUITES = [
     ("mw q=2 n=16 l=9 p=2", _mw16, lambda w: min_weight_ok(w, 9, 2)),
     ("mp q=2 n=16 l=8 p=3", _mp16, lambda w: min_period_ok(w, 8, 3)),
     ("enp q=2 n=16 l=10", _enp16, lambda w: no_palindrome_windows(w, 10)),
-    ("mpl q=2 n=16", lambda: build_palindrome_free(16), lambda w: no_palindrome_of_length_at_least(w, 12)),
+    ("mpl q=2 n=16", lambda: build_codec(parse_spec("mpl:n=16")), lambda w: no_palindrome_of_length_at_least(w, 12)),
     ("lab q=2 n=16 l=12 w=[2,10]", _lab16, lambda w: weight_window_ok(w, 12, 2, 10)),
     ("rf q=2 n=8 l=7", lambda: _rf(8, 7), lambda w: repeat_free_ok(w, 7)),
     ("rf q=2 n=16 l=9", lambda: _rf(16, 9), lambda w: repeat_free_ok(w, 9)),
     ("rss q=4 n=8 l=5", _rss8, lambda w: rc_pair_free(w, 5, require_gap=True)),
-    ("ss q=4 n=8", lambda: build_secondary_structure(8), lambda w: rc_pair_free(w, 6, require_gap=False)),
-    ("ab q=2 n=16", lambda: build_almost_balanced(16), lambda w: weight_in(w, 4, 12)),
+    ("ss q=4 n=8", lambda: build_codec(parse_spec("ss:n=8"), 4), lambda w: rc_pair_free(w, 6, require_gap=False)),
+    ("ab q=2 n=16", lambda: build_codec(parse_spec("ab:n=16")), lambda w: weight_in(w, 4, 12)),
 ]
 
 
@@ -183,7 +179,7 @@ def test_composite_of_multi_member_rows_is_exhaustively_exact(text, q, scan):
 
 
 def _acceptance_shrinks():
-    ab_floor, ab_ceiling = almost_balanced_shrink_pair(16)
+    ab_floor, ab_ceiling = (almost_balanced_member(16, heavy, 1) for heavy in (False, True))
     mpl_members = [
         forbidden_window_shrink(no_palindrome_coder(16, ell, q=2, slack=1), 16, slack=1)
         for ell in (12, 13)
@@ -264,7 +260,7 @@ def test_criterion_6_parameter_bounds():
         ("rf n=8 minimal l", lambda: repeat_free_shrink(8, 7), lambda: repeat_free_shrink(8, 6)),
         ("enp minimal l", lambda: no_palindrome_coder(16, 10), lambda: no_palindrome_coder(16, 9)),
         ("mp minimal l", lambda: min_period_coder(16, 8, 3), lambda: min_period_coder(16, 7, 3)),
-        ("ab minimal n", lambda: build_almost_balanced(5), lambda: build_almost_balanced(4)),
+        ("ab minimal n", lambda: build_codec(parse_spec("ab:n=5")), lambda: build_codec(parse_spec("ab:n=4"))),
     ]
     all_ok = True
     for label, accept, reject in cases:

@@ -16,7 +16,6 @@ from parcodec import (
     NotACodeword,
     ShrinkStep,
     SlackMismatch,
-    almost_balanced_shrink_pair,
     build_codec,
     build_intersection,
     build_one_symbol,
@@ -717,7 +716,7 @@ VISITED_SHRINKS = {
         lambda: build_shrink(parse_spec("intersect:mw:n=64,l=14,p=2+mp:n=64,l=11,p=3"), 2),
         lambda rng: int(rng.randrange(6) == 0),
     ),
-    "ab": (lambda: build_intersection(almost_balanced_shrink_pair(64)), lambda rng: int(rng.randrange(6) == 0)),
+    "ab": (lambda: build_shrink(parse_spec("ab:n=64"), 2), lambda rng: int(rng.randrange(6) == 0)),
     "rss-q4": (lambda: build_shrink(parse_spec("rss:n=64,l=7"), 4), lambda rng: rng.choice((0, 3))),
     "mp-q4": (lambda: build_shrink(parse_spec("mp:n=64,l=7,p=3"), 4), _sparse_symbol),
 }

@@ -28,9 +28,10 @@ from parcodec import (
     encode,
     graph_to_dot,
     parse_spec,
-    reverse_complement,
     reverse_complement_shrink,
 )
+
+from oracles import rc
 
 CODEC_DIGESTS = [
     ("mw:n=12,l=9,p=2", 2, "896660bb5fce1dba2494612093c34ff1efb7fa395475bca92747eb93814b3c9e"),
@@ -40,6 +41,7 @@ CODEC_DIGESTS = [
     ("rf:n=12,l=9", 2, "ad59ea468a17a9b86ef178622d878dffa9aa9e36651b0d418bde1f6dae49d8b1"),
     ("srf:n=12,l=9,beta=10", 2, "ff8786a8619cb779207c5ded499387cb8999c53efa56bf6eaa524d526e08d7f9"),
     ("ab:n=12", 2, "4e1f4c066f9a224a15522871850912b5228eb77ef47b1b7a0f34f2853772c5f2"),
+    ("mpl:n=16", 2, "191a418af01bc2c3aad440c4d6870fd33085d2b2516975a609afa2731a8784fe"),
     (
         "intersect:mw:n=10,l=10,p=2+mp:n=10,l=9,p=3",
         2,
@@ -108,7 +110,7 @@ def test_reverse_complement_pair_format_pinned():
     shrink = reverse_complement_shrink(10, 5)
     digest = hashlib.sha256()
     for head in all_words(4, 5):
-        image = shrink.shrink(bytes(head + reverse_complement(head)))
+        image = shrink.shrink(bytes(head + rc(head)))
         digest.update(bytes(image) + b"|" + _outcome(shrink.unshrink, image))
     # every index pair under two fixed bodies: in-range, overlapping, past the end
     for rest in ((0, 1, 2, 3, 0), (3, 3, 1, 0, 2)):

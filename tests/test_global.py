@@ -11,24 +11,24 @@ from parcodec import (
     NotACodeword,
     ParameterViolation,
     RankOutOfRange,
-    almost_balanced_shrink_pair,
-    build_almost_balanced,
-    build_secondary_structure,
+    build_codec,
     count_weight_at_most,
     decode,
     encode,
     min_balanced_weight,
     rank_weight_at_most,
+    parse_spec,
     repeat_free_shrink,
-    reverse_complement,
     reverse_complement_shrink,
     unrank_weight_at_most,
 )
+from parcodec.global_codes import almost_balanced_member
 
 from oracles import (
     all_binary_words,
     mapped_repeat_free_ok,
     minimal_repeat_pair,
+    rc,
     rc_pair_free,
     repeat_free_ok,
     weight_in,
@@ -170,18 +170,6 @@ def test_mapped_repeat_free_roundtrip_copy_branch(per_position):
 
 # --- reverse complement -------------------------------------------------------
 
-def test_reverse_complement_involution():
-    for length in range(0, 7):
-        for word in product(range(4), repeat=length):
-            assert reverse_complement(reverse_complement(word)) == word
-
-
-def test_reverse_complement_value():
-    # ACGT maps to itself; AACG maps to CGTT
-    assert reverse_complement((0, 0, 1, 2)) == (1, 2, 3, 3)
-    assert reverse_complement((0, 1, 2, 3)) == (0, 1, 2, 3)
-
-
 def test_rc_shrink_minimal_window_arithmetic():
     shrink = reverse_complement_shrink(8, 5)
     assert shrink.target_len == 7  # 2*ceil_log4(8) + 1 = 5 exactly
@@ -196,7 +184,7 @@ def test_rc_shrink_detects_nonoverlapping_pair():
     # n=12, ell=5: window at 0 and its reverse complement at 7
     shrink = reverse_complement_shrink(12, 5)
     head = (0, 0, 1, 2, 3)
-    word = head + (0, 0) + reverse_complement(head)
+    word = head + (0, 0) + rc(head)
     assert not shrink.satisfies(bytes(word))
     image = shrink.shrink(bytes(word))
     assert len(image) == 11
@@ -245,12 +233,12 @@ def test_rc_shrink_roundtrip_sampled_n10():
 # --- secondary structure (all offsets) ----------------------------------------
 
 def test_secondary_structure_parameters():
-    codec = build_secondary_structure(8)
+    codec = build_codec(parse_spec("ss:n=8"), 4)
     assert (codec.q, codec.n, codec.k) == (4, 8, 7)
 
 
 def test_secondary_structure_outputs_rc_pair_free_at_all_offsets():
-    codec = build_secondary_structure(8)
+    codec = build_codec(parse_spec("ss:n=8"), 4)
     for payload in [(0,) * 7, (0, 1, 2, 3, 0, 1, 2), (3, 3, 3, 3, 3, 3, 3)]:
         word, _ = encode(codec, payload)
         assert rc_pair_free(word, 6, require_gap=False)
@@ -260,10 +248,10 @@ def test_secondary_structure_outputs_rc_pair_free_at_all_offsets():
 def test_overlapping_rc_pair_forces_contained_rc_palindrome():
     # offset-2 overlap makes the 8-symbol union its own reverse complement
     head = (0, 1, 2, 3, 1, 1)
-    word = head[:2] + reverse_complement(head) + (0, 0, 0, 0)
+    word = head[:2] + rc(head) + (0, 0, 0, 0)
     union = word[0:8]
-    if reverse_complement(word[0:6]) == word[2:8]:
-        assert reverse_complement(union) == union
+    if rc(word[0:6]) == word[2:8]:
+        assert rc(union) == union
 
 
 # --- almost balanced -----------------------------------------------------------
@@ -328,7 +316,7 @@ def test_unrank_then_rank_is_identity(rank):
 
 
 def test_almost_balanced_members():
-    floor_member, ceiling_member = almost_balanced_shrink_pair(16)
+    floor_member, ceiling_member = (almost_balanced_member(16, heavy, 1) for heavy in (False, True))
     assert floor_member.target_len == ceiling_member.target_len == 14
     # too-light word violates the floor member and packs to rank 0
     assert not floor_member.satisfies(bytes((0,) * 16))
@@ -343,7 +331,7 @@ def test_almost_balanced_members_match_exact_square_test():
     # too light: w < n/2 - sqrt(n), i.e. n - 2w > 0 and (n - 2w)^2 > 4n;
     # too heavy: the same for the complement
     for n in range(5, 301):
-        floor_member, ceiling_member = almost_balanced_shrink_pair(n)
+        floor_member, ceiling_member = (almost_balanced_member(n, heavy, 1) for heavy in (False, True))
         for w in range(n + 1):
             word = bytes((1,) * w + (0,) * (n - w))
             light, heavy = n - 2 * w, 2 * w - n
@@ -352,13 +340,13 @@ def test_almost_balanced_members_match_exact_square_test():
 
 
 def test_almost_balanced_rejects_tiny_n():
-    with pytest.raises(ParameterViolation):
-        build_almost_balanced(4)
-    build_almost_balanced(5)  # smallest admissible
+    with pytest.raises(ParameterViolation, match="needs n > 4, got 4"):
+        build_codec(parse_spec("ab:n=4"))
+    build_codec(parse_spec("ab:n=5"))  # smallest admissible
 
 
 def test_almost_balanced_encode_lands_in_window():
-    codec = build_almost_balanced(16)
+    codec = build_codec(parse_spec("ab:n=16"))
     word, _ = encode(codec, (0,) * 15)
     assert weight_in(word, 4, 12)
     assert decode(codec, word) == (0,) * 15
@@ -367,7 +355,7 @@ def test_almost_balanced_encode_lands_in_window():
 @settings(max_examples=60)
 @given(st.lists(st.integers(0, 1), min_size=15, max_size=15))
 def test_almost_balanced_roundtrip_random(payload):
-    codec = build_almost_balanced(16)
+    codec = build_codec(parse_spec("ab:n=16"))
     word, _ = encode(codec, tuple(payload))
     assert weight_in(word, 4, 12)
     assert decode(codec, word) == tuple(payload)
@@ -376,8 +364,6 @@ def test_almost_balanced_roundtrip_random(payload):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=31, max_size=31))
 def test_repeat_free_roundtrip_random_n32(payload):
-    from parcodec import build_codec, parse_spec
-
     codec = build_codec(parse_spec("rf:n=32,l=11"))
     word, _ = encode(codec, tuple(payload))
     assert repeat_free_ok(word, 11)

@@ -19,14 +19,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from parcodec import (
     ParameterViolation,
-    build_almost_balanced,
-    build_palindrome_free,
-    build_secondary_structure,
+    build_codec,
     forbidden_window_shrink,
     listed_window_coder,
     min_period_coder,
     min_weight_coder,
     no_palindrome_coder,
+    parse_spec,
     repeat_free_shrink,
     reverse_complement_shrink,
     weight_window_coder,
@@ -144,9 +143,9 @@ _SHRINKS = {
     "rf": lambda n, ell, a, b, q: repeat_free_shrink(n, ell, q),
     "srf": lambda n, ell, a, b, q: repeat_free_shrink(n, ell, symbol_map=(1, 0)),
     "rss": lambda n, ell, a, b, q: reverse_complement_shrink(n, ell),
-    "mpl": lambda n, ell, a, b, q: build_palindrome_free(n, q),
-    "ss": lambda n, ell, a, b, q: build_secondary_structure(n),
-    "ab": lambda n, ell, a, b, q: build_almost_balanced(n),
+    "mpl": lambda n, ell, a, b, q: build_codec(parse_spec(f"mpl:n={n}"), q),
+    "ss": lambda n, ell, a, b, q: build_codec(parse_spec(f"ss:n={n}"), 4),
+    "ab": lambda n, ell, a, b, q: build_codec(parse_spec(f"ab:n={n}"), 2),
 }
 
 

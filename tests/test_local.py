@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from parcodec import (
     NotACodeword,
     ParameterViolation,
-    build_palindrome_free,
+    build_codec,
     decode,
     encode,
     first_forbidden_window,
@@ -18,6 +18,7 @@ from parcodec import (
     min_weight_coder,
     minimal_period,
     no_palindrome_coder,
+    parse_spec,
     weight_window_coder,
 )
 
@@ -333,12 +334,12 @@ def test_shrink_rejects_window_longer_than_word():
 # --- palindrome-free codec (intersection of two window lengths) --------------
 
 def test_palindrome_free_parameters():
-    codec = build_palindrome_free(16)
+    codec = build_codec(parse_spec("mpl:n=16"))
     assert (codec.n, codec.k, codec.q) == (16, 15, 2)
 
 
 def test_palindrome_free_outputs_have_no_long_palindrome():
-    codec = build_palindrome_free(16)
+    codec = build_codec(parse_spec("mpl:n=16"))
     for payload in [(0,) * 15, (1,) * 15, bits("010101010101010"), bits("001100110011001")]:
         word, _ = encode(codec, payload)
         assert no_palindrome_of_length_at_least(word, 12)

@@ -246,6 +246,13 @@ def test_graph_bound_refusal():
         check_graph(mw8_codec(), bound=100)
 
 
+def test_graph_refuses_a_state_space_no_array_can_hold():
+    # 2**70 is within this bound but above sys.maxsize: refused before any allocation
+    codec = build_codec(parse_spec("mw:n=70,l=20,p=2"))
+    with pytest.raises(BoundExceeded, match=r"^q\*\*n = 1180591620717411303424 step-graph targets do not fit"):
+        build_state_graph(codec, bound=10**25)
+
+
 # --- DOT export -----------------------------------------------------------------
 
 def test_dot_output_is_deterministic_and_ordered():

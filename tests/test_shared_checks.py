@@ -18,9 +18,7 @@ from parcodec import (
     NotACodeword,
     ParameterViolation,
     WindowCoder,
-    almost_balanced_shrink_pair,
     build_intersection,
-    build_secondary_structure,
     count_weight_at_most,
     encode_index,
     forbidden_window_shrink,
@@ -33,6 +31,7 @@ from parcodec import (
     reverse_complement_shrink,
     weight_window_coder,
 )
+from parcodec.global_codes import almost_balanced_member, secondary_structure_member
 
 N = 16
 ZERO = (0,) * N
@@ -45,7 +44,7 @@ def _mw(ell, slack=0):
 _LISTED = listed_window_coder([(0,) * 9, (1,) * 9, (0, 1) * 4 + (0,)], N, 9)
 # window 0..4 followed by its reverse complement: the pair (0, 5)
 _RC_WORD = (0,) * 5 + (3,) * 5 + (0,) * 6
-_LIGHT, _HEAVY = almost_balanced_shrink_pair(N)
+_LIGHT, _HEAVY = (almost_balanced_member(N, heavy, 1) for heavy in (False, True))
 _LIGHT_COUNT = count_weight_at_most(N, min_balanced_weight(N) - 1)
 
 # (id, shrink, violating word, edits made first, (start, width) of the field,
@@ -97,7 +96,7 @@ def test_decoded_field_rejected_at_its_limit_only(shrink, word, edits, field, li
     "build",
     [
         lambda: reverse_complement_shrink(N, 9, comp=(7, 2, 1, 0)),
-        lambda: build_secondary_structure(N, comp=(7, 2, 1, 0)),
+        lambda: secondary_structure_member(N, False, 1, comp=(7, 2, 1, 0)),
         lambda: no_palindrome_coder(N, 10, comp=(5, 0)),
         lambda: no_palindrome_coder(N, 10, comp=(1.0, 0)),
         lambda: repeat_free_shrink(N, 9, symbol_map=(1, 2)),
@@ -143,7 +142,7 @@ def test_window_longer_than_the_word_is_a_parameter_violation(build, ell, n):
     "build",
     [
         lambda: reverse_complement_shrink(N, 9, comp=(0,)),
-        lambda: build_secondary_structure(N, comp=(0,)),
+        lambda: secondary_structure_member(N, False, 1, comp=(0,)),
         lambda: min_period_coder(N, 8, 3, q=1),
         lambda: listed_window_coder([(0,) * 9], N, 9, q=1),
     ],

@@ -13,10 +13,9 @@ from parcodec import (
     ParameterViolation,
     ParseError,
     SlackMismatch,
-    build_almost_balanced,
     build_codec,
-    build_palindrome_free,
-    build_secondary_structure,
+    build_intersection,
+    build_one_symbol,
     build_shrink,
     decode,
     encode,
@@ -24,6 +23,8 @@ from parcodec import (
     sample_roundtrip,
 )
 from parcodec.cli import main
+from parcodec.global_codes import almost_balanced_member, secondary_structure_member
+from parcodec.local import palindrome_free_member
 from parcodec.specs import _CONSTRAINTS, ConstraintSpec
 from parcodec.words import word_to_text
 
@@ -132,18 +133,18 @@ def test_build_alphabet_table(text, alphabets, q):
             build_codec(spec, q)
 
 
-# each row with two members, and the public builder that composes the same two
+# each row with two members, and those two members built by hand at slack 1
 MULTI_MEMBER_ROWS = [
-    ("mpl:n=16", 2, lambda: build_palindrome_free(16, 2)),
-    ("ss:n=8", 4, lambda: build_secondary_structure(8)),
-    ("ab:n=16", 2, lambda: build_almost_balanced(16)),
+    ("mpl:n=16", 2, lambda: [palindrome_free_member(16, 2, odd, 1) for odd in (False, True)]),
+    ("ss:n=8", 4, lambda: [secondary_structure_member(8, palindromes, 1) for palindromes in (False, True)]),
+    ("ab:n=16", 2, lambda: [almost_balanced_member(16, heavy, 1) for heavy in (False, True)]),
 ]
 
 
-@pytest.mark.parametrize("text, q, public", MULTI_MEMBER_ROWS, ids=[f"{t}-{q}" for t, q, _ in MULTI_MEMBER_ROWS])
-def test_build_shrink_of_a_multi_member_row(text, q, public):
+@pytest.mark.parametrize("text, q, members", MULTI_MEMBER_ROWS, ids=[f"{t}-{q}" for t, q, _ in MULTI_MEMBER_ROWS])
+def test_build_shrink_of_a_multi_member_row(text, q, members):
     spec = parse_spec(text)
-    codecs = [build_codec(spec, q), public()]
+    codecs = [build_codec(spec, q), build_one_symbol(build_intersection(members()))]
     for word in map(bytes, product(range(q), repeat=spec.n)):
         satisfied = {codec.satisfies(word) for codec in codecs}
         assert len(satisfied) == 1
@@ -520,6 +521,15 @@ def test_cli_graph_failed_build_leaves_no_dot(tmp_path, capsys, spec):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error:")
+    assert not dot.exists()
+
+
+def test_cli_graph_refuses_a_state_space_no_array_can_hold(tmp_path, capsys):
+    dot = tmp_path / "x.dot"
+    rc = run_cli(["graph", "--spec", "mw:n=70,l=20,p=2", "--bound", str(10**25), "--dot", str(dot)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: q**n = 1180591620717411303424 step-graph targets do not fit in memory\n"
     assert not dot.exists()
 
 
