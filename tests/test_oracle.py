@@ -1,5 +1,6 @@
 """Verification harness: graph checks, counting, injectivity, sampling."""
 
+import hashlib
 import re
 import tracemalloc
 from array import array
@@ -40,6 +41,7 @@ from parcodec.oracle import (
     PATH_SUM,
     ROUNDTRIP,
     _engine_words,
+    _XorShift64Star,
 )
 
 
@@ -370,6 +372,57 @@ def test_sampling_reports_mode_and_seed():
     lines = sample_roundtrip(mw8_codec(), 10, seed=3).kv_lines()
     assert "mode=sampled" in lines
     assert "seed=3" in lines
+
+
+def _reference_xorshift(seed, count):
+    """xorshift64*, written out here apart from the package's generator."""
+    x = seed % 2**64 or 0x9E3779B97F4A7C15
+    out = []
+    for _ in range(count):
+        x ^= x >> 12
+        x ^= (x << 25) % 2**64
+        x ^= x >> 27
+        out.append(x * 0x2545F4914F6CDD1D % 2**64)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**64 + 7, -1])
+@pytest.mark.parametrize("count", [0, 1, 1023])
+def test_generator_outputs_match_the_reference_recurrence(seed, count):
+    assert _XorShift64Star(seed).outputs(count) == _reference_xorshift(seed, count)
+
+
+def test_generator_draws_mix_on_one_stream():
+    rng = _XorShift64Star(7)
+    drawn = [rng.next64(), *rng.outputs(3), rng.symbol(5), rng.next64(), *rng.outputs(2), rng.symbol(256)]
+    expected = _reference_xorshift(7, 9)
+    expected[4] %= 5
+    expected[8] %= 256
+    assert drawn == expected
+
+
+# SHA-256 of the joined payloads that a sampled run embeds, one per sample
+SAMPLED_PAYLOAD_DIGESTS = [
+    ("mw:n=64,l=13,p=2", 2, 2000, 7, "05692ed9a4a18ed5abc87d09188964fe1c5c36a8e4df784a7dfbfae296a9c926"),
+    ("mp:n=16,l=8,p=3", 3, 300, 5, "a09be6cf549882fc95ea312b020d6e7da5c7bfb0190e911e325136eef1fda05e"),
+    ("ss:n=64", 4, 500, 3, "364f5aef44929daddb2dfc8cbf2536349ee334f592f13be17ec63572249581d5"),
+    ("mp:n=16,l=8,p=3", 256, 50, 0, "dac57bcbb5f76d42a1fe518fe569a5f5f4c598f57bb04c8390c946715e21eb62"),
+]
+
+
+@pytest.mark.parametrize("text, q, samples, seed, digest", SAMPLED_PAYLOAD_DIGESTS)
+def test_sampled_payloads_are_pinned(text, q, samples, seed, digest):
+    codec = build_codec(parse_spec(text), q)
+    embedded = []
+
+    def embed(payload):
+        if type(payload) is bytes:  # encode's loop; a no-step encode embeds the tuple again
+            embedded.append(payload)
+        return codec.embed(payload)
+
+    report = sample_roundtrip(replace(codec, embed=embed), samples, seed)
+    assert report.ok and len(embedded) == samples
+    assert hashlib.sha256(b"".join(embedded)).hexdigest() == digest
 
 
 def test_kv_lines_exact_rational():
