@@ -174,17 +174,18 @@ def encode_loop(codec: CodecSpec, payload: bytes, visited: list | None = None) -
     Each word on the way, the start word first, is appended to ``visited``
     when it is a list.
     """
+    satisfies, step, iter_cap = codec.satisfies, codec.step, codec.iter_cap
     word = codec.embed(payload)
     if visited is not None:
         visited.append(word)
     iterations = 0
-    while not codec.satisfies(word):
-        if iterations >= codec.iter_cap:
+    while not satisfies(word):
+        if iterations >= iter_cap:
             raise IterationCapExceeded(
-                f"no valid word after {iterations} steps (cap {codec.iter_cap}); "
+                f"no valid word after {iterations} steps (cap {iter_cap}); "
                 "the step function is likely not injective"
             )
-        word = codec.step(word)
+        word = step(word)
         iterations += 1
         if visited is not None:
             visited.append(word)
@@ -314,7 +315,7 @@ def cut_window_shrink(
 
     def cut_window(word: bytes, witness: object) -> bytes:
         start, tail = cut(word, witness)
-        return word[:start] + word[start + ell :] + tail + pad
+        return b"".join((word[:start], word[start + ell :], tail, pad))
 
     def unshrink(word: bytes) -> bytes:
         if any(word[content_len:]):
@@ -405,7 +406,7 @@ def encode_index(value: int, width: int, q: int) -> bytes:
     Binary fields, such as a rank of n - 2 bits, convert through the C-level
     binary text of the value; other bases take one ``divmod`` per digit.
     """
-    if not 0 <= value < q ** width:
+    if value < 0 or (value >> width if q == 2 else value >= q**width):
         raise OverflowError(f"index {value} does not fit in {width} base-{q} symbols")
     if q == 2:
         # the leading 1 of bin() pads the digits to exactly width symbols

@@ -34,6 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, Sequence
 
 from .core import (
@@ -45,7 +46,7 @@ from .core import (
     window_room,
 )
 from .errors import NotACodeword, ParameterViolation
-from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
+from .ranking import count_by_weight, ranking_by_weight
 from .words import check_byte_alphabet, check_complement, check_symbols, spread_digits, symbol_translation
 from .words import window_keys
 
@@ -62,7 +63,10 @@ class WindowCoder:
     min_period_coder, and for no_palindrome_coder two multiplies plus one
     XOR per k-symbol block of the window's first half (k = 8 for q = 2, 4
     for q = 4): 2 for the mpl members at n = 256 and 1 at n = 16.  Each is
-    linear in the word's length.
+    linear in the word's length.  No built-in pack loops per symbol in Python
+    either (mw compresses a table of its position fields, mp compares shifted
+    slices, enp slices, listed bisects), except lab's rank, which walks the
+    window one symbol at a time up to its last choice.
     """
 
     q: int
@@ -154,10 +158,10 @@ def min_weight_coder(n: int, ell: int, p: int, slack: int = 0) -> WindowCoder:
     packed = (p - 1) * field
     window_room(n, ell, slack, lambda e: ceil_log(n, 2) + (p - 1) * ceil_log(e + 1, 2))
 
-    dummy = encode_index(ell, field, 2)
+    *positions, dummy = [encode_index(i, field, 2) for i in range(ell + 1)]
 
     def pack(window: bytes) -> bytes:
-        fields = [encode_index(i, field, 2) for i, s in enumerate(window) if s]
+        fields = list(compress(positions, window))  # the fields of the one-positions, ascending
         return b"".join(fields) + dummy * (p - 1 - len(fields))
 
     def unpack(packed_word: bytes) -> bytes:
@@ -187,12 +191,13 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
         raise ParameterViolation(
             f"forbidden-window count {total} exceeds capacity 2**{packed} = {1 << packed}"
         )
+    rank, unrank = ranking_by_weight(ell, weights)
 
     def pack(window: bytes) -> bytes:
-        return encode_index(rank_by_weight(window, weights), packed, 2)
+        return encode_index(rank(window, window.count(1)), packed, 2)
 
     def unpack(packed_word: bytes) -> bytes:
-        return unrank_by_weight(decode_field(packed_word, 2, total, "window rank"), ell, weights)
+        return unrank(decode_field(packed_word, 2, total, "window rank"))
 
     return WindowCoder(2, ell, packed, _weight_finder(ell, wmin, wmax), pack, unpack)
 
@@ -200,18 +205,14 @@ def weight_window_coder(n: int, ell: int, wmin: int, wmax: int, slack: int = 0) 
 def minimal_period(window: Sequence[int]) -> int:
     """Smallest p in [1, len) with window[i] == window[i+p] for all i; len if none.
 
-    The minimal period is len minus the longest proper border (a prefix that
-    is also a suffix); the border loop finds it in O(len).
+    Shift d is a period iff ``window[d:] == window[:-d]``: one slice compare
+    in C per d tried, so about p * len symbol compares for minimal period p
+    (len**2 / 2 at most).  A window the mp coder packs has period below its p.
     """
-    borders = [0] * len(window)
-    k = 0
-    for i in range(1, len(window)):
-        while k and window[i] != window[k]:
-            k = borders[k - 1]
-        if window[i] == window[k]:
-            k += 1
-        borders[i] = k
-    return len(window) - k
+    for d in range(1, len(window)):
+        if window[d:] == window[:-d]:
+            return d
+    return len(window)
 
 
 def min_period_coder(n: int, ell: int, p: int, slack: int = 0, q: int = 2) -> WindowCoder:

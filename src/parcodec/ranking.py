@@ -14,10 +14,10 @@ small-integer multiply and one exact division.  Class sizes step the same
 way across consecutive weights, ``comb(n, w) = comb(n, w - 1) * (n - w + 1)
 // w``.  All of it is exact integer arithmetic.
 
-The class offsets of each (n, weights) pair are tabulated once, on first
-use, so ranking a word looks its class up and unranking bisects the
-offsets, instead of walking every class below the target (``ab``'s light
-set has 112 classes at n = 256 and 480 at n = 1024).
+The class offsets of each (n, weights) pair are tabulated once, by
+:func:`ranking_by_weight`, whose rank looks a word's class up and whose
+unrank bisects the offsets, instead of walking every class below the target
+(``ab``'s light set has 112 classes at n = 256 and 480 at n = 1024).
 """
 
 from __future__ import annotations
@@ -98,7 +98,10 @@ def lex_unrank_fixed_weight(rank: int, n: int, weight: int) -> bytes:
 
 
 @lru_cache(maxsize=64)
-def _class_table(n: int, weights: tuple[int, ...] | range):
+def ranking_by_weight(n: int, weights: tuple[int, ...] | range):
+    """The (rank, unrank) pair of :func:`rank_by_weight` and :func:`unrank_by_weight`
+    on n-words, bound to their class table for a coder to keep; ``rank(word,
+    weight)`` takes the word's Hamming weight from the caller."""
     # weight -> (offset, size) for rank (the first class of a repeated
     # weight wins, as in a walk), and the ascending class offsets, the
     # total last, with each class's (weight, size) for unrank
@@ -110,7 +113,24 @@ def _class_table(n: int, weights: tuple[int, ...] | range):
         classes.append((w, size))
         offset += size
     offsets.append(offset)
-    return by_weight, tuple(offsets), tuple(classes)
+
+    def rank(word: Sequence[int], weight: int) -> int:
+        entry = by_weight.get(weight)
+        if entry is None:
+            raise RankOutOfRange(f"word weight {weight} is not among the ranked weights")
+        class_offset, size = entry
+        return class_offset + _lex_rank(word, weight, size)
+
+    def unrank(value: int) -> bytes:
+        if not 0 <= value < offset:
+            raise RankOutOfRange(f"rank {value} out of range for the ranked weights, n = {n}")
+        # the last class starting at or before the rank; empty classes share
+        # the next class's offset, so they are never picked
+        idx = bisect_right(offsets, value) - 1
+        weight, size = classes[idx]
+        return _lex_unrank(value - offsets[idx], n, weight, size)
+
+    return rank, unrank
 
 
 def _hashable(weights: Iterable[int]) -> tuple[int, ...] | range:
@@ -122,21 +142,9 @@ def rank_by_weight(word: Sequence[int], weights: Iterable[int]) -> int:
     """Rank of a binary word among all words of its length whose weight is in
     ``weights``, ordered by weight class (in the order given, ascending in
     every caller) and then lexicographically."""
-    weight = sum(word)
-    entry = _class_table(len(word), _hashable(weights))[0].get(weight)
-    if entry is None:
-        raise RankOutOfRange(f"word weight {weight} is not among the ranked weights")
-    offset, size = entry
-    return offset + _lex_rank(word, weight, size)
+    return ranking_by_weight(len(word), _hashable(weights))[0](word, sum(word))
 
 
 def unrank_by_weight(rank: int, n: int, weights: Iterable[int]) -> bytes:
     """Inverse of :func:`rank_by_weight` for words of length n."""
-    _, offsets, classes = _class_table(n, _hashable(weights))
-    if not 0 <= rank < offsets[-1]:
-        raise RankOutOfRange(f"rank {rank} out of range for the ranked weights, n = {n}")
-    # the last class starting at or before rank; empty classes share the
-    # next class's offset, so they are never picked
-    idx = bisect_right(offsets, rank) - 1
-    weight, size = classes[idx]
-    return _lex_unrank(rank - offsets[idx], n, weight, size)
+    return ranking_by_weight(n, _hashable(weights))[1](rank)

@@ -61,6 +61,17 @@ def test_encode_index_overflow():
 
 def test_encode_index_zero_width():
     assert tuple(encode_index(0, 0, 2)) == ()
+    assert encode_index(0, 0, 2) == b""
+
+
+# q = 2 tests its range with a shift, every other base against q**width
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("width", [0, 1, 2, 7, 8, 64, 1022])
+def test_encode_index_range_boundaries(q, width):
+    assert encode_index(q**width - 1, width, q) == bytes([q - 1]) * width
+    for value in (q**width, -1):
+        with pytest.raises(OverflowError):
+            encode_index(value, width, q)
 
 
 @given(st.integers(2, 6), st.integers(0, 8), st.data())

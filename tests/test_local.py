@@ -101,15 +101,18 @@ def test_weight_window_rank_order_starts_at_zero():
 
 
 def test_weight_window_rank_matches_sorted_enumeration():
-    coder = weight_window_coder(16, 12, 2, 10)
-    forbidden = sorted(
-        (w for w in all_binary_words(12) if coder.is_forbidden(bytes(w))),
-        key=lambda w: (sum(w), w),
-    )
-    for rank, window in enumerate(forbidden):
-        packed = tuple(coder.pack(bytes(window)))
-        assert int("".join(map(str, packed)), 2) == rank
-        assert tuple(coder.unpack(bytes(packed))) == window
+    # [0, 9] forbids only heavy windows and [3, 12] only light ones, so one of
+    # the two weight runs the coder ranks over is empty
+    for wmin, wmax in ((2, 10), (0, 9), (3, 12)):
+        coder = weight_window_coder(16, 12, wmin, wmax)
+        forbidden = sorted(
+            (w for w in all_binary_words(12) if coder.is_forbidden(bytes(w))),
+            key=lambda w: (sum(w), w),
+        )
+        for rank, window in enumerate(forbidden):
+            packed = tuple(coder.pack(bytes(window)))
+            assert int("".join(map(str, packed)), 2) == rank
+            assert tuple(coder.unpack(bytes(packed))) == window
 
 
 def test_weight_window_rejects_overfull_set():
@@ -183,6 +186,23 @@ def test_min_period_pack_roundtrip_exhaustive():
     assert len(forbidden) == 4
     for window in forbidden:
         assert tuple(coder.unpack(coder.pack(bytes(window)))) == window
+
+
+@pytest.mark.parametrize("q, max_len", [(2, 10), (4, 6)])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_min_period_pack_exhaustive(q, max_len, p):
+    # n = 1 gives a zero-width index field, so every ell from p + 1 up builds
+    for ell in range(p + 1, max_len + 1):
+        coder = min_period_coder(1, ell, p, q=q)
+        for window in product(range(q), repeat=ell):
+            period = kmp_minimal_period(window)
+            assert coder.is_forbidden(bytes(window)) == (period < p)
+            if period >= p:
+                continue
+            packed = coder.pack(bytes(window))
+            assert len(packed) == p
+            assert tuple(coder.unpack(packed)) == window
+            assert len(packed.rstrip(b"\x00")) - 1 == period  # the seed, then the 1 marker
 
 
 def test_min_period_forbidden_matches_definition():
