@@ -51,7 +51,7 @@ from .core import (
 )
 from .errors import ParameterViolation
 from .local import forbidden_window_shrink, no_palindrome_coder
-from .ranking import count_by_weight, rank_by_weight, unrank_by_weight
+from .ranking import count_by_weight, ranking_by_weight
 from .words import Word, check_byte_alphabet, check_complement, check_symbol_map, symbol_translation
 from .words import spread_digits, window_keys
 
@@ -245,11 +245,11 @@ def count_weight_at_most(n: int, wmax: int) -> int:
 
 def rank_weight_at_most(word: Sequence[int], wmax: int) -> int:
     """Rank of a binary word among weight-<=wmax words (weight asc, then lex)."""
-    return rank_by_weight(word, range(wmax + 1))
+    return ranking_by_weight(len(word), range(wmax + 1))[0](word, sum(word))
 
 
 def unrank_weight_at_most(rank: int, n: int, wmax: int) -> bytes:
-    return unrank_by_weight(rank, n, range(wmax + 1))
+    return ranking_by_weight(n, range(wmax + 1))[1](rank)
 
 
 _FLIP_BITS = symbol_translation((1, 0))
@@ -270,8 +270,9 @@ def almost_balanced_member(n: int, heavy: bool, slack: int) -> ShrinkStep:
     The light half cuts a word of weight <= w_star, the heaviest weight below
     n/2 - sqrt(n), to its enumerative rank in n-1-slack bits; the heavy half
     does the same for a word with at most w_star zeros, ranking its bitwise
-    complement.  The witness is that count of ones (zeros).  The capacity of
-    n-1-slack bits is checked by exact counting at build time, not assumed.
+    complement.  The witness is that count of ones (zeros), and the cut ranks
+    with it.  The capacity of n-1-slack bits is checked by exact counting at
+    build time, not assumed; the rank table is built on first use.
     """
     if n <= 4:
         raise ParameterViolation(f"almost-balanced constraint needs n > 4, got {n}")
@@ -283,15 +284,16 @@ def almost_balanced_member(n: int, heavy: bool, slack: int) -> ShrinkStep:
             f"{count} words of weight <= {w_star} exceed 2**{width} = {1 << width}"
         )
     counted, flip = (0, _FLIP_BITS) if heavy else (1, None)
+    light = range(w_star + 1)  # looked up per call, so the rank table is built on first use
 
     def first_violation(word: bytes) -> int | None:
         weight = word.count(counted)
         return weight if weight <= w_star else None
 
     def cut(word: bytes, weight: int) -> bytes:
-        return encode_index(rank_weight_at_most(word.translate(flip), w_star), width, 2)
+        return encode_index(ranking_by_weight(n, light)[0](word.translate(flip), weight), width, 2)
 
     def unshrink(word: bytes) -> bytes:
-        return unrank_weight_at_most(decode_field(word, 2, count, "light rank"), n, w_star).translate(flip)
+        return ranking_by_weight(n, light)[1](decode_field(word, 2, count, "light rank")).translate(flip)
 
     return ShrinkStep(q=2, n=n, slack=slack, first_violation=first_violation, cut=cut, unshrink=unshrink)

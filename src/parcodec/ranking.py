@@ -14,10 +14,13 @@ small-integer multiply and one exact division.  Class sizes step the same
 way across consecutive weights, ``comb(n, w) = comb(n, w - 1) * (n - w + 1)
 // w``.  All of it is exact integer arithmetic.
 
-The class offsets of each (n, weights) pair are tabulated once, by
-:func:`ranking_by_weight`, whose rank looks a word's class up and whose
-unrank bisects the offsets, instead of walking every class below the target
-(``ab``'s light set has 112 classes at n = 256 and 480 at n = 1024).
+:func:`ranking_by_weight` is the one entry point: it tabulates the class
+offsets of an (n, weights) pair once and returns the (rank, unrank) pair bound
+to them; rank looks a word's class up and unrank bisects the offsets (``ab``'s
+light set has 112 classes at n = 256 and 480 at n = 1024).  Coders count first,
+with :func:`count_by_weight`, and take the pair on first use: the table grows
+as n**2 (10 MiB at ``ab:n=10000``, near 1 GiB at n = 100000), which neither
+``check`` nor a spec its count refuses should pay for.
 """
 
 from __future__ import annotations
@@ -99,9 +102,9 @@ def lex_unrank_fixed_weight(rank: int, n: int, weight: int) -> bytes:
 
 @lru_cache(maxsize=64)
 def ranking_by_weight(n: int, weights: tuple[int, ...] | range):
-    """The (rank, unrank) pair of :func:`rank_by_weight` and :func:`unrank_by_weight`
-    on n-words, bound to their class table for a coder to keep; ``rank(word,
-    weight)`` takes the word's Hamming weight from the caller."""
+    """The (rank, unrank) pair on n-words whose weight is in ``weights`` (a
+    tuple or range), ordered by class in the order given, then lexicographically;
+    ``rank(word, weight)`` takes the word's Hamming weight from the caller."""
     # weight -> (offset, size) for rank (the first class of a repeated
     # weight wins, as in a walk), and the ascending class offsets, the
     # total last, with each class's (weight, size) for unrank
@@ -131,20 +134,3 @@ def ranking_by_weight(n: int, weights: tuple[int, ...] | range):
         return _lex_unrank(value - offsets[idx], n, weight, size)
 
     return rank, unrank
-
-
-def _hashable(weights: Iterable[int]) -> tuple[int, ...] | range:
-    # tuple() returns a tuple as it is; a range hashes without a copy
-    return weights if isinstance(weights, range) else tuple(weights)
-
-
-def rank_by_weight(word: Sequence[int], weights: Iterable[int]) -> int:
-    """Rank of a binary word among all words of its length whose weight is in
-    ``weights``, ordered by weight class (in the order given, ascending in
-    every caller) and then lexicographically."""
-    return ranking_by_weight(len(word), _hashable(weights))[0](word, sum(word))
-
-
-def unrank_by_weight(rank: int, n: int, weights: Iterable[int]) -> bytes:
-    """Inverse of :func:`rank_by_weight` for words of length n."""
-    return ranking_by_weight(n, _hashable(weights))[1](rank)

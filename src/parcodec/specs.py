@@ -5,7 +5,7 @@ Grammar (one line, no spaces):
     NAME:key=val[,key=val...]
     intersect:NAME:...+NAME:...
 
-Values are non-negative integers.  The alphabet size q is not part of the
+Values are plain decimal digits.  The alphabet size q is not part of the
 text; it is supplied at build time (CLI flag ``--q``).
 
 Every word length n is at least 2, as each codec spends one symbol on the
@@ -100,12 +100,12 @@ def parse_spec(text: str) -> ConstraintSpec:
                 raise ParseError(f"unknown parameter {key!r} for {name!r}")
             if key in seen:
                 raise ParseError(f"duplicate parameter {key!r}")
+            if not (value.isascii() and value.isdigit()):
+                raise ParseError(f"parameter {key!r} must be decimal digits 0-9, got {value!r}")
             try:
                 seen[key] = int(value)
-            except ValueError:
-                raise ParseError(f"parameter {key!r} must be an integer, got {value!r}") from None
-            if seen[key] < 0:
-                raise ParseError(f"parameter {key!r} must be non-negative")
+            except ValueError:  # more digits than int() converts (4300 from Python 3.11)
+                raise ParseError(f"parameter {key!r} has too many digits ({len(value)})") from None
             if key in row.optional and seen[key] > 1:
                 raise ParseError(f"parameter {key!r} is a 0/1 flag, got {seen[key]}")
     for key in row.params:

@@ -4,8 +4,6 @@ Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see them)
 and asserts exactly; every check is exact, with no tolerances.
 """
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -124,8 +122,9 @@ def test_criterion_2_average_iterations(roundtrip_reports):
     all_ok = True
     for label, _, _ in SUITES:
         codec, report = roundtrip_reports[label]
-        ok = report.avg_iterations <= Fraction(codec.q)
-        _report_line(2, label, ok, f"avg={report.avg_iterations} <= {codec.q}")
+        bound = codec.q ** (codec.n - codec.k) - 1  # the paper's mean bound, q - 1 for k = n - 1
+        ok = report.avg_iterations <= bound
+        _report_line(2, label, ok, f"avg={report.avg_iterations} <= {bound}")
         all_ok = all_ok and ok
     assert all_ok
 
@@ -136,10 +135,12 @@ def test_criterion_3_step_graph_properties():
         ("mw q=2 n=8 l=7 p=2", lambda: build_one_symbol(forbidden_window_shrink(min_weight_coder(8, 7, 2), 8))),
         ("rf q=2 n=8 l=7", lambda: _rf(8, 7)),
     ]:
-        report = check_graph(factory())
+        codec = factory()
+        report = check_graph(codec)
         path_sum = report.avg_iterations * report.total_inputs
-        ok = report.ok and path_sum <= 2 ** 8
-        _report_line(3, label, ok, f"path sum {path_sum} <= 256, {len(report.failures)} violations")
+        bound = codec.q ** codec.n - codec.q ** codec.k  # the paper's bound on the path sum
+        ok = report.ok and path_sum <= bound
+        _report_line(3, label, ok, f"path sum {path_sum} <= {bound}, {len(report.failures)} violations")
         all_ok = all_ok and ok
     assert all_ok
 

@@ -13,9 +13,15 @@ its reverse complement.
 The step-graph digests cover the DOT text of ``graph_to_dot`` and the
 newline-joined ``check_graph`` key=value lines, so the exact reports are
 pinned too.
+
+The rank cuts of ``ab`` and ``lab`` are also pinned at benchmark scale, where
+``ab`` ranks hundreds of weight classes: each digest covers the codewords of
+32 seeded payloads, half uniform and half with about one 1 in 8, so that
+they take many steps.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -25,6 +31,7 @@ from parcodec import (
     build_codec,
     build_state_graph,
     check_graph,
+    decode,
     encode,
     graph_to_dot,
     parse_spec,
@@ -81,6 +88,11 @@ GRAPH_DIGESTS = [
         "35b32c3468b5c5c3e3d1dbc6a5fe15f7fd71cb71d5dccd98ad4512b24115e628",
     ),
 ]
+SCALE_DIGESTS = [
+    ("ab:n=256", "747e20c7aa3a36164540960a091c7114818041e8340ba3a6516314be1df7c013"),
+    ("ab:n=1024", "e5d6303318cb23bfc765c481c2be6ba9e7a2c7baea692c6dc23431e655266648"),
+    ("lab:n=256,l=16,wmin=2,wmax=14", "59739ec2bbf0445c6ddbd3c1812fadec222da00870624c192167b64b40135e91"),
+]
 RC_PAIR_DIGEST = "2f55edc995c1e6d2322cdc6ca78b8f5642c90104a4926f14b58aa8954961443c"
 
 
@@ -126,3 +138,16 @@ def test_step_graph_reports_pinned(text, q, dot_digest, report_digest):
     assert hashlib.sha256(dot.encode("ascii")).hexdigest() == dot_digest
     report = "\n".join(check_graph(codec).kv_lines())
     assert hashlib.sha256(report.encode("ascii")).hexdigest() == report_digest
+
+
+@pytest.mark.parametrize("text, expected", SCALE_DIGESTS)
+def test_rank_cuts_pinned_at_scale(text, expected):
+    codec = build_codec(parse_spec(text))
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for density in (0.5,) * 16 + (0.125,) * 16:
+        payload = tuple(int(rng.random() < density) for _ in range(codec.k))
+        word, _ = encode(codec, payload)
+        assert decode(codec, word) == payload
+        digest.update(bytes(word))
+    assert digest.hexdigest() == expected

@@ -12,13 +12,12 @@ from math import comb
 
 import pytest
 
-from parcodec import RankOutOfRange
+from parcodec import ParameterViolation, RankOutOfRange, build_codec, encode, parse_spec
 from parcodec.ranking import (
     count_by_weight,
     lex_rank_fixed_weight,
     lex_unrank_fixed_weight,
-    rank_by_weight,
-    unrank_by_weight,
+    ranking_by_weight,
     weight_class_sizes,
 )
 
@@ -55,9 +54,10 @@ def test_rank_by_weight_every_word(n):
     for name, weights in _weight_sets(n).items():
         table = weight_class_table(n, weights)
         assert count_by_weight(n, weights) == len(table), name
+        rank_word, unrank = ranking_by_weight(n, weights)
         for rank, word in enumerate(table):
-            assert rank_by_weight(word, weights) == rank, (name, word)
-            assert tuple(unrank_by_weight(rank, n, weights)) == word, (name, rank)
+            assert rank_word(word, sum(word)) == rank, (name, word)
+            assert tuple(unrank(rank)) == word, (name, rank)
 
 
 def _seeded_words(n, count, seed):
@@ -89,9 +89,9 @@ def test_rank_by_weight_seeded_n1024():
         if 2 < weight < n - 1:
             weight_sets.append((0, 1, 2, weight, n - 1, n))  # gapped, like lab's
         for weights in weight_sets:
-            rank = rank_by_weight(word, weights)
+            rank = ranking_by_weight(n, weights)[0](word, weight)
             assert rank == rank_by_weight_ref(word, weights)
-            assert tuple(unrank_by_weight(rank, n, weights)) == word
+            assert tuple(ranking_by_weight(n, weights)[1](rank)) == word
 
 
 def test_weight_class_sizes_step_across_gaps_and_past_n():
@@ -111,9 +111,23 @@ def test_fixed_weight_unrank_rejections():
 
 def test_rank_by_weight_rejections():
     with pytest.raises(RankOutOfRange, match="word weight 3 is not among the ranked weights"):
-        rank_by_weight((1, 1, 1, 0), (0, 1, 4))
+        ranking_by_weight(4, (0, 1, 4))[0]((1, 1, 1, 0), 3)
     total = count_by_weight(8, (0, 1, 7, 8))
-    assert tuple(unrank_by_weight(total - 1, 8, (0, 1, 7, 8))) == (1,) * 8
+    unrank = ranking_by_weight(8, (0, 1, 7, 8))[1]
+    assert tuple(unrank(total - 1)) == (1,) * 8
     for rank in (-1, total):
         with pytest.raises(RankOutOfRange, match=rf"rank {rank} out of range for the ranked weights, n = 8"):
-            unrank_by_weight(rank, 8, (0, 1, 7, 8))
+            unrank(rank)
+
+
+def test_rank_table_is_built_on_first_use():
+    # count first, table on first use: ab:n=4096 ranks 1984 weight classes
+    ranking_by_weight.cache_clear()
+    codec = build_codec(parse_spec("ab:n=4096"))
+    assert not codec.satisfies(bytes(codec.n))  # all that check asks of a codec
+    with pytest.raises(ParameterViolation, match="forbidden-window count 1588 exceeds"):
+        build_codec(parse_spec("lab:n=64,l=12,wmin=5,wmax=7"))
+    assert ranking_by_weight.cache_info().misses == 0
+    _, stats = encode(codec, bytes(codec.k))
+    assert stats.iterations == 10
+    assert ranking_by_weight.cache_info().misses == 1

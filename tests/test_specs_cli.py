@@ -78,11 +78,33 @@ def test_grammar_roundtrip(text):
         "ab:n=1",
         "intersect:mw:n=1,l=10,p=2+mp:n=1,l=9,p=3",
         "enp:n=16,l=10,rc=5",  # rc is a 0/1 flag
+        # values are plain ASCII decimal digits, so to_text() gives the text back
+        "mw:n=+16,l=9,p=2",
+        "mw:n=1_6,l=9,p=2",
+        "mw:n= 16,l=9,p=2",
+        "mw:n=16 ,l=9,p=2",
+        "mw:n=\u0661\u0666,l=9,p=2",  # Arabic-Indic digits
+        "mw:n=-3,l=9,p=2",
     ],
 )
 def test_grammar_rejects(text):
     with pytest.raises(ParseError):
         parse_spec(text)
+
+
+def test_grammar_names_a_value_that_is_not_digits():
+    with pytest.raises(ParseError, match=r"^parameter 'n' must be decimal digits 0-9, got '\+16'$"):
+        parse_spec("mw:n=+16,l=9,p=2")
+
+
+def test_grammar_refuses_a_value_past_the_int_digit_limit():
+    value = "9" * 5000
+    text = f"mw:n={value},l=9,p=2"
+    if sys.version_info < (3, 11):  # int() has no digit limit here, so the value parses
+        assert parse_spec(text).n == int(value)
+    else:
+        with pytest.raises(ParseError, match=r"^parameter 'n' has too many digits \(5000\)$"):
+            parse_spec(text)
 
 
 def test_build_validates_bounds():
