@@ -111,7 +111,9 @@ class CodecSpec:
     word to another non-start word, and the indicator callables classify
     words.  Every callable is observably pure, so instances are safely
     shareable across threads; a codec from :func:`build_one_symbol` keeps
-    one identity-keyed witness slot, which changes no result (see there).
+    one identity-keyed witness slot, and the ``rf`` pair finder one
+    content-checked slot of its last cut, neither of which changes a result
+    (see :func:`build_one_symbol` and :func:`global_codes._pair_finder`).
 
     Words are ``bytes``, one byte per symbol, so q is at most 256.  The
     start-set callables ``embed``, ``unembed`` and ``is_start`` also take the

@@ -9,7 +9,9 @@ reversed window for reverse complements, whose image never overlaps its
 match: the gap is ell there and 1 otherwise.  The pair finder
 (:func:`_pair_finder`) keys every window and every transformed window with
 one multiply each (:func:`words.window_keys`), so q <= 256; one set test
-answers "no pair".  The inverse reads j, then i, through
+answers "no pair".  Under the identity, a long word that starts with the
+word it last cut less the cut window, as each encode step's does, keys only
+the windows the cut changed.  The inverse reads j, then i, through
 :func:`core.decode_field`, so it accepts exactly i + gap <= j <= n - ell,
 and rebuilds window j from window i, or regrows it where the two overlap.
 :func:`core.window_fits` refuses a window longer than the word before any
@@ -35,6 +37,7 @@ The :mod:`parcodec.specs` rows ``ss`` and ``ab`` intersect two members each:
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import cycle
 from math import isqrt
@@ -120,15 +123,65 @@ def _pair_finder(q: int, ell: int, min_gap: int, source: _Source | None):
     """Finder of the minimal (i, j), i ordered first, with source(window at i)
     == window at j and j >= i + min_gap; None when no such pair exists.  A
     None ``source`` is the identity.
+
+    Under the identity, a word of at least 8*ell windows that has a repeat is
+    kept in one slot as (rest, j, keys, counts): the word less window j, its
+    window keys and their multiset.  A word of the same length that starts
+    with ``rest``, as the next step of an encode does, keeps the keys of the
+    windows inside ``rest`` and keys only the about 2*ell - 1 windows at the
+    junction and over its new tail.  The slot is checked by content, read
+    once and replaced whole, so the answer depends on the word alone and the
+    finder is safe to share across threads.
     """
     width, ones, reader = window_keys(q, ell)
     terms = None if source is None else source.terms(8 * width)
+    # (rest, j, keys, counts) of the last long word with a repeat; the empty
+    # rest is no word's, since no word of ell symbols has 8*ell windows
+    slot: tuple[bytes, int, Sequence, dict] = (b"", 0, (), {})
+    spliced_from = 8 * ell  # windows; below this a splice saves less than it costs
+
+    def keyed(word: bytes) -> tuple:
+        read, size = reader(len(word))
+        return read((spread_digits(word, width) * ones).to_bytes(size, "little"))
+
+    def find_repeat(word: bytes, count: int) -> tuple[int, int] | None:
+        nonlocal slot
+        rest, j, kept, counts = slot
+        tail = count - ell  # windows tail.. overlap the last ell symbols
+        if j <= tail and len(word) == len(rest) + ell and word.startswith(rest):
+            start = max(j - ell + 1, 0)  # windows start..j - 1 straddle the junction
+            # one pass keys ell - 1 windows from start, ell - 1 across the seam (dropped) and the tail's ell
+            fresh = keyed(word[start : start + 2 * ell - 2] + word[tail:])
+            junction, ends = fresh[: j - start], fresh[-ell:]
+            keys = [*kept[:start], *junction, *kept[j + ell :], *ends]
+            counts = counts.copy()
+            for key in kept[start : j + ell]:
+                if counts[key] == 1:
+                    del counts[key]
+                else:
+                    counts[key] -= 1
+            for key in junction + ends:
+                counts[key] = counts.get(key, 0) + 1
+        else:
+            keys = keyed(word)
+            if len(set(keys)) == count:
+                return None
+            counts = dict(Counter(keys))  # a dict copies in one block, a Counter through Python
+        if len(counts) == count:
+            return None
+        for i, key in enumerate(keys):
+            if counts[key] > 1:  # the first window that recurs has its copy later
+                j = keys.index(key, i + 1)
+                slot = (word[:j] + word[j + ell :], j, keys, counts)
+                return i, j
 
     def find(word: bytes) -> tuple[int, int] | None:
         length = len(word)
         count = length - ell + 1
         if count <= min_gap:  # no j >= i + min_gap below count
             return None
+        if terms is None and count >= spliced_from:
+            return find_repeat(word, count)
         read, size = reader(length)
         keys = read((spread_digits(word, width) * ones).to_bytes(size, "little"))
         if terms is None:

@@ -638,10 +638,11 @@ def test_a_list_changed_after_satisfies_is_scanned_again():
 
 @pytest.mark.parametrize(
     "text",
-    ["mw:n=64,l=13,p=2", "rf:n=64,l=13", "intersect:mw:n=64,l=14,p=2+mp:n=64,l=11,p=3"],
+    ["mw:n=64,l=13,p=2", "rf:n=64,l=13", "rf:n=256,l=17", "intersect:mw:n=64,l=14,p=2+mp:n=64,l=11,p=3"],
 )
 def test_threads_sharing_one_codec_match_a_serial_run(text):
-    # Three threads hit the codec's witness slot in turn: a thread switch
+    # Three threads hit the codec's witness slot (and, at rf:n=256, the pair
+    # finder's slot of the last cut) in turn: a thread switch
     # between one thread's satisfies and its step (a few times a run at
     # these sizes) hands the slot to another thread.  The lists start with (1, 0) blocks of different
     # lengths, so their words fire at different witnesses, and a step given

@@ -7,6 +7,7 @@ witnesses mean equal shrink images, which ``test_format_pin`` pins as well.
 """
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -14,20 +15,23 @@ import pytest
 from parcodec import (
     DNA_COMPLEMENT,
     ParameterViolation,
+    build_codec,
     ceil_log,
     decode_index,
+    encode,
     first_forbidden_window,
     listed_window_coder,
     min_period_coder,
     min_weight_coder,
     no_palindrome_coder,
+    parse_spec,
     repeat_free_shrink,
     reverse_complement_shrink,
     weight_window_coder,
 )
 from parcodec.global_codes import _pair_finder, _Source
 
-from oracles import DNA_COMP, first_forbidden_window_ref, first_pair_ref, has_period, is_palindrome, rc
+from oracles import DNA_COMP, first_forbidden_window_ref, first_pair_ref, has_period, is_palindrome, rc, windows
 
 
 def words_up_to(q, max_len):
@@ -388,6 +392,51 @@ def test_pair_finder_seeded(name):
     per_kind = 4 if shrink.n > 256 else 8
     for word in seeded_words(shrink.n, q, seed=shrink.n + len(name), per_kind=per_kind):
         assert shrink_witness(shrink, ell, word) == first_pair_ref(word, ell, transform, min_gap), word
+
+
+def closure(fn):
+    """The variables a nested function reads from its enclosing scopes, by name."""
+    return {name: cell.cell_contents for name, cell in zip(fn.__code__.co_freevars, fn.__closure__)}
+
+
+@pytest.mark.parametrize("n, ell, payloads", [(256, 17, 12), (1024, 21, 3)])
+def test_repeat_finder_after_a_cut_matches_the_reference(n, ell, payloads):
+    # Each step of an encode hands the finder a word that starts with the last
+    # word less its cut window, so all but the first are keyed by a splice of
+    # the kept keys.  One shrink answers the visited words in order.  Then,
+    # each right after the last stepped word, it answers words that only look
+    # like its step: the kept rest with other tails, as a bytearray too, and
+    # words of other lengths.
+    codec = build_codec(parse_spec(f"rf:n={n},l={ell}"))
+    find = repeat_free_shrink(n, ell).first_violation
+    kept_slot = lambda: closure(closure(find)["find_repeat"])["slot"]
+    same = lambda w: w
+    rng = random.Random(n + ell)
+    words = spliced = 0
+    for _ in range(payloads):
+        payload = tuple(int(rng.randrange(8) == 0) for _ in range(n - 1))
+        visited = encode(codec, payload, record_visited=True)[1].visited
+        for word in visited:
+            rest = kept_slot()[0]
+            spliced += len(word) == len(rest) + ell and word.startswith(rest)
+            words += 1
+            want = first_pair_ref(word, ell, same, 1)
+            assert find(word) == want, word
+            if want is not None:  # the slot now keeps this word's cut and the value of every window
+                j, keys = want[1], [int("".join(map(str, w)), 2) for w in windows(word, ell)]
+                kept_rest, kept_j, kept_keys, kept_counts = kept_slot()
+                assert (kept_rest, kept_j) == (word[:j] + word[j + ell :], j)
+                assert list(kept_keys) == keys and kept_counts == Counter(keys)
+        rest = kept_slot()[0]
+        assert visited[-1].startswith(rest) and find(visited[-1]) is None  # the codeword, scanned again
+        tails = [bytes(rng.randrange(2) for _ in range(ell)), rest[:ell], rest[-ell:], bytes(ell)]
+        hostile = [rest + tail for tail in tails]
+        hostile += [bytearray(word) for word in hostile] + [rest + tails[0][1:], rest + tails[0] + b"\x01"]
+        for word in hostile:
+            find(visited[-2])  # the slot keeps that word less its cut window
+            want = first_pair_ref(word, ell, same, 1)
+            assert find(word) == want and find(word) == want, word
+    assert spliced >= words * 3 // 4
 
 
 def planted_copy_words(n, q, ell, transform, seed, count):
