@@ -182,7 +182,7 @@ def _pair_finder(q: int, ell: int, min_gap: int, source: _Source | None):
             return None
         if terms is None and count >= spliced_from:
             return find_repeat(word, count)
-        read, size = reader(length)
+        read, size = reader(length)  # not keyed(): one call more costs short scans 2-4%
         keys = read((spread_digits(word, width) * ones).to_bytes(size, "little"))
         if terms is None:
             if len(set(keys)) == count:
