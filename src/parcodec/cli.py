@@ -10,8 +10,9 @@ lines is answered as one block.  The format fixes q and its alphabet is
 [0, q), so a run whose lines are all bare words of the right length needs no
 further test: it is translated once through :data:`words.TEXT_TO_SYMBOL`,
 split into engine words, answered by the library's encode loop or decode
-walk (:func:`core.encode_loop`, :func:`core.decode_walk`), joined and
-translated back once through :data:`words.SYMBOL_TO_TEXT`.  Any other run
+walk (:func:`core.encode_loop`, :func:`core.decode_walk`, which a start word
+skips as in :func:`core.decode`), joined and translated back once through
+:data:`words.SYMBOL_TO_TEXT`.  Any other run
 (with a ``#``, blank, padded, non-ASCII or bad line, or a word the library
 refuses) goes line by line from its first line number, and only a line that
 fails its length and :data:`words.NOT_A_SYMBOL` test is read again, by
@@ -24,16 +25,18 @@ or blank line is read to its end in ``CHUNK``-character pieces and dropped.
 
 Output (``--output``, and ``graph``'s ``--dot``) reaches its target, a file
 or standard output, only when the command succeeds: a failed run leaves the
-target as it was.  Lines are spooled to an anonymous temporary file in
-TMPDIR as they are made, not held in memory, so memory stays flat however
-long the stream is, and a run needs free space in TMPDIR equal to its output
-(a ``graph`` DOT file can be about 83 MB).  An existing regular file is
-overwritten in place and then cut to the new length, which costs far less
-than truncating it to zero first.
+target as it was.  Lines are spooled as they are made: an output of up to
+``SPOOL_IN_MEMORY`` bytes (64 KiB) is held in memory and never touches the
+disk, and a longer one rolls over to an anonymous temporary file in TMPDIR,
+so memory stays flat however long the stream is.  Only such a longer output
+needs free space in TMPDIR, equal to its size (a ``graph`` DOT file can be
+about 83 MB); a failure to write it there is a usage error.  An existing
+regular file is overwritten in place and then cut to the new length, which
+costs far less than truncating it to zero first.
 
 Exit codes: 0 success, 1 data/validation failure (first offending line
 reported, non-ASCII input included), 2 usage or spec error (a path that
-cannot be opened or written included).
+cannot be opened or written, and an output that cannot be spooled, included).
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ import shutil
 import stat
 import sys
 import tempfile
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from functools import cache
-from itertools import repeat
+from itertools import islice
 
 from .core import decode_walk, encode_loop
 from .errors import CodecError, DimensionMismatch, NotACodeword, ParseError
@@ -64,6 +67,7 @@ from .words import FORMAT_Q, NOT_A_SYMBOL, SYMBOL_TO_TEXT, TEXT_TO_SYMBOL, check
 
 LINE_ROOM = 256  # characters a line may hold beyond its word: whitespace and the newline
 CHUNK = 1 << 13  # characters read at a time, from the stream and from a long line
+SPOOL_IN_MEMORY = 1 << 16  # output bytes held in memory before the spool rolls over to TMPDIR
 
 
 class _LineError(Exception):
@@ -72,10 +76,37 @@ class _LineError(Exception):
 
 
 class _FileError(Exception):
-    """A path given on the command line cannot be opened or written (a usage error)."""
+    """A path given on the command line cannot be opened or written, or the
+    output cannot be spooled (a usage error)."""
 
-    def __init__(self, verb: str, path: str, exc: OSError):
-        super().__init__(f"cannot {verb} {path!r}: {exc.strerror or exc}")
+    def __init__(self, action: str, exc: OSError):
+        super().__init__(f"cannot {action}: {exc.strerror or exc}")
+
+
+_SPOOLING = "spool output in TMPDIR"
+
+
+class _Spool(tempfile.SpooledTemporaryFile):
+    """The output bytes: in memory up to ``SPOOL_IN_MEMORY``, then in an
+    anonymous file in TMPDIR, where a failed write is a usage error."""
+
+    def write(self, data: bytes) -> int:
+        try:
+            return super().write(data)
+        except OSError as exc:
+            raise _FileError(_SPOOLING, exc) from exc
+
+    def writelines(self, lines) -> None:
+        # in batches, so that a long output rolls over as it grows
+        lines = iter(lines)
+        while batch := b"".join(islice(lines, 1024)):
+            self.write(batch)
+
+    def __exit__(self, *exc_info) -> None:
+        # the spool is dropped here, so bytes its buffer could not write out
+        # are not needed; a failed write has already been reported
+        with suppress(OSError):
+            super().__exit__(*exc_info)
 
 
 def _open_input(path: str):
@@ -86,26 +117,31 @@ def _open_input(path: str):
     try:
         return open(path, encoding="ascii", errors="surrogateescape")
     except OSError as exc:
-        raise _FileError("open", path, exc) from exc
+        raise _FileError(f"open {path!r}", exc) from exc
 
 
 @contextmanager
 def _output(path: str):
-    """Yield a binary spool for the output text; copy it to ``path`` (``-``
+    """Yield a :class:`_Spool` for the output text; copy it to ``path`` (``-``
     for standard output, which is never closed) only when the body succeeds.
 
-    A path whose directory is missing fails before the body does any work,
-    a failed body leaves the target untouched, and an error writing the
-    target is a usage error.
+    An output of up to ``SPOOL_IN_MEMORY`` bytes goes to its target straight
+    from memory; a longer one is read back from TMPDIR.  A path whose
+    directory is missing fails before the body does any work, a failed body
+    leaves the target untouched, and an error spooling the output or writing
+    the target is a usage error.
     """
     if path != "-":
         try:
             os.stat(os.path.join(os.path.dirname(path), "."))
         except OSError as exc:
-            raise _FileError("open", path, exc) from exc
-    with tempfile.TemporaryFile() as spool:
+            raise _FileError(f"open {path!r}", exc) from exc
+    with _Spool(max_size=SPOOL_IN_MEMORY) as spool:
         yield spool
-        spool.seek(0)
+        try:
+            spool.seek(0)  # a rolled-over spool writes out its buffer here
+        except OSError as exc:
+            raise _FileError(_SPOOLING, exc) from exc
         try:
             if path == "-":
                 while chunk := spool.read(1 << 16):
@@ -113,7 +149,7 @@ def _output(path: str):
             else:
                 _overwrite(path, spool)
         except OSError as exc:
-            raise _FileError("write", path, exc) from exc
+            raise _FileError(f"write {path!r}", exc) from exc
 
 
 def _overwrite(path: str, source) -> None:
@@ -126,7 +162,7 @@ def _overwrite(path: str, source) -> None:
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
-        raise _FileError("open", path, exc) from exc
+        raise _FileError(f"open {path!r}", exc) from exc
     with open(fd, "wb") as target:
         shutil.copyfileobj(source, target)
         if stat.S_ISREG(os.fstat(fd).st_mode):
@@ -189,17 +225,31 @@ def _build(args):
     return build_codec(spec, args.q)
 
 
-# The commands that read one word per line and write one answer per line:
-# (help, what a line holds, answer(codec, engine word), whether the answer is
-# written as bits rather than in the input's format).  A "payload" line holds
-# k symbols, any other line n.
-_STREAMS = {
-    "encode": ("encode k-symbol payloads into n-symbol codewords", "payload",
-               lambda codec, word: encode_loop(codec, word)[0], False),
-    "decode": ("decode n-symbol codewords back to payloads", "codeword", decode_walk, False),
+def _encode_words(codec, words: list[bytes]) -> list[bytes]:
+    return [encode_loop(codec, word)[0] for word in words]
+
+
+def _decode_words(codec, words: list[bytes]) -> list[bytes]:
+    # a word that took no encode step is its payload plus the start marker,
+    # so only the others walk back
+    is_start, unembed = codec.is_start, codec.unembed
+    return [unembed(word) if is_start(word) else decode_walk(codec, word) for word in words]
+
+
+def _check_words(codec, words: list[bytes]) -> list[bytes]:
     # a verdict is one bit, 1 for a member
-    "check": ("print 1/0 per input word for constraint membership", "word",
-              lambda codec, word: bytes((codec.satisfies(word),)), True),
+    satisfies = codec.satisfies
+    return [b"\1" if satisfies(word) else b"\0" for word in words]
+
+
+# The commands that read one word per line and write one answer per line:
+# (help, what a line holds, answers(codec, engine words), whether the answers
+# are written as bits rather than in the input's format).  A "payload" line
+# holds k symbols, any other line n.
+_STREAMS = {
+    "encode": ("encode k-symbol payloads into n-symbol codewords", "payload", _encode_words, False),
+    "decode": ("decode n-symbol codewords back to payloads", "codeword", _decode_words, False),
+    "check": ("print 1/0 per input word for constraint membership", "word", _check_words, True),
 }
 
 
@@ -207,7 +257,7 @@ def _transform_stream(args) -> int:
     """Write the answer of ``args.command``'s row per input line, given the
     line's engine word; a failure is reported with its line.  A run of bare
     words is answered as one block, any other run line by line."""
-    _, what, answer, as_bits = _STREAMS[args.command]
+    _, what, answers, as_bits = _STREAMS[args.command]
     with _output(args.output) as out, _open_input(args.input) as stream:
         codec = _build(args)
         width = codec.k if what == "payload" else codec.n
@@ -223,11 +273,11 @@ def _transform_stream(args) -> int:
                 block = run.encode("ascii").translate(symbols)
                 if NOT_A_SYMBOL not in block and set(map(len, words := block.split(b"\n"))) == {width}:
                     try:
-                        answers = b"\n".join(map(answer, repeat(codec), words))
+                        answered = b"\n".join(answers(codec, words))
                     except CodecError:
                         pass  # named by the line-by-line pass
                     else:
-                        out.write(answers.translate(text))
+                        out.write(answered.translate(text))
                         out.write(b"\n")
                         continue
             for lineno, raw in enumerate(run.split("\n"), first):
@@ -242,7 +292,7 @@ def _transform_stream(args) -> int:
                 try:
                     if len(word) != width or NOT_A_SYMBOL in word:
                         check_symbols(text_symbols(line, args.format), codec.q, width, what)
-                    out.write(answer(codec, word).translate(text) + b"\n")
+                    out.write(answers(codec, [word])[0].translate(text) + b"\n")
                 except (ParseError, DimensionMismatch) as exc:
                     raise _LineError(lineno, str(exc)) from exc
                 except NotACodeword as exc:

@@ -1,9 +1,11 @@
 """Constraint-spec grammar and the command-line front end."""
 
+import errno
 import io
 import os
 import random
 import sys
+import tempfile
 import tracemalloc
 from itertools import product
 
@@ -22,7 +24,7 @@ from parcodec import (
     parse_spec,
     sample_roundtrip,
 )
-from parcodec.cli import main
+from parcodec.cli import SPOOL_IN_MEMORY, main
 from parcodec.global_codes import almost_balanced_member, secondary_structure_member
 from parcodec.local import palindrome_free_member
 from parcodec.specs import _CONSTRAINTS, ConstraintSpec
@@ -652,6 +654,113 @@ def test_cli_write_error_is_usage_error(monkeypatch, capsys, argv):
     assert rc == 2
     assert captured.err.startswith("error: cannot write '/dev/full':")
     assert captured.out == ""
+
+
+def _library_text(count: int) -> tuple[str, str]:
+    """The payload text of ``count`` lines under mw:n=16,l=9,p=2, and the library's codeword text."""
+    codec = build_codec(parse_spec("mw:n=16,l=9,p=2"), 2)
+    payloads = "".join(f"{i * 40503 % (1 << 15):015b}\n" for i in range(count))
+    words = [encode(codec, tuple(map(int, line)))[0] for line in payloads.split()]
+    return payloads, "".join(word_to_text(w, "bits") + "\n" for w in words)
+
+
+def _no_temporary_file(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FillingFile(io.RawIOBase):
+    """An anonymous file that takes ``room`` bytes and then fails as a full disk does."""
+
+    def __init__(self, room: int):
+        super().__init__()
+        self.room, self.pos = room, 0
+
+    def readable(self) -> bool:
+        return True
+
+    def writable(self) -> bool:
+        return True
+
+    def seekable(self) -> bool:
+        return True
+
+    def seek(self, pos: int, whence: int = 0) -> int:
+        self.pos = pos if whence == 0 else self.pos + pos
+        return self.pos
+
+    def readinto(self, buffer) -> int:
+        return 0
+
+    def write(self, data) -> int:
+        if self.pos + len(data) > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.pos += len(data)
+        return len(data)
+
+
+def test_cli_small_output_never_touches_tmpdir(tmp_path, capsys, monkeypatch):
+    payloads, codewords = _library_text(512)
+    assert len(codewords) <= SPOOL_IN_MEMORY
+    monkeypatch.setattr(tempfile, "TemporaryFile", _no_temporary_file)
+    src, mid, dst = tmp_path / "in.txt", tmp_path / "mid.txt", tmp_path / "out.txt"
+    src.write_text(payloads)
+    common = ["--spec", "mw:n=16,l=9,p=2"]
+    assert run_cli(["encode", *common, "--input", str(src), "--output", str(mid)]) == 0
+    assert mid.read_text() == codewords
+    assert run_cli(["decode", *common, "--input", str(mid), "--output", str(dst)]) == 0
+    assert dst.read_text() == payloads
+    assert run_cli(["decode", *common, "--input", str(mid)]) == 0
+    assert capsys.readouterr() == (payloads, "")
+
+
+def test_cli_output_past_the_spool_is_the_same_through_a_file_and_stdout(tmp_path, capsys):
+    payloads, codewords = _library_text(4500)
+    assert len(payloads) > SPOOL_IN_MEMORY
+    src, mid, dst = tmp_path / "in.txt", tmp_path / "mid.txt", tmp_path / "out.txt"
+    src.write_text(payloads)
+    common = ["--spec", "mw:n=16,l=9,p=2"]
+    assert run_cli(["encode", *common, "--input", str(src), "--output", str(mid)]) == 0
+    assert mid.read_bytes() == codewords.encode("ascii")
+    assert run_cli(["encode", *common, "--input", str(src)]) == 0
+    assert capsys.readouterr() == (codewords, "")
+    assert run_cli(["decode", *common, "--input", str(mid), "--output", str(dst)]) == 0
+    assert dst.read_bytes() == payloads.encode("ascii")
+    assert run_cli(["decode", *common, "--input", str(mid)]) == 0
+    assert capsys.readouterr() == (payloads, "")
+
+
+@pytest.mark.parametrize(
+    "temporary_file",
+    [
+        _no_temporary_file,
+        lambda *args, **kwargs: io.BufferedRandom(_FillingFile(0)),
+        lambda *args, **kwargs: io.BufferedRandom(_FillingFile(70_000)),
+    ],
+    ids=["create", "roll-over", "later-write"],
+)
+def test_cli_output_that_cannot_be_spooled_is_usage_error(tmp_path, capsys, monkeypatch, temporary_file):
+    payloads, codewords = _library_text(4500)
+    assert SPOOL_IN_MEMORY < 70_000 < len(codewords)
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text(payloads)
+    out.write_text("kept\n")
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    for target in (["--output", str(out)], []):
+        rc = run_cli(["encode", "--spec", "mw:n=16,l=9,p=2", "--input", str(src), *target])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: cannot spool output in TMPDIR: No space left on device\n")
+        assert out.read_text() == "kept\n"
+
+
+def test_cli_graph_dot_past_the_spool_is_the_oracle_text(tmp_path, capsys):
+    from parcodec.oracle import build_state_graph, graph_to_dot
+
+    dot = tmp_path / "graph.dot"
+    assert run_cli(["graph", "--spec", "mw:n=12,l=9,p=2", "--dot", str(dot)]) == 0
+    capsys.readouterr()
+    expected = "".join(graph_to_dot(build_state_graph(build_codec(parse_spec("mw:n=12,l=9,p=2"), 2))))
+    assert len(expected) > SPOOL_IN_MEMORY
+    assert dot.read_text() == expected
 
 
 def _encode_argv(tmp_path, lines: int) -> list[str]:
