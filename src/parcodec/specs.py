@@ -80,10 +80,10 @@ def parse_spec(text: str) -> ConstraintSpec:
         member_texts = rest.split("+")
         if len(member_texts) < 2:
             raise ParseError("intersect needs at least two members joined by '+'")
+        # tested on the text: a nested member's own '+' was split away above
+        if any(t.strip().partition(":")[0] == "intersect" for t in member_texts):
+            raise ParseError("intersect members cannot be nested intersections")
         members = tuple(parse_spec(t) for t in member_texts)
-        for member in members:
-            if member.name == "intersect":
-                raise ParseError("intersect members cannot be nested intersections")
         if len({m.n for m in members}) != 1:
             raise ParseError("intersection members must share the same n")
         return ConstraintSpec("intersect", (), members)

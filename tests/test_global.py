@@ -114,6 +114,11 @@ def test_symbolwise_repeat_free_flip_map():
         assert shrink.satisfies(bytes(candidate)) == mapped_repeat_free_ok(candidate, 9, [table] * 9)
 
 
+def test_per_position_map_needs_one_table_per_window_position():
+    with pytest.raises(ParameterViolation, match=r"^need one symbol table per window position \(9\), got 8$"):
+        repeat_free_shrink(12, 9, symbol_map=[(1, 0)] * 8)
+
+
 def test_symbolwise_repeat_free_roundtrip_on_violations():
     table = (1, 0)
     shrink = repeat_free_shrink(12, 9, symbol_map=table)
@@ -337,6 +342,12 @@ def test_almost_balanced_members_match_exact_square_test():
             light, heavy = n - 2 * w, 2 * w - n
             assert floor_member.satisfies(word) == (light <= 0 or light * light <= 4 * n)
             assert ceiling_member.satisfies(word) == (heavy <= 0 or heavy * heavy <= 4 * n)
+
+
+def test_almost_balanced_refuses_ranks_wider_than_its_field():
+    # 1 + 16 + 120 + 560 light words of n = 16 need more than the 9 bits that slack 6 leaves
+    with pytest.raises(ParameterViolation, match=r"^697 words of weight <= 3 exceed 2\*\*9 = 512$"):
+        almost_balanced_member(16, False, 6)
 
 
 def test_almost_balanced_rejects_tiny_n():

@@ -14,6 +14,7 @@ from parcodec import (
     BoundExceeded,
     CodecSpec,
     DimensionMismatch,
+    NotACodeword,
     ShrinkStep,
     StateGraph,
     all_words,
@@ -23,6 +24,7 @@ from parcodec import (
     check_graph,
     check_shrink_injective,
     count_constraint,
+    encode,
     exhaustive_roundtrip,
     forbidden_window_shrink,
     graph_to_dot,
@@ -38,6 +40,7 @@ from parcodec.oracle import (
     IMAGE_LENGTH,
     IMAGE_SYMBOL,
     IN_DEGREE,
+    INVERSE,
     PATH_SUM,
     ROUNDTRIP,
     _engine_words,
@@ -92,6 +95,19 @@ def test_roundtrip_catches_two_payloads_on_one_codeword():
     report = exhaustive_roundtrip(_colliding_codec())
     assert not report.ok
     assert report.failures == [((0, 1), ROUNDTRIP)]
+
+
+def _refuse(word):
+    raise NotACodeword("refused")
+
+
+def test_roundtrip_records_a_refused_decode():
+    # no reverse step: exactly the payloads whose encode took steps fail their round trip
+    codec = mw8_codec()
+    stepped = [x for x in all_words(2, codec.k) if encode(codec, x)[1].iterations]
+    report = exhaustive_roundtrip(replace(codec, step_back=_refuse))
+    assert stepped
+    assert report.failures == [(x, ROUNDTRIP) for x in stepped]
 
 
 # --- engine words ----------------------------------------------------------------
@@ -348,6 +364,17 @@ def test_shrink_injectivity_flags_out_of_alphabet_symbols():
     )
     report = check_shrink_injective(leaky)
     assert report.failures == [((0,) * 8, IMAGE_SYMBOL)]
+
+
+def test_shrink_injectivity_records_a_refused_unshrink():
+    inner = forbidden_window_shrink(min_weight_coder(8, 7, 2), 8)
+    refusing = ShrinkStep(
+        q=2, n=8, slack=0, first_violation=inner.first_violation, cut=inner.cut, unshrink=_refuse
+    )
+    report = check_shrink_injective(refusing)
+    assert report.total_inputs > 0
+    assert len(report.failures) == report.total_inputs
+    assert {kind for _, kind in report.failures} == {INVERSE}
 
 
 # --- sampling ---------------------------------------------------------------------

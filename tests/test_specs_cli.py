@@ -87,11 +87,35 @@ def test_grammar_roundtrip(text):
         "mw:n=16 ,l=9,p=2",
         "mw:n=\u0661\u0666,l=9,p=2",  # Arabic-Indic digits
         "mw:n=-3,l=9,p=2",
+        "mw:n=16,l,p=2",  # a key with no value
+        "mw:n=16,l=,p=2",
+        "intersect:intersect:mw:n=16,l=9,p=2+mp:n=16,l=8,p=3",  # nested intersections
+        "intersect:mw:n=16,l=9,p=2+intersect:mp:n=16,l=8,p=3",
     ],
 )
 def test_grammar_rejects(text):
     with pytest.raises(ParseError):
         parse_spec(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("mw:n=16,l,p=2", "malformed parameter 'l'"),
+        ("mw:n=16,l=,p=2", "malformed parameter 'l='"),
+        ("intersect:intersect:mw:n=16,l=9,p=2+mp:n=16,l=8,p=3", "intersect members cannot be nested intersections"),
+        ("intersect:mw:n=16,l=9,p=2+intersect:mp:n=16,l=8,p=3", "intersect members cannot be nested intersections"),
+    ],
+)
+def test_grammar_names_its_refusal(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    assert str(err.value) == message
+
+
+def test_spec_param_names_a_missing_key():
+    with pytest.raises(ParseError, match="^spec 'mw' is missing parameter 'l'$"):
+        ConstraintSpec("mw", (("n", 16),)).param("l")
 
 
 def test_grammar_names_a_value_that_is_not_digits():
@@ -492,7 +516,7 @@ def test_cli_graph_refuses_large_space(tmp_path, capsys):
     assert not dot.exists()
 
 
-@pytest.mark.parametrize("count", ["-5", "0"])
+@pytest.mark.parametrize("count", ["-5", "0", "x"])  # "x" is no integer at all
 def test_cli_stats_rejects_non_positive_samples(count, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["stats", "--spec", "mw:n=16,l=9,p=2", "--samples", count])

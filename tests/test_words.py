@@ -7,7 +7,15 @@ from operator import index
 import pytest
 
 from parcodec import DimensionMismatch, ParseError
-from parcodec.words import FORMAT_ALPHABETS, FORMAT_Q, check_word, text_symbols, text_to_word, word_to_text
+from parcodec.words import (
+    FORMAT_ALPHABETS,
+    FORMAT_Q,
+    check_symbols,
+    check_word,
+    text_symbols,
+    text_to_word,
+    word_to_text,
+)
 
 
 def reference_first_bad_position(word, q):
@@ -88,6 +96,34 @@ def test_check_word_nonpositive_q_accepts_no_symbol():
             check_word((0,), q)
         assert check_word((), q) == ()
 
+
+@pytest.mark.parametrize("q", [2, 4, 300])
+def test_check_symbols_matches_reference_loop(q):
+    numpy = pytest.importorskip("numpy")
+    symbols = [-1, 0, 1, 3, 255, 256, True, 1.0, None, numpy.int64(1)]
+    for n in range(4):
+        for word in product(symbols, repeat=n):
+            bad = reference_first_bad_position(word, q)
+            if bad is not None:
+                with pytest.raises(DimensionMismatch, match="outside alphabet"):
+                    check_symbols(list(word), q, n)
+            elif all(index(s) < 256 for s in word):
+                engine = bytes(map(index, word))
+                assert check_symbols(list(word), q, n) == engine
+                assert check_symbols(engine, q, n) == engine
+                if q <= 256:
+                    assert check_symbols(engine, q, n) is engine
+            else:
+                with pytest.raises(DimensionMismatch, match="^word has a symbol that does not fit one byte$"):
+                    check_symbols(word, q, n)
+
+
+def test_check_symbols_past_a_byte_alphabet():
+    # q > 256: every symbol below q is valid, yet the engine form holds only those below 256
+    assert check_symbols((0, 255), 300) == b"\x00\xff"
+    with pytest.raises(DimensionMismatch, match="^word has a symbol that does not fit one byte$"):
+        check_symbols((0, 256), 300)
+    assert check_word((0, 256), 300) == (0, 256)
 
 @pytest.mark.parametrize("fmt", sorted(FORMAT_ALPHABETS))
 def test_format_alphabet_is_exactly_the_symbols_below_q(fmt):
