@@ -14,9 +14,8 @@ walk (:func:`core.encode_loop`, :func:`core.decode_walk`, which a start word
 skips as in :func:`core.decode`), joined and translated back once through
 :data:`words.SYMBOL_TO_TEXT`.  Any other run
 (with a ``#``, blank, padded, non-ASCII or bad line, or a word the library
-refuses) goes line by line from its first line number, and only a line that
-fails its length and :data:`words.NOT_A_SYMBOL` test is read again, by
-:func:`words.text_symbols` and :func:`words.check_symbols`, to name its
+refuses) goes line by line from its first line number, each line read by
+:func:`words.text_symbols` and :func:`words.check_symbols`, which name its
 fault (a bad character first).  So the first bad line is the one reported,
 whichever way its run went.  A run holds at most ``CHUNK`` characters plus a
 word and ``LINE_ROOM``, so memory stays bounded: a data line whose text runs
@@ -31,8 +30,9 @@ disk, and a longer one rolls over to an anonymous temporary file in TMPDIR,
 so memory stays flat however long the stream is.  Only such a longer output
 needs free space in TMPDIR, equal to its size (a ``graph`` DOT file can be
 about 83 MB); a failure to write it there is a usage error.  An existing
-regular file is overwritten in place and then cut to the new length, which
-costs far less than truncating it to zero first.
+regular file is overwritten in place and then cut to the new length, far
+cheaper than truncating it first or renaming a new file over it, so a write
+to it that fails part way (a full disk) can leave it partly rewritten.
 
 Exit codes: 0 success, 1 data/validation failure (first offending line
 reported, non-ASCII input included), 2 usage or spec error (a path that
@@ -129,7 +129,8 @@ def _output(path: str):
     from memory; a longer one is read back from TMPDIR.  A path whose
     directory is missing fails before the body does any work, a failed body
     leaves the target untouched, and an error spooling the output or writing
-    the target is a usage error.
+    the target is a usage error; a regular file is rewritten in place, so a
+    write to it that fails part way can leave it partly rewritten.
     """
     if path != "-":
         try:
@@ -288,10 +289,8 @@ def _transform_stream(args) -> int:
                     continue
                 if len(raw) > limit:
                     raise _LineError(lineno, too_long)
-                word = line.encode("ascii").translate(symbols)
                 try:
-                    if len(word) != width or NOT_A_SYMBOL in word:
-                        check_symbols(text_symbols(line, args.format), codec.q, width, what)
+                    word = check_symbols(text_symbols(line, args.format), codec.q, width, what)
                     out.write(answers(codec, [word])[0].translate(text) + b"\n")
                 except (ParseError, DimensionMismatch) as exc:
                     raise _LineError(lineno, str(exc)) from exc

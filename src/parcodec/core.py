@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 from .errors import (
     DimensionMismatch, IterationCapExceeded, NotACodeword, ParameterViolation, SlackMismatch,
 )
-from .words import DIGITS, TEXT_TO_SYMBOL, Word, check_byte_alphabet, check_symbols, check_word
+from .words import DIGITS, TEXT_TO_SYMBOL, Word, check_byte_alphabet, checked_raw
 
 
 def ceil_log(value: int, base: int) -> int:
@@ -153,13 +153,13 @@ def encode(codec: CodecSpec, payload: Word, *, record_visited: bool = False) -> 
     The codeword is a tuple: a stepped word is converted once, at the end,
     and a start word is the caller's checked tuple embedded.
     """
-    symbols = check_symbols(payload, codec.q, codec.k, "payload")
+    raw = checked_raw(payload, codec.q, codec.k, "payload")
     visited = [] if record_visited else None
-    word, iterations = encode_loop(codec, symbols, visited)
+    word, iterations = encode_loop(codec, bytes(raw), visited)
     if iterations:
         word = tuple(word)
     else:
-        word = codec.embed(payload if type(payload) is tuple else tuple(symbols))
+        word = codec.embed(payload if type(payload) is tuple else tuple(raw))
     if visited is None:
         return word, _shared_stats(iterations)
     return word, TraceStats(iterations, tuple(visited))
@@ -200,10 +200,11 @@ def decode(codec: CodecSpec, word: Word) -> Word:
     Any other word raises NotACodeword or returns some payload, as decode
     does not test membership.  See :func:`decode_walk`.
     """
-    word = check_word(word, codec.q, codec.n, "codeword")
+    raw = checked_raw(word, codec.q, codec.n, "codeword")
+    word = word if type(word) is tuple else tuple(raw)
     if codec.is_start(word):  # read in place: a start word is never converted
         return codec.unembed(word)
-    return tuple(decode_walk(codec, bytes(bytearray(word))))  # bytes(tuple) is about 2x slower
+    return tuple(decode_walk(codec, bytes(raw)))
 
 
 def decode_walk(codec: CodecSpec, word: bytes) -> bytes:

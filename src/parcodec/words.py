@@ -9,12 +9,13 @@ with the codec objects, so validation happens at operation boundaries
 rather than per value.
 
 The boundary functions test and convert a whole word with C-level ``bytes``
-operations (``bytearray()``, ``translate``, ``decode``):
-:func:`check_symbols` gives the engine form and :func:`check_word` the
-tuple.  Only input the fast test rejects reaches a per-symbol Python loop,
-which names the first bad symbol or character.  The CLI reads a text line
-through :data:`TEXT_TO_SYMBOL` and writes one through :data:`SYMBOL_TO_TEXT`;
-only a line it refuses reaches :func:`text_symbols` and :func:`check_symbols`.
+operations (``bytearray()``, ``translate``, ``decode``).  The symbol check
+is one body, :func:`checked_raw`, with an engine view :func:`check_symbols`
+and a tuple view :func:`check_word`.  Only input the fast test rejects
+reaches a per-symbol Python loop, which names the first bad symbol or
+character.  The CLI reads a block of lines through :data:`TEXT_TO_SYMBOL`
+and writes one through :data:`SYMBOL_TO_TEXT`; a lone line goes through
+:func:`text_symbols` and :func:`check_symbols`.
 :data:`DIGITS` spells a symbol as one digit, for index fields and DOT names.
 Symbol maps (substitution tables and complements) are validated here too,
 and turned into ``translate`` tables.  The window finders' one digit layout,
@@ -62,53 +63,43 @@ def _is_symbol(s, q: int) -> bool:
         return False
 
 
-def check_word(word: Sequence[int], q: int, length: int | None = None, what: str = "word") -> Word:
-    """Validate symbol range and (optionally) length; raise DimensionMismatch.
-
-    A symbol is valid iff it is an integer (``int``, ``bool`` or any type
-    with ``__index__``) in ``[0, q)``.  Returns the word as a tuple: a tuple
-    comes back as is, any other sequence as a new tuple of plain ints.
+def checked_raw(word: Sequence[int], q: int, length: int | None, what: str) -> bytes | bytearray | Word:
+    """The one symbol check: DimensionMismatch unless ``word`` has ``length``
+    symbols (if given), each an integer (``int``, ``bool`` or any type with
+    ``__index__``) in ``[0, q)``.  Returns them unconverted: a ``bytes`` word
+    as is, any other as a new ``bytearray`` (plain ints if q is outside [1, 256]).
     """
     if length is not None and len(word) != length:
         raise DimensionMismatch(f"{what} has length {len(word)}, expected {length}")
-    symbols = tuple(word)  # no copy for a tuple, and bytearray() never sees a buffer
-    try:
-        raw = bytearray(symbols)
-        if not raw.translate(None, _SYMBOLS[q]):
-            return symbols if symbols is word else tuple(raw)
-    except (TypeError, ValueError, KeyError):
-        pass  # a non-integer, an integer outside [0, 256), or q outside [1, 256]
-    _refuse_bad_symbol(symbols, q, what)
-    return symbols if symbols is word else tuple(map(index, symbols))
-
-
-def check_symbols(word: Sequence[int], q: int, length: int | None = None, what: str = "word") -> bytes:
-    """:func:`check_word`, giving the engine form: the word as ``bytes``.
-
-    A ``bytes`` word comes back as is, and no tuple is built for it.  A
-    symbol must also fit one byte, which matters only when q > 256.
-    """
-    if length is not None and len(word) != length:
-        raise DimensionMismatch(f"{what} has length {len(word)}, expected {length}")
-    symbols = word if type(word) is bytes else tuple(word)
+    symbols = word if type(word) is bytes else tuple(word)  # bytearray() never sees a buffer
     try:
         raw = symbols if type(symbols) is bytes else bytearray(symbols)
         if not raw.translate(None, _SYMBOLS[q]):
-            return bytes(raw)  # no copy for bytes
+            return raw
     except (TypeError, ValueError, KeyError):
         pass  # a non-integer, an integer outside [0, 256), or q outside [1, 256]
-    _refuse_bad_symbol(symbols, q, what)
-    try:
-        return bytes(map(index, symbols))
-    except ValueError:
-        raise DimensionMismatch(f"{what} has a symbol that does not fit one byte") from None
-
-
-def _refuse_bad_symbol(symbols: Sequence, q: int, what: str) -> None:
-    """DimensionMismatch naming the first symbol that is not an integer in [0, q)."""
     for s in symbols:
         if not _is_symbol(s, q):
             raise DimensionMismatch(f"{what} contains symbol {s!r} outside alphabet [0, {q})")
+    return tuple(map(index, symbols))
+
+
+def check_word(word: Sequence[int], q: int, length: int | None = None, what: str = "word") -> Word:
+    """:func:`checked_raw`'s tuple view: a tuple as is, any other word as plain ints."""
+    raw = checked_raw(word, q, length, what)
+    return word if type(word) is tuple else tuple(raw)
+
+
+def check_symbols(word: Sequence[int], q: int, length: int | None = None, what: str = "word") -> bytes:
+    """:func:`checked_raw`'s engine view, ``bytes``: a ``bytes`` word as is.
+
+    A symbol must also fit one byte, which matters only when q > 256.
+    """
+    raw = checked_raw(word, q, length, what)
+    try:
+        return bytes(raw)  # no copy for bytes
+    except ValueError:
+        raise DimensionMismatch(f"{what} has a symbol that does not fit one byte") from None
 
 
 def check_byte_alphabet(q: int, what: str) -> None:
