@@ -2,8 +2,11 @@
 
 Subcommands: encode, decode, check, stats, graph.  Words travel one per line
 in a text format (``bits`` for q=2, ``dna`` for q=4); lines starting with
-``#`` and blank lines are ignored.  The codec is fully determined by the
-``--spec``/``--q`` flags, so streams carry no header.
+``#`` and blank lines are ignored.  The alphabet is one setting with two
+spellings, ``--q`` and ``--format``: either one alone picks the other, with
+neither it is q=2 and ``bits``, and two that disagree are a usage error.
+The codec is fully determined by ``--spec`` and that setting, so streams
+carry no header.
 
 The input is read ``CHUNK`` characters at a time, and each run of complete
 lines is answered as one block.  The format fixes q and its alphabet is
@@ -36,7 +39,8 @@ to it that fails part way (a full disk) can leave it partly rewritten.
 
 Exit codes: 0 success, 1 data/validation failure (first offending line
 reported, non-ASCII input included), 2 usage or spec error (a path that
-cannot be opened or written, and an output that cannot be spooled, included).
+cannot be opened or written, an output that cannot be spooled, and a run
+that runs out of memory, included).
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from .words import FORMAT_Q, NOT_A_SYMBOL, SYMBOL_TO_TEXT, TEXT_TO_SYMBOL, check
 LINE_ROOM = 256  # characters a line may hold beyond its word: whitespace and the newline
 CHUNK = 1 << 13  # characters read at a time, from the stream and from a long line
 SPOOL_IN_MEMORY = 1 << 16  # output bytes held in memory before the spool rolls over to TMPDIR
+_Q_FORMAT = {q: fmt for fmt, q in FORMAT_Q.items()}  # the text format of each q
 
 
 class _LineError(Exception):
@@ -328,8 +333,8 @@ def _cmd_graph(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", required=True, help="constraint spec, e.g. mw:n=16,l=9,p=2")
     q_choices = sorted(set(FORMAT_Q.values()))
-    parser.add_argument("--q", type=int, choices=q_choices, default=2, help="alphabet size")
-    parser.add_argument("--format", choices=tuple(FORMAT_Q), default="bits", help="word text format")
+    parser.add_argument("--q", type=int, choices=q_choices, help="alphabet size (default: from --format, else 2)")
+    parser.add_argument("--format", choices=tuple(FORMAT_Q), help="word text format (default: from --q, else bits)")
 
 
 def _positive_int(text: str) -> int:
@@ -384,6 +389,9 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
+    # --q and --format spell one setting: either alone picks the other; _build refuses two that disagree
+    args.format = args.format or _Q_FORMAT[args.q or 2]
+    args.q = args.q or FORMAT_Q[args.format]
     try:
         return args.func(args)
     except _LineError as exc:
@@ -391,6 +399,9 @@ def main(argv=None) -> int:
         return 1
     except (CodecError, _FileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # the spec asks for more than this machine holds; nothing was written
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

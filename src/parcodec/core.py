@@ -208,14 +208,17 @@ def decode(codec: CodecSpec, word: Word) -> Word:
 
 
 def decode_walk(codec: CodecSpec, word: bytes) -> bytes:
-    """The payload of a checked codeword: the one decode walk.
+    """The payload of a checked codeword that is not a start word: the one
+    decode walk.
 
-    A reverse walk that cycles is caught by Brent's algorithm (the word
-    after 2^k - 1 steps is compared with the next 2^k, one ``memcmp`` each)
-    and named by its length.
+    The caller has found ``word`` outside the start set, so the walk steps
+    back first and tests ``is_start`` only on the words it reaches.  A
+    reverse walk that cycles is caught by Brent's algorithm (the word after
+    2^k - 1 steps is compared with the next 2^k, one ``memcmp`` each) and
+    named by its length.
     """
     iterations, saved, saved_at = 0, word, 0
-    while not codec.is_start(word):
+    while True:
         if iterations >= codec.iter_cap:
             raise NotACodeword(
                 f"no start word after {iterations} reverse steps (cap {codec.iter_cap})"
@@ -226,7 +229,8 @@ def decode_walk(codec: CodecSpec, word: bytes) -> bytes:
             raise NotACodeword(f"reverse walk enters a cycle of length {iterations - saved_at}")
         if iterations == 2 * saved_at + 1:
             saved, saved_at = word, iterations
-    return codec.unembed(word)
+        if codec.is_start(word):
+            return codec.unembed(word)
 
 
 START_MARKER = 1  # appended by embed; step appends STEP_MARKER instead

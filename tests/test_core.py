@@ -285,6 +285,23 @@ def test_decode_names_the_iteration_cap():
         decode(codec, word)
 
 
+def test_decode_tests_the_start_set_once_per_word():
+    codec = build_one_symbol(forbidden_window_shrink(min_weight_coder(16, 9, 2), 16))
+    calls = [0]
+
+    def is_start(word):
+        calls[0] += 1
+        return codec.is_start(word)
+
+    counting = replace(codec, is_start=is_start)
+    for payload, steps in [((0,) * 15, 3), ((1,) * 15, 0)]:
+        word, stats = encode(codec, payload)
+        assert stats.iterations == steps
+        calls[0] = 0
+        assert decode(counting, word) == payload
+        assert calls[0] == steps + 1  # the word itself, then each word the walk reaches
+
+
 def test_decode_names_a_reverse_cycle(mw16):
     # found by enumerating all 2^16 words: these reverse walks close cycles
     # of length 6, 1 and 2

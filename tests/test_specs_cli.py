@@ -235,6 +235,10 @@ def test_intersection_spec_builds_and_roundtrips():
     assert report.ok
 
 
+def test_intersection_spec_has_its_members_length():
+    assert parse_spec("intersect:mw:n=16,l=9,p=2+mp:n=16,l=8,p=3").n == 16
+
+
 def test_three_member_intersection_spec():
     text = "intersect:mw:n=16,l=11,p=2+mp:n=16,l=10,p=3+enp:n=16,l=14"
     codec = build_codec(parse_spec(text))
@@ -470,9 +474,65 @@ def test_cli_huge_word_length_builds_nothing_of_that_length(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: line 1: word has length 4, expected {10**30}\n")
 
 
-def test_cli_format_q_mismatch(capsys):
-    rc = run_cli(["encode", "--spec", "rss:n=8,l=5", "--q", "4", "--input", "-"])
-    assert rc == 2  # bits format with q=4
+def test_cli_format_q_mismatch(tmp_path, capsys):
+    # --q and --format spell one setting; given both, they must agree, on every command
+    target = tmp_path / "out.txt"
+    target.write_text("kept\n")
+    for flags, refusal in [
+        (["--q", "2", "--format", "dna"], "error: format 'dna' requires q=4, got q=2\n"),
+        (["--q", "4", "--format", "bits"], "error: format 'bits' requires q=2, got q=4\n"),
+    ]:
+        for command, out in [("encode", "--output"), ("decode", "--output"), ("check", "--output"),
+                             ("stats", "--output"), ("graph", "--dot")]:
+            rest = ["--samples", "1"] if command == "stats" else []
+            rc = run_cli([command, "--spec", "rss:n=8,l=5", *flags, out, str(target), *rest])
+            assert rc == 2
+            assert capsys.readouterr() == ("", refusal)
+            assert target.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("flags", [["--q", "4"], ["--format", "dna"]], ids=["q", "format"])
+def test_cli_q_or_format_alone_picks_the_other(tmp_path, capsys, flags):
+    # each command gives byte for byte what it gives with both flags
+    both = ["--q", "4", "--format", "dna"]
+    payloads = tmp_path / "payloads.txt"
+    payloads.write_text("ACGTACGTTGCA\nAAAAAAAAAAAA\nGGGTTTCCCAAA\n")
+    codewords = tmp_path / "codewords.txt"
+    assert run_cli(["encode", "--spec", "rf:n=13,l=5", *both, "--input", str(payloads),
+                    "--output", str(codewords)]) == 0
+    dot = tmp_path / "g.dot"
+
+    def answer(argv):
+        dot.unlink(missing_ok=True)
+        assert run_cli(argv) == 0
+        return capsys.readouterr(), dot.read_text() if dot.exists() else None
+
+    for argv in [
+        ["encode", "--spec", "rf:n=13,l=5", "--input", str(payloads)],
+        ["decode", "--spec", "rf:n=13,l=5", "--input", str(codewords)],
+        ["check", "--spec", "rf:n=13,l=5", "--input", str(codewords)],
+        ["stats", "--spec", "rf:n=6,l=5", "--exhaustive"],
+        ["stats", "--spec", "ss:n=8", "--samples", "20"],
+        ["graph", "--spec", "rf:n=6,l=5", "--dot", str(dot)],
+    ]:
+        assert answer([*argv, *flags]) == answer([*argv, *both])
+    decoded, _ = answer(["decode", "--spec", "rf:n=13,l=5", *flags, "--input", str(codewords)])
+    assert decoded.out == payloads.read_text()
+
+
+def test_cli_out_of_memory_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    from parcodec import cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "sample_roundtrip", exhausted)
+    target = tmp_path / "report.txt"
+    target.write_text("kept\n")
+    rc = run_cli(["stats", "--spec", "mw:n=16,l=9,p=2", "--samples", "1", "--output", str(target)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert target.read_text() == "kept\n"
 
 
 def test_cli_stats_exhaustive(tmp_path, capsys):
