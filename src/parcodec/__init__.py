@@ -53,7 +53,6 @@ from .local import (
 )
 from .oracle import (
     DEFAULT_STATE_BOUND,
-    StateGraph,
     VerifyReport,
     build_state_graph,
     check_graph,

@@ -27,15 +27,17 @@ or blank line is read to its end in ``CHUNK``-character pieces and dropped.
 
 Output (``--output``, and ``graph``'s ``--dot``) reaches its target, a file
 or standard output, only when the command succeeds: a failed run leaves the
-target as it was.  Lines are spooled as they are made: an output of up to
-``SPOOL_IN_MEMORY`` bytes (64 KiB) is held in memory and never touches the
-disk, and a longer one rolls over to an anonymous temporary file in TMPDIR,
-so memory stays flat however long the stream is.  Only such a longer output
-needs free space in TMPDIR, equal to its size (a ``graph`` DOT file can be
-about 83 MB); a failure to write it there is a usage error.  An existing
-regular file is overwritten in place and then cut to the new length, far
-cheaper than truncating it first or renaming a new file over it, so a write
-to it that fails part way (a full disk) can leave it partly rewritten.
+target as it was, and a path whose directory is missing, or that is a
+directory, is reported before any work.  Lines are spooled as they are
+made: an output of up to ``SPOOL_IN_MEMORY`` bytes (64 KiB) is held in
+memory and never touches the disk, and a longer one rolls over to an
+anonymous temporary file in TMPDIR, so memory stays flat however long the
+stream is.  Only such a longer output needs free space in TMPDIR, equal to
+its size (a ``graph`` DOT file can be about 83 MB); a failure to write it
+there is a usage error.  An existing regular file is overwritten in place
+and then cut to the new length, far cheaper than truncating it first or
+renaming a new file over it, so a write to it that fails part way (a full
+disk) can leave it partly rewritten.
 
 Exit codes: 0 success, 1 data/validation failure (first offending line
 reported, non-ASCII input included), 2 usage or spec error (a path that
@@ -46,6 +48,7 @@ that runs out of memory, included).
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import shutil
 import stat
@@ -56,7 +59,7 @@ from functools import cache
 from itertools import islice
 
 from .core import decode_walk, encode_loop
-from .errors import CodecError, DimensionMismatch, NotACodeword, ParseError
+from .errors import BoundExceeded, CodecError, DimensionMismatch, NotACodeword, ParseError
 from .oracle import (
     DEFAULT_STATE_BOUND,
     build_state_graph,
@@ -132,14 +135,17 @@ def _output(path: str):
 
     An output of up to ``SPOOL_IN_MEMORY`` bytes goes to its target straight
     from memory; a longer one is read back from TMPDIR.  A path whose
-    directory is missing fails before the body does any work, a failed body
-    leaves the target untouched, and an error spooling the output or writing
-    the target is a usage error; a regular file is rewritten in place, so a
-    write to it that fails part way can leave it partly rewritten.
+    directory is missing, or that is a directory, fails before the body does
+    any work, a failed body leaves the target untouched, and an error
+    spooling the output or writing the target is a usage error; a regular
+    file is rewritten in place, so a write to it that fails part way can
+    leave it partly rewritten.
     """
     if path != "-":
         try:
             os.stat(os.path.join(os.path.dirname(path), "."))
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         except OSError as exc:
             raise _FileError(f"open {path!r}", exc) from exc
     with _Spool(max_size=SPOOL_IN_MEMORY) as spool:
@@ -309,10 +315,8 @@ def _cmd_stats(args) -> int:
         codec = _build(args)
         if args.exhaustive:
             report = exhaustive_roundtrip(codec, bound=args.bound)
-            if codec.q ** codec.n <= args.bound:
-                report.constraint_count = count_constraint(
-                    codec.q, codec.n, codec.satisfies, bound=args.bound
-                )
+            with suppress(BoundExceeded):  # the count enumerates q**n words, the round trip q**k
+                report.constraint_count = count_constraint(codec.q, codec.n, codec.satisfies, bound=args.bound)
         else:
             report = sample_roundtrip(codec, args.samples, args.seed)
         out.writelines(f"{line}\n".encode("ascii") for line in report.kv_lines())
@@ -324,7 +328,7 @@ def _cmd_graph(args) -> int:
         codec = _build(args)
         graph = build_state_graph(codec, bound=args.bound)
         report = check_graph(codec, graph=graph)
-        dot.writelines(line.encode("ascii") for line in graph_to_dot(graph))
+        dot.writelines(line.encode("ascii") for line in graph_to_dot(codec, graph))
     with _output("-") as out:
         out.writelines(f"{line}\n".encode("ascii") for line in report.kv_lines())
     return 0 if report.ok else 1
@@ -364,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="run the verification suite and print key=value lines")
     _add_common(p_stats)
     p_stats.add_argument("--output", default="-", help="output path or - for stdout")
-    p_stats.add_argument("--bound", type=int, default=DEFAULT_STATE_BOUND, help="exhaustive state bound")
+    bound_help = "exhaustive state bound on q**k; constraint_count is printed only when q**n is within it too"
+    p_stats.add_argument("--bound", type=int, default=DEFAULT_STATE_BOUND, help=bound_help)
     mode = p_stats.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true", help="enumerate every payload")
     mode.add_argument("--samples", type=_positive_int, help="number of random payloads")

@@ -206,22 +206,11 @@ def _engine_words(q: int, length: int) -> Iterator[bytes]:
     return starmap(add, product(heads, tails))
 
 
-@dataclass
-class StateGraph:
-    """The step map over all q**n words, indexed by base-q rank (a word's
-    lexicographic position): ``targets[r]`` is the rank of word r's step
-    image, or -1 when word r satisfies the constraint."""
-
-    q: int
-    n: int
-    targets: array
-    is_start: Callable[[bytes], bool]
-
-
-def build_state_graph(codec: CodecSpec, *, bound: int = DEFAULT_STATE_BOUND) -> StateGraph:
-    """The step graph; DimensionMismatch naming the source word of a step image
-    that is not an n-word over [0, q), and BoundExceeded when the q**n
-    targets do not fit in memory, whatever the bound."""
+def build_state_graph(codec: CodecSpec, *, bound: int = DEFAULT_STATE_BOUND) -> array:
+    """The step graph: entry r is the rank of word r's step image, or -1 when
+    word r satisfies the constraint.  DimensionMismatch names the source word
+    of a step image that is not an n-word over [0, q), and BoundExceeded is
+    raised when the q**n targets do not fit in memory, whatever the bound."""
     from array import array  # on first use, as fractions is: loading it takes about 0.5 ms
 
     q, n = codec.q, codec.n
@@ -236,11 +225,11 @@ def build_state_graph(codec: CodecSpec, *, bound: int = DEFAULT_STATE_BOUND) -> 
         except DimensionMismatch as refusal:
             raise DimensionMismatch(f"word {tuple(word)}: {refusal}") from None
         targets[decode_index(word, q)] = decode_index(image, q)
-    return StateGraph(q=q, n=n, targets=targets, is_start=codec.is_start)
+    return targets
 
 
 def check_graph(
-    codec: CodecSpec, *, bound: int = DEFAULT_STATE_BOUND, graph: StateGraph | None = None
+    codec: CodecSpec, *, bound: int = DEFAULT_STATE_BOUND, graph: array | None = None
 ) -> VerifyReport:
     """Structural checks on the step graph.
 
@@ -251,9 +240,8 @@ def check_graph(
     an n-word over [0, q) raises DimensionMismatch naming the payload.
     Pass a prebuilt ``graph`` to avoid enumerating the state space twice.
     """
-    if graph is None:
-        graph = build_state_graph(codec, bound=bound)
-    q, n, targets = graph.q, graph.n, graph.targets
+    targets = build_state_graph(codec, bound=bound) if graph is None else graph
+    q, n, is_start = codec.q, codec.n, codec.is_start
     space = len(targets)
     report = VerifyReport(total_inputs=q ** codec.k, constraint_count=targets.count(-1))
 
@@ -263,7 +251,7 @@ def check_graph(
         if seen[target]:
             report.failures.append((tuple(word), IN_DEGREE))
         seen[target] = 1
-        if graph.is_start(word):
+        if is_start(word):
             report.failures.append((tuple(word), EDGE_INTO_START))
 
     total_steps = 0
@@ -296,22 +284,22 @@ def _label(word: bytes, q: int) -> str:
     return word.translate(DIGITS).decode("ascii") if q <= 36 else word.hex()
 
 
-def graph_to_dot(graph: StateGraph) -> Iterator[str]:
+def graph_to_dot(codec: CodecSpec, graph: array) -> Iterator[str]:
     """Deterministic DOT text, one newline-terminated line at a time: nodes
     in lexicographic order, colored by role, then the edges in source order.
 
     Fill marks constraint membership, a double border marks start words.
     The lines are yielded as they are made, so a writer never holds the text.
     """
-    q, n, targets = graph.q, graph.n, graph.targets
+    q, n, is_start = codec.q, codec.n, codec.is_start
     yield "digraph step_graph {\n"
     yield "  node [shape=circle];\n"
-    for node, target in zip(_engine_words(q, n), targets):
+    for node, target in zip(_engine_words(q, n), graph):
         fill = "white" if target >= 0 else "palegreen"
-        peripheries = 2 if graph.is_start(node) else 1
+        peripheries = 2 if is_start(node) else 1
         yield f'  "{_label(node, q)}" [style=filled fillcolor="{fill}" peripheries={peripheries}];\n'
     # the edge lines need a second pass: the DOT text puts every node before any edge
-    for source, target in zip(_engine_words(q, n), targets):
+    for source, target in zip(_engine_words(q, n), graph):
         if target >= 0:
             yield f'  "{_label(source, q)}" -> "{_label(encode_index(target, n, q), q)}";\n'
     yield "}\n"

@@ -134,7 +134,7 @@ def test_reverse_complement_pair_format_pinned():
 @pytest.mark.parametrize("text, q, dot_digest, report_digest", GRAPH_DIGESTS)
 def test_step_graph_reports_pinned(text, q, dot_digest, report_digest):
     codec = build_codec(parse_spec(text), q)
-    dot = "".join(graph_to_dot(build_state_graph(codec)))
+    dot = "".join(graph_to_dot(codec, build_state_graph(codec)))
     assert hashlib.sha256(dot.encode("ascii")).hexdigest() == dot_digest
     report = "\n".join(check_graph(codec).kv_lines())
     assert hashlib.sha256(report.encode("ascii")).hexdigest() == report_digest

@@ -7,6 +7,7 @@ from array import array
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,6 @@ from parcodec import (
     DimensionMismatch,
     NotACodeword,
     ShrinkStep,
-    StateGraph,
     all_words,
     build_codec,
     build_one_symbol,
@@ -252,7 +252,7 @@ def test_graph_build_check_and_dot_peak_under_one_mib():
     try:
         graph = build_state_graph(codec)
         assert check_graph(codec, graph=graph).ok
-        deque(graph_to_dot(graph), maxlen=0)
+        deque(graph_to_dot(codec, graph), maxlen=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -275,8 +275,8 @@ def test_graph_refuses_a_state_space_no_array_can_hold():
 
 def test_dot_output_is_deterministic_and_ordered():
     codec = mw8_codec()
-    first = "".join(graph_to_dot(build_state_graph(codec)))
-    second = "".join(graph_to_dot(build_state_graph(codec)))
+    first = "".join(graph_to_dot(codec, build_state_graph(codec)))
+    second = "".join(graph_to_dot(codec, build_state_graph(codec)))
     assert first == second
     # lexicographically first and last words appear, in order
     assert first.index('"00000000"') < first.index('"11111111"')
@@ -284,7 +284,7 @@ def test_dot_output_is_deterministic_and_ordered():
 
 def test_dot_marks_roles():
     codec = mw8_codec()
-    dot = "".join(graph_to_dot(build_state_graph(codec)))
+    dot = "".join(graph_to_dot(codec, build_state_graph(codec)))
     # 1^8 satisfies the constraint and ends in the start marker
     assert '"11111111" [style=filled fillcolor="palegreen" peripheries=2];' in dot
     # 0^8 violates it and is not a start word
@@ -295,8 +295,9 @@ def test_dot_marks_roles():
 @pytest.mark.parametrize("q, n, word, name", [(12, 3, (10, 11, 0), "ab0"), (37, 2, (36, 0), "2400")])
 def test_dot_gives_every_node_its_own_name(q, n, word, name):
     # one digit per symbol up to q = 36, two hex digits per symbol above
-    graph = StateGraph(q=q, n=n, targets=array("i", [-1]) * q**n, is_start=lambda _: False)
-    names = [line.split('"')[1] for line in graph_to_dot(graph) if "style=filled" in line]
+    # graph_to_dot reads only q, n and is_start from its codec
+    codec = SimpleNamespace(q=q, n=n, is_start=lambda _: False)
+    names = [line.split('"')[1] for line in graph_to_dot(codec, array("i", [-1]) * q**n) if "style=filled" in line]
     assert len(set(names)) == len(names) == q**n
     assert names[sum(s * q ** (n - 1 - t) for t, s in enumerate(word))] == name
 

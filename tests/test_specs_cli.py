@@ -536,18 +536,20 @@ def test_cli_out_of_memory_is_a_usage_error(monkeypatch, tmp_path, capsys):
 
 
 def test_cli_stats_exhaustive(tmp_path, capsys):
-    rc = run_cli(["stats", "--spec", "rf:n=8,l=7", "--exhaustive"])
-    captured = capsys.readouterr()
-    assert rc == 0
-    lines = captured.out.strip().splitlines()
-    keys = [line.split("=")[0] for line in lines]
-    assert keys == ["inputs", "failures", "avg_iterations", "max_iterations", "constraint_count"]
-    values = dict(line.split("=") for line in lines)
-    assert values["inputs"] == "128"
-    assert values["failures"] == "0"
-    assert values["constraint_count"] == "254"
-    numerator, denominator = values["avg_iterations"].split("/")
-    assert int(numerator) / int(denominator) <= 2
+    # constraint_count is printed when the bound holds all q**n = 256 words, not just the q**k = 128 payloads
+    for bound, count in (([], "254"), (["--bound", "128"], None)):
+        rc = run_cli(["stats", "--spec", "rf:n=8,l=7", "--exhaustive", *bound])
+        captured = capsys.readouterr()
+        assert rc == 0
+        lines = captured.out.strip().splitlines()
+        keys = [line.split("=")[0] for line in lines]
+        assert keys == ["inputs", "failures", "avg_iterations", "max_iterations"] + ["constraint_count"] * bool(count)
+        values = dict(line.split("=") for line in lines)
+        assert values["inputs"] == "128"
+        assert values["failures"] == "0"
+        assert values.get("constraint_count") == count
+        numerator, denominator = values["avg_iterations"].split("/")
+        assert int(numerator) / int(denominator) <= 2
 
 
 def test_cli_stats_sampled(capsys):
@@ -614,12 +616,12 @@ def test_cli_unwritable_dot_is_usage_error(tmp_path, capsys):
 
 
 def test_cli_graph_checks_dot_before_building(tmp_path, capsys):
-    # the bound would also fail the build; the path is reported first
-    dot = tmp_path / "no-such-dir" / "x.dot"
-    rc = run_cli(["graph", "--spec", "mw:n=16,l=9,p=2", "--bound", "16", "--dot", str(dot)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.err.startswith("error: cannot open")
+    # the bound would also fail the build; the path is reported first, a missing directory or a directory
+    for dot in (tmp_path / "no-such-dir" / "x.dot", tmp_path):
+        rc = run_cli(["graph", "--spec", "mw:n=16,l=9,p=2", "--bound", "16", "--dot", str(dot)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: cannot open")
 
 
 @pytest.mark.parametrize("spec", ["mw:n=16,l=9,p=2", "mw:n=16,l=3,p=2"], ids=["bound", "spec"])
@@ -842,7 +844,8 @@ def test_cli_graph_dot_past_the_spool_is_the_oracle_text(tmp_path, capsys):
     dot = tmp_path / "graph.dot"
     assert run_cli(["graph", "--spec", "mw:n=12,l=9,p=2", "--dot", str(dot)]) == 0
     capsys.readouterr()
-    expected = "".join(graph_to_dot(build_state_graph(build_codec(parse_spec("mw:n=12,l=9,p=2"), 2))))
+    codec = build_codec(parse_spec("mw:n=12,l=9,p=2"), 2)
+    expected = "".join(graph_to_dot(codec, build_state_graph(codec)))
     assert len(expected) > SPOOL_IN_MEMORY
     assert dot.read_text() == expected
 
