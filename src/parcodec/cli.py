@@ -40,9 +40,12 @@ renaming a new file over it, so a write to it that fails part way (a full
 disk) can leave it partly rewritten.
 
 Exit codes: 0 success, 1 data/validation failure (first offending line
-reported, non-ASCII input included), 2 usage or spec error (a path that
-cannot be opened or written, an output that cannot be spooled, and a run
-that runs out of memory, included).
+reported, non-ASCII input included, and a word decode refuses named with its
+reason), 2 usage or spec error (a path that cannot be opened or written, an
+output that cannot be spooled, a refused size, that is a spec or a sampled
+payload above one of the named size bounds, and a run that runs out of
+memory, included).  ``stats`` and ``graph`` import the oracle when they run,
+so the other commands never load it.
 """
 
 from __future__ import annotations
@@ -58,17 +61,8 @@ from contextlib import contextmanager, nullcontext, suppress
 from functools import cache
 from itertools import islice
 
-from .core import decode_walk, encode_loop
+from .core import DEFAULT_STATE_BOUND, decode_walk, encode_loop
 from .errors import BoundExceeded, CodecError, DimensionMismatch, NotACodeword, ParseError
-from .oracle import (
-    DEFAULT_STATE_BOUND,
-    build_state_graph,
-    check_graph,
-    count_constraint,
-    exhaustive_roundtrip,
-    graph_to_dot,
-    sample_roundtrip,
-)
 from .specs import build_codec, parse_spec
 from .words import FORMAT_Q, NOT_A_SYMBOL, SYMBOL_TO_TEXT, TEXT_TO_SYMBOL, check_symbols, text_symbols
 
@@ -306,11 +300,14 @@ def _transform_stream(args) -> int:
                 except (ParseError, DimensionMismatch) as exc:
                     raise _LineError(lineno, str(exc)) from exc
                 except NotACodeword as exc:
-                    raise _LineError(lineno, f"not a codeword ({exc})") from exc
+                    why = f"{exc.reason}: {exc}" if exc.reason else exc
+                    raise _LineError(lineno, f"not a codeword ({why})") from exc
     return 0
 
 
 def _cmd_stats(args) -> int:
+    from .oracle import count_constraint, exhaustive_roundtrip, sample_roundtrip
+
     with _output(args.output) as out:
         codec = _build(args)
         if args.exhaustive:
@@ -324,6 +321,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .oracle import build_state_graph, check_graph, graph_to_dot
+
     with _output(args.dot) as dot:
         codec = _build(args)
         graph = build_state_graph(codec, bound=args.bound)

@@ -43,6 +43,12 @@ from .errors import (
 from .words import DIGITS, TEXT_TO_SYMBOL, Word, check_byte_alphabet, checked_raw
 
 
+# the largest state space (q**k or q**n words) the exhaustive checks of
+# :mod:`parcodec.oracle` enumerate by default; defined here, on the codec
+# path, so that the CLI's --bound default costs no import of the oracle
+DEFAULT_STATE_BOUND = 1 << 20
+
+
 def ceil_log(value: int, base: int) -> int:
     """Smallest L with base**L >= value, exact integer arithmetic."""
     if value < 1 or base < 2:
@@ -221,12 +227,14 @@ def decode_walk(codec: CodecSpec, word: bytes) -> bytes:
     while True:
         if iterations >= codec.iter_cap:
             raise NotACodeword(
-                f"no start word after {iterations} reverse steps (cap {codec.iter_cap})"
+                f"no start word after {iterations} reverse steps (cap {codec.iter_cap})", reason="iter-cap"
             )
         word = codec.step_back(word)
         iterations += 1
         if word == saved:
-            raise NotACodeword(f"reverse walk enters a cycle of length {iterations - saved_at}")
+            raise NotACodeword(
+                f"reverse walk enters a cycle of length {iterations - saved_at}", reason="reverse-cycle"
+            )
         if iterations == 2 * saved_at + 1:
             saved, saved_at = word, iterations
         if codec.is_start(word):
@@ -285,7 +293,7 @@ def build_one_symbol(shrink: ShrinkStep) -> CodecSpec:
 
     def step_back(word: bytes) -> bytes:
         if word[-1] != STEP_MARKER:
-            raise NotACodeword(f"trailing symbol {word[-1]} is not the step marker")
+            raise NotACodeword(f"trailing symbol {word[-1]} is not the step marker", reason="bad-marker")
         return do_unshrink(word[:-1])
 
     return CodecSpec(
@@ -326,7 +334,7 @@ def cut_window_shrink(
 
     def unshrink(word: bytes) -> bytes:
         if any(word[content_len:]):
-            raise NotACodeword("nonzero padding after the tail fields")
+            raise NotACodeword("nonzero padding after the tail fields", reason="bad-padding")
         rest = word[: n - ell]
         start, window = restore(rest, word[n - ell : content_len])
         return rest[:start] + window + rest[start:]
@@ -438,5 +446,5 @@ def decode_field(field: bytes, q: int, limit: int, what: str) -> int:
     """A tail field's value; NotACodeword naming ``what`` unless it is below ``limit``."""
     value = decode_index(field, q)
     if value >= limit:
-        raise NotACodeword(f"{what} {value} out of range (limit {limit})")
+        raise NotACodeword(f"{what} {value} out of range (limit {limit})", reason="field-out-of-range")
     return value

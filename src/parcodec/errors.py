@@ -26,7 +26,17 @@ class IterationCapExceeded(CodecError):
 
 
 class NotACodeword(CodecError):
-    """Decoding failed: the word is not in the image of any encoder path."""
+    """Decoding failed: the word is not in the image of any encoder path.
+
+    ``reason`` names the kind of refusal in one fixed string: ``iter-cap``,
+    ``reverse-cycle``, ``bad-marker``, ``bad-padding``,
+    ``field-out-of-range`` or ``bad-packing`` from the built-in codecs, or
+    None when a custom step gives none.
+    """
+
+    def __init__(self, *args, reason: str | None = None):
+        super().__init__(*args)
+        self.reason = reason
 
 
 class RankOutOfRange(CodecError):

@@ -251,7 +251,7 @@ def min_period_coder(n: int, ell: int, p: int, slack: int = 0, q: int = 2) -> Wi
     def unpack(packed_word: bytes) -> bytes:
         length = len(packed_word[:p].rstrip(b"\x00"))
         if length < 2 or packed_word[length - 1] != 1:
-            raise NotACodeword("packed window lacks a period marker")
+            raise NotACodeword("packed window lacks a period marker", reason="bad-packing")
         seed = packed_word[: length - 1]
         return (seed * (ell // len(seed) + 1))[:ell]
 

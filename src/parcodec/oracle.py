@@ -26,7 +26,7 @@ from itertools import filterfalse, product, repeat, starmap
 from operator import add, mod
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .core import CodecSpec, ShrinkStep, decode, decode_index, encode, encode_index
+from .core import DEFAULT_STATE_BOUND, CodecSpec, ShrinkStep, decode, decode_index, encode, encode_index
 from .errors import BoundExceeded, DimensionMismatch, NotACodeword
 from .words import DIGITS, Word, all_words, check_symbols
 
@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     from array import array
     from fractions import Fraction
 
-DEFAULT_STATE_BOUND = 1 << 20
+MAX_SAMPLE_K = 1 << 16  # payload length sample_roundtrip draws at most
 
 # Failure kinds recorded in VerifyReport entries.
 ROUNDTRIP = "roundtrip"
@@ -184,10 +184,13 @@ def sample_roundtrip(codec: CodecSpec, samples: int, seed: int) -> VerifyReport:
 
     The seed is taken mod 2**64, and 0 maps to ``0x9E3779B97F4A7C15``, so seeds
     0 and 2**64 draw the same payloads.  Symbol t of sample s is the
-    generator's output s*k + t (counting from 0), reduced mod q.
+    generator's output s*k + t (counting from 0), reduced mod q.  A payload
+    length k above :data:`MAX_SAMPLE_K` raises BoundExceeded.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if codec.k > MAX_SAMPLE_K:
+        raise BoundExceeded(f"payload length k = {codec.k} exceeds MAX_SAMPLE_K = {MAX_SAMPLE_K}")
     rng, k, q = _XorShift64Star(seed), codec.k, codec.q
     payloads = (tuple(map(mod, rng.outputs(k), repeat(q))) for _ in range(samples))
     report = VerifyReport(total_inputs=samples, exhaustive=False, seed=seed)

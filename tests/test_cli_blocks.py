@@ -51,7 +51,7 @@ def _answer(command: str, fmt: str, raw: str) -> str | None:
     except (ParseError, DimensionMismatch) as exc:
         raise ValueError(str(exc)) from None
     except NotACodeword as exc:
-        raise ValueError(f"not a codeword ({exc})") from None
+        raise ValueError(f"not a codeword ({exc.reason}: {exc})") from None
 
 
 def _reference(command: str, fmt: str, text: str) -> tuple[int, str, str]:
@@ -162,7 +162,7 @@ def test_cli_blocks_answer_as_line_by_line_at_any_read_boundary(tmp_path, case):
 
 CODEWORD = "1" * 16  # mw:n=16,l=9,p=2 encodes payload 1^15 to 1^16
 NON_CODEWORD = "1" * 15 + "0"
-NOT_A_CODEWORD = "not a codeword (window index 15 out of range (limit 8))"
+NOT_A_CODEWORD = "not a codeword (field-out-of-range: window index 15 out of range (limit 8))"
 
 
 def _decode(tmp_path, text: str) -> tuple[int, str, str]:

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from parcodec import (
     ParameterViolation,
     build_codec,
+    ceil_log,
     forbidden_window_shrink,
     listed_window_coder,
     min_period_coder,
@@ -31,13 +32,14 @@ from parcodec import (
     weight_window_coder,
 )
 from parcodec.cli import main
-from parcodec.specs import _CONSTRAINTS
+from parcodec.specs import _CONSTRAINTS, MAX_AB_N, MAX_KEY_BITS
 from parcodec.words import FORMAT_ALPHABETS, FORMAT_Q
 
 E6, E30 = 10**6, 10**30
 
 # (spec, refusal): specs whose parameters once crashed or hung the CLI
-# (OverflowError, MemoryError, or an open search for a window length)
+# (OverflowError, MemoryError, an open search for a window length, or a
+# valid size whose build never ends)
 FAR_ABOVE_N = [
     (f"mw:n=16,l={E30},p=10", f"window length {E30} exceeds word length 16"),
     (f"lab:n=64,l={E30},wmin=10,wmax=31", f"window length {E30} exceeds word length 64"),
@@ -49,6 +51,9 @@ FAR_ABOVE_N = [
     (f"mp:n=16,l={10**8},p=3", f"window length {10**8} exceeds word length 16"),
     (f"mp:n=16,l={10**10},p=3", f"window length {10**10} exceeds word length 16"),
     (f"mp:n=16,l={E30},p=3", f"window length {E30} exceeds word length 16"),
+    (f"ab:n={E6}", f"ab word length n = {E6} exceeds MAX_AB_N = {MAX_AB_N}"),
+    (f"ab:n={E30}", f"ab word length n = {E30} exceeds MAX_AB_N = {MAX_AB_N}"),
+    (f"rf:n={E30},l={E6}", f"window key of l * ceil(log2 q) = {E6} bits exceeds MAX_KEY_BITS = {MAX_KEY_BITS}"),
 ]
 
 
@@ -61,7 +66,8 @@ def test_cli_refuses_a_parameter_no_word_can_hold_at_once(tmp_path, capsys, spec
     assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
-    assert err.startswith(f"error: member '{spec}' at slack 0: ") and err.endswith(f"{refusal}\n")
+    slack = ceil_log(len(_CONSTRAINTS[spec.partition(":")[0]].members), 2)  # the width of a member tag at q = 2
+    assert err.startswith(f"error: member '{spec}' at slack {slack}: ") and err.endswith(f"{refusal}\n")
 
 
 def _values(n):

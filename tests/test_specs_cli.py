@@ -4,14 +4,17 @@ import errno
 import io
 import os
 import random
+import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from itertools import product
 
 import pytest
 
 from parcodec import (
+    NotACodeword,
     ParameterViolation,
     ParseError,
     SlackMismatch,
@@ -27,8 +30,39 @@ from parcodec import (
 from parcodec.cli import SPOOL_IN_MEMORY, main
 from parcodec.global_codes import almost_balanced_member, secondary_structure_member
 from parcodec.local import palindrome_free_member
+from parcodec.oracle import MAX_SAMPLE_K
 from parcodec.specs import _CONSTRAINTS, ConstraintSpec
 from parcodec.words import word_to_text
+
+
+# --- import --------------------------------------------------------------------
+
+ORACLE_NAMES = (
+    "DEFAULT_STATE_BOUND", "VerifyReport", "build_state_graph", "check_graph", "check_shrink_injective",
+    "count_constraint", "exhaustive_roundtrip", "graph_to_dot", "sample_roundtrip",
+)
+
+
+@pytest.mark.parametrize("module", ["parcodec.cli", "parcodec"])
+def test_import_leaves_the_oracle_to_first_use(module):
+    # in a fresh interpreter: importing the package or the CLI loads no oracle,
+    # and the oracle and each of its names still resolve from the package
+    script = f"""
+import sys
+import {module}
+assert "parcodec.oracle" not in sys.modules, "import {module} loaded the oracle"
+import parcodec
+oracle = parcodec.oracle
+assert oracle is sys.modules["parcodec.oracle"]
+attributes = [{", ".join(f"parcodec.{name}" for name in ORACLE_NAMES)}]
+from parcodec import {", ".join(ORACLE_NAMES)}
+for name, attribute in zip({ORACLE_NAMES}, attributes):
+    assert attribute is globals()[name] is getattr(oracle, name), name
+"""
+    src = os.path.dirname(os.path.dirname(sys.modules["parcodec"].__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 # --- grammar -------------------------------------------------------------------
@@ -474,6 +508,15 @@ def test_cli_huge_word_length_builds_nothing_of_that_length(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: line 1: word has length 4, expected {10**30}\n")
 
 
+def test_cli_stats_refuses_a_sample_past_its_bound(capsys):
+    # a valid spec whose payloads are too long to draw: refused before any is drawn
+    start = time.perf_counter()
+    rc = run_cli(["stats", "--spec", "mw:n=10000000000000,l=60,p=2", "--samples", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: payload length k = 9999999999999 exceeds MAX_SAMPLE_K = {MAX_SAMPLE_K}\n")
+
+
 def test_cli_format_q_mismatch(tmp_path, capsys):
     # --q and --format spell one setting; given both, they must agree, on every command
     target = tmp_path / "out.txt"
@@ -521,12 +564,12 @@ def test_cli_q_or_format_alone_picks_the_other(tmp_path, capsys, flags):
 
 
 def test_cli_out_of_memory_is_a_usage_error(monkeypatch, tmp_path, capsys):
-    from parcodec import cli
+    from parcodec import oracle
 
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "sample_roundtrip", exhausted)
+    monkeypatch.setattr(oracle, "sample_roundtrip", exhausted)
     target = tmp_path / "report.txt"
     target.write_text("kept\n")
     rc = run_cli(["stats", "--spec", "mw:n=16,l=9,p=2", "--samples", "1", "--output", str(target)])
@@ -710,9 +753,43 @@ def test_cli_decode_names_a_non_codeword_and_keeps_the_output(tmp_path, capsys):
     rc = run_cli(["decode", "--spec", "mw:n=16,l=9,p=2", "--input", str(src), "--output", str(out)])
     assert rc == 1
     assert capsys.readouterr() == (
-        "", "error: line 2: not a codeword (window index 15 out of range (limit 8))\n"
+        "", "error: line 2: not a codeword (field-out-of-range: window index 15 out of range (limit 8))\n"
     )
     assert out.read_text() == "kept\n"
+
+
+# (spec, q, word, reverse-step cap or None, reason): one word for each refusal
+# of the built-in decoders, found by enumerating the spec's words
+REFUSALS = [
+    ("mw:n=16,l=9,p=2", 2, "0011100001100100", 2, "iter-cap"),  # 0^15's codeword, three steps from its start
+    ("mw:n=16,l=9,p=2", 2, "0000000000000110", None, "reverse-cycle"),
+    ("ss:n=8", 4, "00000002", None, "bad-marker"),
+    ("rf:n=16,l=12", 2, "0000000000000010", None, "bad-padding"),
+    ("mw:n=16,l=9,p=2", 2, "1111111111111110", None, "field-out-of-range"),
+    ("mp:n=16,l=8,p=3", 2, "0000000000000000", None, "bad-packing"),
+]
+
+
+@pytest.mark.parametrize("spec, q, text, cap, reason", REFUSALS, ids=[refusal[-1] for refusal in REFUSALS])
+def test_decode_refusal_names_its_reason(tmp_path, capsys, spec, q, text, cap, reason):
+    codec = build_codec(parse_spec(spec), q)
+    word = tuple(map(int, text))
+    if cap is not None:
+        object.__setattr__(codec, "iter_cap", cap)
+    with pytest.raises(NotACodeword) as refusal:
+        decode(codec, word)
+    assert refusal.value.reason == reason
+    if cap is None:  # the CLI decodes at the codec's own cap
+        fmt = "bits" if q == 2 else "dna"
+        src = tmp_path / "in.txt"
+        src.write_text(word_to_text(word, fmt) + "\n")
+        assert run_cli(["decode", "--spec", spec, "--format", fmt, "--input", str(src)]) == 1
+        assert capsys.readouterr() == ("", f"error: line 1: not a codeword ({reason}: {refusal.value})\n")
+
+
+def test_a_custom_refusal_has_no_reason():
+    assert NotACodeword("refused").reason is None
+    assert NotACodeword("refused", reason="bad-marker").reason == "bad-marker"
 
 
 def test_cli_output_to_a_directory_is_usage_error(tmp_path, capsys):
