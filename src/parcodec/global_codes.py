@@ -52,7 +52,7 @@ from .core import (
     encode_index,
     window_fits,
 )
-from .errors import ParameterViolation
+from .errors import NotACodeword, ParameterViolation
 from .local import forbidden_window_shrink, no_palindrome_coder
 from .ranking import count_by_weight, ranking_by_weight
 from .words import Word, check_byte_alphabet, check_complement, check_symbol_map, symbol_translation
@@ -212,7 +212,7 @@ def _window_pair_shrink(
 
     The source transform is :class:`_Source` of ``symbol_map`` and
     ``reverse``, None the identity.  The inverse accepts only
-    i + min_gap <= j <= n - ell.
+    i + min_gap <= j <= n - ell, and names that range for a j below min_gap.
     """
     window_fits(n, ell)  # before any window is keyed or any ell tables checked
     check_byte_alphabet(q, "a window-pair constraint")  # before any translate table
@@ -226,6 +226,11 @@ def _window_pair_shrink(
 
     def restore(rest: bytes, tail: bytes) -> tuple[int, bytes]:
         j = decode_field(tail[index_width:], q, n - ell + 1, "pair index j")
+        if j < min_gap:  # below min_gap the limit on i would be one no field meets
+            empty = "" if min_gap <= n - ell else ", which is empty: no pair fits"
+            raise NotACodeword(
+                f"pair index j {j} out of range [{min_gap}, {n - ell}]{empty}", reason="field-out-of-range"
+            )
         i = decode_field(tail[:index_width], q, j - min_gap + 1, "pair index i")
         if source is None:  # a repeat is the periodic extension of rest[i:j], overlapping or not
             return j, (rest[i:j] * (ell // (j - i) + 1))[:ell]

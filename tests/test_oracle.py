@@ -7,6 +7,7 @@ from array import array
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -43,7 +44,10 @@ from parcodec.oracle import (
     INVERSE,
     PATH_SUM,
     ROUNDTRIP,
+    _RUN,
+    _SAMPLE_BLOCK,
     _engine_words,
+    _jump_tables,
     _XorShift64Star,
 )
 
@@ -414,10 +418,64 @@ def _reference_xorshift(seed, count):
     return out
 
 
+# a lane draws _RUN outputs: counts around one lane, four lanes and a short fifth, and a
+# draw longer than one of sample_roundtrip's blocks
+DRAW_COUNTS = [0, 1, _RUN - 1, _RUN, _RUN + 1, 4 * _RUN + 3, 1023, _SAMPLE_BLOCK + 5]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 + 7, -1])
-@pytest.mark.parametrize("count", [0, 1, 1023])
+@pytest.mark.parametrize("count", DRAW_COUNTS)
 def test_generator_outputs_match_the_reference_recurrence(seed, count):
     assert _XorShift64Star(seed).outputs(count) == _reference_xorshift(seed, count)
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 + 7])
+@pytest.mark.parametrize("count", DRAW_COUNTS)
+def test_generator_symbols_are_the_outputs_mod_q(seed, count):
+    expected = _reference_xorshift(seed, count + 1)
+    for q in (1, 2, 3, 4, 8, 255, 256):  # both reductions: the low byte when q divides 256
+        rng = _XorShift64Star(seed)
+        assert rng.symbols(count, q) == bytes(output % q for output in expected[:count])
+        assert rng.next64() == expected[count]  # the state continues after the draw
+
+
+def test_generator_lane_draws_mix_on_one_stream():
+    rng, reference = _XorShift64Star(11), iter(_reference_xorshift(11, 8 * _RUN))
+
+    def expect(count, q=None):
+        return [output if q is None else output % q for output in islice(reference, count)]
+
+    assert rng.outputs(_RUN + 1) == expect(_RUN + 1)
+    assert [rng.next64()] == expect(1)
+    assert list(rng.symbols(4 * _RUN + 3, 3)) == expect(4 * _RUN + 3, 3)
+    assert [rng.symbol(7)] == expect(1, 7)
+    assert list(rng.symbols(_RUN, 4)) == expect(_RUN, 4)
+    assert rng.outputs(2) == expect(2)
+    assert list(rng.symbols(_RUN - 1, 256)) == expect(_RUN - 1, 256)
+    assert [rng.next64()] == expect(1)
+
+
+def test_jump_tables_are_run_sequential_steps():
+    # a state is an output times the multiplier's inverse mod 2**64
+    inverse = pow(0x2545F4914F6CDD1D, -1, 2**64)
+    tables = _jump_tables()
+    for state in [1 << j for j in range(64)] + [0x9E3779B97F4A7C15, 2**64 - 1]:
+        jumped = 0
+        for table, byte in zip(tables, state.to_bytes(8, "little")):
+            jumped ^= table[byte]
+        assert jumped == _reference_xorshift(state, _RUN)[-1] * inverse % 2**64
+
+
+def test_generator_block_draw_stays_small():
+    _jump_tables()  # built once per process, so not a draw's memory
+    rng = _XorShift64Star(5)
+    tracemalloc.start()
+    try:
+        rng.symbols(_SAMPLE_BLOCK, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _SAMPLE_BLOCK
 
 
 def test_generator_draws_mix_on_one_stream():
@@ -451,6 +509,23 @@ def test_sampled_payloads_are_pinned(text, q, samples, seed, digest):
     report = sample_roundtrip(replace(codec, embed=embed), samples, seed)
     assert report.ok and len(embedded) == samples
     assert hashlib.sha256(b"".join(embedded)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text, q", [("ss:n=64", 4), ("mp:n=16,l=8,p=3", 3)])
+def test_sampled_payloads_across_draw_blocks_are_the_reference_draw(text, q):
+    codec = build_codec(parse_spec(text), q)
+    k = codec.k
+    samples = _SAMPLE_BLOCK // k + 2  # the last two samples come from a second block
+    embedded = []
+
+    def embed(payload):
+        if type(payload) is bytes:  # encode's loop; a no-step encode embeds the tuple again
+            embedded.append(payload)
+        return codec.embed(payload)
+
+    assert sample_roundtrip(replace(codec, embed=embed), samples, 9).ok
+    outputs = _reference_xorshift(9, samples * k)
+    assert embedded == [bytes(o % q for o in outputs[s * k : s * k + k]) for s in range(samples)]
 
 
 def test_kv_lines_exact_rational():

@@ -19,7 +19,9 @@ from parcodec import (
     ParameterViolation,
     WindowCoder,
     build_intersection,
+    build_codec,
     count_weight_at_most,
+    decode,
     encode_index,
     forbidden_window_shrink,
     listed_window_coder,
@@ -27,6 +29,7 @@ from parcodec import (
     min_period_coder,
     min_weight_coder,
     no_palindrome_coder,
+    parse_spec,
     repeat_free_shrink,
     reverse_complement_shrink,
     weight_window_coder,
@@ -90,6 +93,22 @@ def test_decoded_field_rejected_at_its_limit_only(shrink, word, edits, field, li
     with pytest.raises(NotACodeword, match=rf"^{what} {limit} out of range \(limit {limit}\)$"):
         shrink.unshrink(_set_field(image, start, width, limit, q))
     assert len(shrink.unshrink(_set_field(image, start, width, limit - 1, q))) == N
+
+
+# a j below min_gap leaves i no value, so the refusal names j's own range [min_gap, n - ell]; in
+# ss:n=8 and rss:n=8,l=5 that range is empty (the pair member is), and rf's all-zero j is 0
+LOW_PAIR_J = [
+    ("ss:n=8", 4, r"\[6, 2\], which is empty: no pair fits"),
+    ("rss:n=8,l=5", 4, r"\[5, 3\], which is empty: no pair fits"),
+    ("rf:n=8,l=7", 2, r"\[1, 1\]"),
+]
+
+
+@pytest.mark.parametrize("text, q, valid", LOW_PAIR_J, ids=[case[0] for case in LOW_PAIR_J])
+def test_pair_index_j_below_min_gap_names_its_range(text, q, valid):
+    with pytest.raises(NotACodeword, match=rf"^pair index j 0 out of range {valid}$") as refusal:
+        decode(build_codec(parse_spec(text), q), (0,) * 8)
+    assert refusal.value.reason == "field-out-of-range"
 
 
 @pytest.mark.parametrize(
