@@ -15,9 +15,10 @@ the windows the cut changed.  The inverse reads j, then i, through
 :func:`core.decode_field`, so it accepts exactly i + gap <= j <= n - ell,
 and rebuilds window j from window i, or regrows it where the two overlap.
 :func:`core.window_fits` refuses a window longer than the word before any
-window is keyed or table checked, :func:`core.window_room` one too short
-for both indices (ell < 2*ceil_log(n) + 1 + slack).  The public shrink
-steps only choose the transform:
+window is keyed or table checked, :func:`words.window_keys` a key of more
+than :data:`words.MAX_KEY_BITS` bits, and :func:`core.window_room` a window
+too short for both indices (ell < 2*ceil_log(n) + 1 + slack).  The public
+shrink steps only choose the transform:
 
 * :func:`repeat_free_shrink` (CLI: rf/srf) - no length-ell window may recur,
   optionally after a per-position symbol substitution (gap 1).
@@ -31,8 +32,9 @@ The :mod:`parcodec.specs` rows ``ss`` and ``ab`` intersect two members each:
   reverse-complement-palindrome window shrink.
 * :func:`almost_balanced_member` (ab) - total Hamming weight confined to
   [n/2 - sqrt(n), n/2 + sqrt(n)], by exact enumerative ranking of the
-  too-light and the too-heavy words.  All threshold arithmetic is exact
-  integer work; no floating point enters codec semantics.
+  too-light and the too-heavy words, for n up to :data:`MAX_AB_N`.  All
+  threshold arithmetic is exact integer work; no floating point enters
+  codec semantics.
 """
 
 from __future__ import annotations
@@ -311,6 +313,7 @@ def unrank_weight_at_most(rank: int, n: int, wmax: int) -> bytes:
 
 
 _FLIP_BITS = symbol_translation((1, 0))
+MAX_AB_N = 1 << 14  # the almost-balanced rank table, built on the first step, grows as n**2
 
 
 def min_balanced_weight(n: int) -> int:
@@ -330,10 +333,13 @@ def almost_balanced_member(n: int, heavy: bool, slack: int) -> ShrinkStep:
     does the same for a word with at most w_star zeros, ranking its bitwise
     complement.  The witness is that count of ones (zeros), and the cut ranks
     with it.  The capacity of n-1-slack bits is checked by exact counting at
-    build time, not assumed; the rank table is built on first use.
+    build time, not assumed; the rank table is built on first use.  An n
+    above :data:`MAX_AB_N` is refused before any count.
     """
     if n <= 4:
         raise ParameterViolation(f"almost-balanced constraint needs n > 4, got {n}")
+    if n > MAX_AB_N:
+        raise ParameterViolation(f"ab word length n = {n} exceeds MAX_AB_N = {MAX_AB_N}")
     w_star = min_balanced_weight(n) - 1
     count = count_weight_at_most(n, w_star)
     width = n - 1 - slack

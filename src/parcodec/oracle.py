@@ -28,20 +28,18 @@ recurrence; :class:`_XorShift64Star` says why.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, filterfalse, product, repeat, starmap
 from operator import add, getitem, mod, xor
 from struct import unpack
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import DEFAULT_STATE_BOUND, CodecSpec, ShrinkStep, decode, decode_index, encode, encode_index
 from .errors import BoundExceeded, DimensionMismatch, NotACodeword
 from .words import DIGITS, Word, all_words, check_symbols
-
-if TYPE_CHECKING:
-    from array import array
-    from fractions import Fraction
 
 MAX_SAMPLE_K = 1 << 16  # payload length sample_roundtrip draws at most
 
@@ -93,14 +91,6 @@ class VerifyReport:
         return lines
 
 
-def _exact_mean(total: int, count: int) -> Fraction:
-    # fractions is imported on first use: with decimal, which it imports,
-    # it is about a twelfth of the time ``import parcodec`` takes
-    from fractions import Fraction
-
-    return Fraction(total, count)
-
-
 def _space(q: int, length: int, name: str, bound: int) -> int:
     """q**length, refused above ``bound``."""
     space = q ** length
@@ -131,7 +121,7 @@ def _roundtrip(
                 report.failures.append((payload, ROUNDTRIP))
         except NotACodeword:
             report.failures.append((payload, ROUNDTRIP))
-    report.avg_iterations = _exact_mean(total_iterations, report.total_inputs)
+    report.avg_iterations = Fraction(total_iterations, report.total_inputs)
     report.max_iterations = max_iterations
     return report
 
@@ -333,8 +323,6 @@ def build_state_graph(codec: CodecSpec, *, bound: int = DEFAULT_STATE_BOUND) -> 
     word r satisfies the constraint.  DimensionMismatch names the source word
     of a step image that is not an n-word over [0, q), and BoundExceeded is
     raised when the q**n targets do not fit in memory, whatever the bound."""
-    from array import array  # on first use, as fractions is: loading it takes about 0.5 ms
-
     q, n = codec.q, codec.n
     space = _space(q, n, "n", bound)
     try:  # above sys.maxsize the array refuses its length before allocating
@@ -360,11 +348,12 @@ def check_graph(
     q**n - q**k: given the first two, paths from distinct starts are disjoint
     and end on words that are not starts.  An embedded payload that is not
     an n-word over [0, q) raises DimensionMismatch naming the payload.
-    Pass a prebuilt ``graph`` to avoid enumerating the state space twice.
+    Pass a prebuilt ``graph`` to avoid enumerating the state space twice;
+    one of another length than q**n raises DimensionMismatch.
     """
     targets = build_state_graph(codec, bound=bound) if graph is None else graph
     q, n, is_start = codec.q, codec.n, codec.is_start
-    space = len(targets)
+    space = _graph_length(codec, targets)
     report = VerifyReport(total_inputs=q ** codec.k, constraint_count=targets.count(-1))
 
     seen = bytearray(space)
@@ -396,9 +385,16 @@ def check_graph(
             max_steps = steps
     if total_steps > space - report.total_inputs:
         report.failures.append(((), PATH_SUM))
-    report.avg_iterations = _exact_mean(total_steps, report.total_inputs)
+    report.avg_iterations = Fraction(total_steps, report.total_inputs)
     report.max_iterations = max_steps
     return report
+
+
+def _graph_length(codec: CodecSpec, graph: array) -> int:
+    """The graph's length, q**n; DimensionMismatch names both when they differ."""
+    if len(graph) != (space := codec.q ** codec.n):
+        raise DimensionMismatch(f"step graph has length {len(graph)}, expected q**n = {space}")
+    return space
 
 
 def _label(word: bytes, q: int) -> str:
@@ -412,8 +408,10 @@ def graph_to_dot(codec: CodecSpec, graph: array) -> Iterator[str]:
 
     Fill marks constraint membership, a double border marks start words.
     The lines are yielded as they are made, so a writer never holds the text.
+    A graph of another length than q**n raises DimensionMismatch before any line.
     """
     q, n, is_start = codec.q, codec.n, codec.is_start
+    _graph_length(codec, graph)
     yield "digraph step_graph {\n"
     yield "  node [shape=circle];\n"
     for node, target in zip(_engine_words(q, n), graph):

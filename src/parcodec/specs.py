@@ -17,11 +17,10 @@ spec's shrink step is its lone member, or the intersection of the members of
 every row it names, so every row composes.  The builders alone decide the
 alphabet: a spec built over any other q raises ParameterViolation.
 
-Two size bounds refuse, with ParameterViolation naming the bound, valid
-specs whose build or first step would not end in reasonable time, before
-any table is sized: ``ab``'s n above :data:`MAX_AB_N`, and a window key of
-``l * ceil(log2 q)`` bits above :data:`MAX_KEY_BITS` in the rows that set
-the pair finder's l (``rf``, ``srf`` and ``rss``).
+The size bounds live in the builders they guard (``ab``'s n in
+:func:`global_codes.almost_balanced_member`, a window key's bits in
+:func:`words.window_keys`), so the rows pass plain parameters, and a spec
+refuses what a direct build refuses, naming its member and slack first.
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ from .local import (
     palindrome_free_member,
     weight_window_coder,
 )
-
-MAX_AB_N = 1 << 14  # ab's rank table, built on its first step, grows as n**2
-MAX_KEY_BITS = 2048  # keying a window of l symbols takes time growing as the square of its bits
 
 
 @dataclass(frozen=True)
@@ -134,24 +130,6 @@ def _symbol_table_from_digits(beta: int, q: int) -> tuple[int, ...]:
     return tuple(int(d) for d in str(beta).zfill(q))
 
 
-def _ab_n(spec: ConstraintSpec) -> int:
-    """``ab``'s word length, refused above :data:`MAX_AB_N`."""
-    if spec.n > MAX_AB_N:
-        raise ParameterViolation(f"ab word length n = {spec.n} exceeds MAX_AB_N = {MAX_AB_N}")
-    return spec.n
-
-
-def _keyed_l(spec: ConstraintSpec, q: int) -> int:
-    """The pair finder's window length l, refused when a window key of
-    l * ceil(log2 q) bits exceeds :data:`MAX_KEY_BITS`."""
-    ell = spec.param("l")
-    if (bits := ell * (q - 1).bit_length()) > MAX_KEY_BITS:
-        raise ParameterViolation(
-            f"window key of l * ceil(log2 q) = {bits} bits exceeds MAX_KEY_BITS = {MAX_KEY_BITS}"
-        )
-    return ell
-
-
 def _window(coder: Callable[[ConstraintSpec, int, int], WindowCoder]) -> tuple[Callable]:
     """The one member builder of a forbidden-window constraint, given its coder factory."""
     return (lambda s, q, slack: forbidden_window_shrink(coder(s, q, slack), s.n, slack),)
@@ -183,17 +161,17 @@ _CONSTRAINTS = {
         lambda s, q, slack: palindrome_free_member(s.n, q, odd=False, slack=slack),
         lambda s, q, slack: palindrome_free_member(s.n, q, odd=True, slack=slack))),
     "rf": _Constraint(("n", "l"), (lambda s, q, slack: repeat_free_shrink(
-        s.n, _keyed_l(s, q), q, None, slack),)),
+        s.n, s.param("l"), q, None, slack),)),
     "srf": _Constraint(("n", "l", "beta"), (lambda s, q, slack: repeat_free_shrink(
-        s.n, _keyed_l(s, q), q, _symbol_table_from_digits(s.param("beta"), q), slack),)),
+        s.n, s.param("l"), q, _symbol_table_from_digits(s.param("beta"), q), slack),)),
     "rss": _Constraint(("n", "l"), (lambda s, q, slack: reverse_complement_shrink(
-        s.n, _keyed_l(s, len(DNA_COMPLEMENT)), DNA_COMPLEMENT, slack),)),
+        s.n, s.param("l"), DNA_COMPLEMENT, slack),)),
     "ss": _Constraint(("n",), (
         lambda s, q, slack: secondary_structure_member(s.n, palindromes=False, slack=slack),
         lambda s, q, slack: secondary_structure_member(s.n, palindromes=True, slack=slack))),
     "ab": _Constraint(("n",), (
-        lambda s, q, slack: almost_balanced_member(_ab_n(s), heavy=False, slack=slack),
-        lambda s, q, slack: almost_balanced_member(_ab_n(s), heavy=True, slack=slack))),
+        lambda s, q, slack: almost_balanced_member(s.n, heavy=False, slack=slack),
+        lambda s, q, slack: almost_balanced_member(s.n, heavy=True, slack=slack))),
 }
 
 

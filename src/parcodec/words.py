@@ -19,7 +19,9 @@ and writes one through :data:`SYMBOL_TO_TEXT`; a lone line goes through
 :data:`DIGITS` spells a symbol as one digit, for index fields and DOT names.
 Symbol maps (substitution tables and complements) are validated here too,
 and turned into ``translate`` tables.  The window finders' one digit layout,
-:func:`window_keys`, lives here too, with its per-length key reader.
+:func:`window_keys`, lives here too, with its per-length key reader; it
+refuses a key of ``ell * ceil(log2 q)`` bits above :data:`MAX_KEY_BITS`, so
+every pair finder and :func:`local.listed_window_coder` refuses one too.
 """
 
 from __future__ import annotations
@@ -142,6 +144,9 @@ def spread_digits(word: bytes, width: int) -> int:
     return int.from_bytes(word, "little")
 
 
+MAX_KEY_BITS = 2048  # keying a window of l symbols takes time growing as the square of its bits
+
+
 def window_keys(q: int, ell: int) -> tuple[int, int, Callable[[int], tuple]]:
     """(width, weights, reader) keying every length-ell window by its base-q value.
 
@@ -150,7 +155,13 @@ def window_keys(q: int, ell: int) -> tuple[int, int, Callable[[int], tuple]]:
     length - ell from ``spread_digits(word, width) * weights``, or any product
     so laid out, as ``read(product.to_bytes(size, "little"))``: machine
     integers, or ``width``-byte strings past 8 bytes; ``reader`` keeps 8 lengths.
+    ParameterViolation refuses a key of ``ell * ceil(log2 q)`` bits above
+    :data:`MAX_KEY_BITS` before any power of q is taken.
     """
+    if (bits := ell * (q - 1).bit_length()) > MAX_KEY_BITS:
+        raise ParameterViolation(
+            f"window key of l * ceil(log2 q) = {bits} bits exceeds MAX_KEY_BITS = {MAX_KEY_BITS}"
+        )
     bits = (q**ell - 1).bit_length()
     width = next((w for w in (1, 2, 4, 8) if 8 * w >= bits), (bits + 7) // 8)
     code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)

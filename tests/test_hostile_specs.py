@@ -32,8 +32,9 @@ from parcodec import (
     weight_window_coder,
 )
 from parcodec.cli import main
-from parcodec.specs import _CONSTRAINTS, MAX_AB_N, MAX_KEY_BITS
-from parcodec.words import FORMAT_ALPHABETS, FORMAT_Q
+from parcodec.global_codes import MAX_AB_N, almost_balanced_member, secondary_structure_member
+from parcodec.specs import _CONSTRAINTS
+from parcodec.words import FORMAT_ALPHABETS, FORMAT_Q, MAX_KEY_BITS
 
 E6, E30 = 10**6, 10**30
 
@@ -68,6 +69,44 @@ def test_cli_refuses_a_parameter_no_word_can_hold_at_once(tmp_path, capsys, spec
     assert (rc, out) == (2, "")
     slack = ceil_log(len(_CONSTRAINTS[spec.partition(":")[0]].members), 2)  # the width of a member tag at q = 2
     assert err.startswith(f"error: member '{spec}' at slack {slack}: ") and err.endswith(f"{refusal}\n")
+
+
+def _key_refusal(bits):
+    return f"window key of l * ceil(log2 q) = {bits} bits exceeds MAX_KEY_BITS = {MAX_KEY_BITS}"
+
+
+def _ab_refusal(n):
+    return f"ab word length n = {n} exceeds MAX_AB_N = {MAX_AB_N}"
+
+
+# builds past a size bound, each refused at once: they hung past 10 s (rss: 4.9 s)
+# when only the rf, srf, rss and ab spec rows checked the bounds
+BOUND_BY_THE_BUILDER = [
+    pytest.param(lambda: repeat_free_shrink(E30, E6), _key_refusal(E6), id="rf-l1e6"),
+    pytest.param(lambda: repeat_free_shrink(E6, 5000, q=4), _key_refusal(10000), id="rf-q4-l5000"),
+    pytest.param(lambda: repeat_free_shrink(4096, 2049), _key_refusal(2049), id="rf-l2049"),
+    pytest.param(lambda: reverse_complement_shrink(E6, 3000), _key_refusal(6000), id="rss-l3000"),
+    pytest.param(lambda: secondary_structure_member(10**2000, False, 1),
+                 _key_refusal(2 * (2 * ceil_log(10**2000, 4) + 2)), id="ss-n1e2000"),
+    pytest.param(lambda: listed_window_coder([(0,) * 2049], 4096, 2049), _key_refusal(2049), id="listed-l2049"),
+    pytest.param(lambda: almost_balanced_member(E6, False, 0), _ab_refusal(E6), id="ab-1e6"),
+    pytest.param(lambda: almost_balanced_member(MAX_AB_N + 1, True, 1), _ab_refusal(MAX_AB_N + 1), id="ab-2^14+1"),
+]
+
+
+@pytest.mark.parametrize("build, refusal", BOUND_BY_THE_BUILDER)
+def test_library_builders_refuse_what_the_spec_path_refuses_at_once(build, refusal):
+    start = time.perf_counter()
+    with pytest.raises(ParameterViolation) as refused:
+        build()
+    assert time.perf_counter() - start < 1.0
+    assert str(refused.value) == refusal
+
+
+def test_library_builders_build_just_inside_each_size_bound():
+    assert repeat_free_shrink(4096, 2048).n == 4096  # keys of exactly MAX_KEY_BITS bits
+    assert reverse_complement_shrink(4096, MAX_KEY_BITS // 2).n == 4096
+    assert build_codec(parse_spec(f"ab:n={MAX_AB_N}")).n == MAX_AB_N
 
 
 def _values(n):

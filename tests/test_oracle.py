@@ -249,6 +249,20 @@ def test_graph_refuses_an_embedded_payload_that_is_not_a_word(embed, refusal):
         check_graph(codec)
 
 
+@pytest.mark.parametrize(
+    "codec_text, graph_text", [("mw:n=16,l=9,p=2", "mw:n=8,l=7,p=2"), ("mw:n=8,l=7,p=2", "mw:n=16,l=9,p=2")]
+)
+def test_graph_check_and_dot_refuse_the_graph_of_another_codec(codec_text, graph_text):
+    # a shorter graph once gave an IndexError and a 281-line DOT, a longer one an OverflowError
+    codec = build_codec(parse_spec(codec_text))
+    graph = build_state_graph(build_codec(parse_spec(graph_text)))
+    refusal = re.escape(f"step graph has length {len(graph)}, expected q**n = {2**codec.n}")
+    with pytest.raises(DimensionMismatch, match=refusal):
+        check_graph(codec, graph=graph)
+    with pytest.raises(DimensionMismatch, match=refusal):
+        next(graph_to_dot(codec, graph))
+
+
 def test_graph_build_check_and_dot_peak_under_one_mib():
     # the graph is one array of q**n ranks; a dict of bytes edges and a set of targets took 2.5 MiB on this spec
     codec = build_codec(parse_spec("enp:n=16,l=10"))

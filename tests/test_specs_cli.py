@@ -989,6 +989,23 @@ def test_cli_overwrites_a_longer_target_to_exactly_the_new_output(tmp_path, caps
     assert out.read_bytes() == b"1111111111111111\n"
 
 
+def test_cli_names_an_output_it_cannot_open_for_writing(tmp_path, capsys, monkeypatch):
+    # the target passes the up-front checks, and only opening it to write fails
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("111111111111111\n")
+    real_open = os.open
+
+    def refuse_target(path, *args, **kwargs):
+        if path == str(out):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refuse_target)
+    assert run_cli(["encode", "--spec", "mw:n=16,l=9,p=2", "--input", str(src), "--output", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot open '{out}': Permission denied\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, q", [("mw:n=64,l=13,p=2", 2), ("ss:n=64", 4)])
 def test_cli_reads_crlf_blanks_and_comments_as_the_library_does(tmp_path, text, q):
     fmt = "bits" if q == 2 else "dna"
